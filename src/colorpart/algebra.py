@@ -362,11 +362,15 @@ def enumerate_monoid(k, r, cap=10**5):
     if n > cap:
         raise CapExceeded("monoid size %d exceeds cap %d" % (n, cap))
     elems = set(enumerate_diagrams(r, k, k))
-    assert len(elems) == n
+    if len(elems) != n:
+        raise RuntimeError("enumerated %d diagrams, expected %d" % (len(elems), n))
     return elems
 
 
 def monoid_generators(k, r):
+    """s_0, s_i, p_i, q_i; CPar_0 = {identity} needs none."""
+    if k == 0:
+        return []
     gens = [gen_s0(k, r)]
     gens += [gen_s(i, k, r) for i in range(1, k)]
     gens += [gen_p(i, k, r) for i in range(1, k + 1)]
@@ -374,47 +378,133 @@ def monoid_generators(k, r):
     return gens
 
 
-def generated_closure(k, r, frontier_cap=10**6):
+def _cayley_graphs(k, r, sides, frontier_cap=None):
+    """Breadth-first closure of the generators from the identity, with
+    every element interned to its index (Froidure & Pin 1997).
+
+    sides is "R", "L" or "RL".  Returns elems and a graph per side:
+    graphs["R"][i][j] is the index of elems[i] * gens[j], graphs["L"][i][j]
+    that of gens[j] * elems[i].  The BFS multiplies on the side sides[0],
+    so one side costs |M| * |gens| products; frontier_cap bounds them.
+    """
     gens = monoid_generators(k, r)
-    seen = {ColoredDiagram.identity(r, k)}
-    seen.update(gens)
-    frontier = list(seen)
+    elems = [ColoredDiagram.identity(r, k)]
+    index = {elems[0].blocks: 0}   # r, k and l are fixed: blocks suffice
+
+    def times(side, d, g):
+        return compose(d, g)[0] if side == "R" else compose(g, d)[0]
+
+    graph = []
     products = 0
-    while frontier:
-        new = []
-        for d in frontier:
-            for g in gens:
-                products += 1
-                if products > frontier_cap:
-                    raise CapExceeded("closure frontier exceeded %d" % frontier_cap)
-                x = mcompose(d, g)
-                if x not in seen:
-                    seen.add(x)
-                    new.append(x)
-        frontier = new
-    return seen
+    i = 0
+    while i < len(elems):
+        row = []
+        for g in gens:
+            products += 1
+            if frontier_cap is not None and products > frontier_cap:
+                raise CapExceeded("closure frontier exceeded %d" % frontier_cap)
+            x = times(sides[0], elems[i], g)
+            j = index.get(x.blocks)
+            if j is None:
+                j = index[x.blocks] = len(elems)
+                elems.append(x)
+            row.append(j)
+        graph.append(row)
+        i += 1
+    graphs = {sides[0]: graph}
+    for side in sides[1:]:
+        graphs[side] = [[index[times(side, d, g).blocks] for g in gens]
+                        for d in elems]
+    return elems, graphs
+
+
+def generated_closure(k, r, frontier_cap=10**6):
+    """The monoid the generators generate; frontier_cap bounds the
+    products, |M| * |gens| of them."""
+    return set(_cayley_graphs(k, r, "R", frontier_cap)[0])
+
+
+def _strong_components(graph):
+    """Strongly connected component id of every vertex (iterative Tarjan)."""
+    n = len(graph)
+    order = [-1] * n       # discovery index
+    low = [0] * n
+    comp = [-1] * n
+    stack = []             # Tarjan's stack of open vertices
+    count = ncomp = 0
+    for start in range(n):
+        if order[start] != -1:
+            continue
+        order[start] = low[start] = count
+        count += 1
+        stack.append(start)
+        work = [(start, 0)]
+        while work:
+            v, e = work[-1]
+            edges = graph[v]
+            if e < len(edges):
+                work[-1] = (v, e + 1)
+                w = edges[e]
+                if order[w] == -1:
+                    order[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, 0))
+                elif comp[w] == -1 and order[w] < low[v]:
+                    low[v] = order[w]
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+            if low[v] == order[v]:
+                while True:
+                    w = stack.pop()
+                    comp[w] = ncomp
+                    if w == v:
+                        break
+                ncomp += 1
+    return comp
 
 
 def green_classes(k, r, relation, cap=10**5):
-    """Partition the monoid into L, R or J classes via principal ideals."""
-    elems = sorted(enumerate_monoid(k, r, cap), key=repr)
-    n = len(elems)
-    if relation == "L":
-        key = {m: frozenset(mcompose(a, m) for a in elems) for m in elems}
-    elif relation == "R":
-        key = {m: frozenset(mcompose(m, a) for a in elems) for m in elems}
-    elif relation == "J":
-        key = {}
-        for m in elems:
-            ideal = set()
-            for a in elems:
-                am = mcompose(a, m)
-                for b in elems:
-                    ideal.add(mcompose(am, b))
-            key[m] = frozenset(ideal)
-    else:
+    """Partition the monoid into L, R or J classes.
+
+    R classes are the strongly connected components of the right Cayley
+    graph, L classes those of the left one; J = D = L v R in a finite
+    monoid, so J classes join the two.  R or L alone costs |M| * |gens|
+    products, J twice that.  Members come in repr order and classes in
+    the order of their first member.
+    """
+    if relation not in ("L", "R", "J"):
         raise ValueError("relation must be L, R or J")
+    n = count_bell(2 * k, r)
+    if n > cap:
+        raise CapExceeded("monoid size %d exceeds cap %d" % (n, cap))
+    elems, graphs = _cayley_graphs(k, r, "RL" if relation == "J" else relation)
+    if len(elems) != n:
+        raise RuntimeError("generators reach %d elements, expected %d"
+                           % (len(elems), n))
+    if relation != "J":
+        key = _strong_components(graphs[relation])
+    else:
+        # union-find join of the R and L classes
+        parent = list(range(n))
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            return v
+
+        for comp in map(_strong_components, graphs.values()):
+            first = {}
+            for v, c in enumerate(comp):
+                a, b = find(first.setdefault(c, v)), find(v)
+                if a != b:
+                    parent[b] = a
+        key = [find(v) for v in range(n)]
     classes = {}
-    for m in elems:
-        classes.setdefault(key[m], []).append(m)
+    for i in sorted(range(n), key=lambda i: repr(elems[i])):
+        classes.setdefault(key[i], []).append(elems[i])
     return list(classes.values())

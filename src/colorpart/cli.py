@@ -32,6 +32,22 @@ def _default(obj):
     raise TypeError("not JSON serializable: %r" % (obj,))
 
 
+# Sizes are checked here, at the parse boundary, so the library never sees
+# a negative arity or an empty color set.
+ARITY = click.IntRange(min=0)
+COLORS = click.IntRange(min=1)
+
+
+def _decimal(n):
+    """str(n) for an int of any size: str() refuses more digits than
+    sys.get_int_max_str_digits(), so convert in 1000-digit chunks."""
+    chunks = []
+    while n >= 10**1000:
+        n, low = divmod(n, 10**1000)
+        chunks.append("%01000d" % low)
+    return str(n) + "".join(reversed(chunks))
+
+
 def parse_json(text, what):
     try:
         return json.loads(text)
@@ -83,18 +99,17 @@ def cmd_compose(d1, d2):
 
 
 @main.command("count")
-@click.option("--k", required=True, type=int)
-@click.option("--r", required=True, type=int)
+@click.option("--k", required=True, type=ARITY)
+@click.option("--r", required=True, type=COLORS)
 def cmd_count(k, r):
     """Colored Bell number: colored set partitions of k points."""
-    if k < 0 or r < 1:
-        raise click.UsageError("need k >= 0 and r >= 1")
-    emit({"B": str(count_bell(k, r))})
+    emit({"B": _decimal(count_bell(k, r))})
 
 
 @main.command("present-check")
-@click.option("--k", required=True, type=int)
-@click.option("--r", required=True, type=int)
+@click.option("--k", required=True, type=click.IntRange(min=1),
+              help="k >= 1: the generator s0 needs a strand")
+@click.option("--r", required=True, type=COLORS)
 @click.pass_context
 def cmd_present_check(ctx, k, r):
     """Check every instance of the defining monoid relations."""
@@ -105,12 +120,13 @@ def cmd_present_check(ctx, k, r):
 
 
 @main.command("green")
-@click.option("--k", required=True, type=int)
-@click.option("--r", required=True, type=int)
+@click.option("--k", required=True, type=ARITY)
+@click.option("--r", required=True, type=COLORS)
 @click.option("--relation", type=click.Choice(["L", "R", "J"]), required=True)
 @click.option("--members", is_flag=True, help="include class members")
 def cmd_green(k, r, relation, members):
-    """Equivalence classes of a Green relation, via principal ideals."""
+    """Equivalence classes of a Green relation, as strongly connected
+    components of the monoid's right and left Cayley graphs."""
     cfg = config.from_env()
     try:
         classes = algebra.green_classes(k, r, relation, cap=cfg.monoid_cap)
@@ -160,8 +176,8 @@ def cmd_psi_check(ctx, samples, k_max, r_max, seed):
 
 
 @main.command("gram")
-@click.option("--r", required=True, type=int)
-@click.option("--k", required=True, type=int)
+@click.option("--r", required=True, type=COLORS)
+@click.option("--k", required=True, type=ARITY)
 @click.option("--shape", required=True,
               help="multipartition as JSON, e.g. [[1],[]]")
 def cmd_gram(r, k, shape):
@@ -180,8 +196,8 @@ def cmd_gram(r, k, shape):
 
 
 @main.command("semisimple")
-@click.option("--r", required=True, type=int)
-@click.option("--k", required=True, type=int)
+@click.option("--r", required=True, type=COLORS)
+@click.option("--k", required=True, type=ARITY)
 @click.option("--x", required=True,
               help="parameter point, comma separated, e.g. 2,1")
 def cmd_semisimple(r, k, x):
@@ -206,7 +222,7 @@ def cmd_semisimple(r, k, x):
 
 
 @main.command("cartan")
-@click.option("--r", required=True, type=int)
+@click.option("--r", required=True, type=COLORS)
 @click.option("--maxweight", required=True, type=int)
 def cmd_cartan(r, maxweight):
     """Cartan matrix entries for multipartitions up to a weight."""
@@ -229,7 +245,7 @@ def cmd_reduced_kronecker(lam, mu, nu):
 
 
 @main.command("r-coeff")
-@click.option("--r", required=True, type=int)
+@click.option("--r", required=True, type=COLORS)
 @click.option("--lam-bar", required=True, help="multipartition as JSON")
 @click.option("--mu-bar", required=True)
 @click.option("--nu-bar", required=True)
@@ -242,7 +258,7 @@ def cmd_r_coeff(r, lam_bar, mu_bar, nu_bar):
 
 
 @main.command("thm-check")
-@click.option("--r", required=True, type=int)
+@click.option("--r", required=True, type=COLORS)
 @click.option("--example", type=click.Choice(["paper"]), default=None,
               help="use the bundled r=3 worked example")
 @click.option("--lam-bar", default=None)

@@ -9,7 +9,6 @@ scalar monomial exponent vector.
 
 import json
 from functools import lru_cache
-from math import comb
 
 
 class MalformedDiagram(ValueError):
@@ -61,6 +60,15 @@ class ColoredDiagram:
         self._hash = None
 
     # -- constructors -------------------------------------------------
+    @classmethod
+    def _canonical(cls, r, k, l, blocks):
+        """Trusted constructor: blocks is already a canonical tuple of
+        (sorted top, sorted bottom, color mod r) covering every vertex,
+        so nothing is sorted or validated again."""
+        d = object.__new__(cls)
+        d.r, d.k, d.l, d.blocks, d._hash = r, k, l, blocks, None
+        return d
+
     @staticmethod
     def identity(r, k):
         return ColoredDiagram(r, k, k, [((i,), (i,), 0) for i in range(1, k + 1)])
@@ -159,60 +167,70 @@ def compose(d1, d2):
         raise ArityMismatch("color modulus mismatch")
     if d1.l != d2.k:
         raise ArityMismatch("inner arity mismatch: %d vs %d" % (d1.l, d2.k))
-    r, k, m = d1.r, d1.k, d2.l
-    # vertices: ("t", i) tops of d1, ("m", j) shared middle, ("b", j) bottoms of d2
-    parent = {}
+    r, k, l, m = d1.r, d1.k, d1.l, d2.l
+    # vertex codes: tops 0..k-1, middle k..k+l-1, bottoms k+l..k+l+m-1;
+    # color[v] sums the block colors of the component rooted at v
+    n = k + l + m
+    parent = list(range(n))
+    color = [0] * n
+    mid = k - 1
+    low = k + l - 1
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for i in range(1, k + 1):
-        parent[("t", i)] = ("t", i)
-    for j in range(1, d1.l + 1):
-        parent[("m", j)] = ("m", j)
-    for j in range(1, m + 1):
-        parent[("b", j)] = ("b", j)
-
-    colors = []  # (representative vertex list, color) contributions
+    # d1's blocks are disjoint: point every vertex at the block's first
     for top, bot, c in d1.blocks:
-        verts = [("t", v) for v in top] + [("m", v) for v in bot]
-        for v in verts[1:]:
-            union(verts[0], v)
-        colors.append((verts[0], c))
+        root = top[0] - 1 if top else mid + bot[0]
+        for v in top:
+            parent[v - 1] = root
+        for v in bot:
+            parent[mid + v] = root
+        color[root] = c
+    # d2's blocks join d1's components through the middle
     for top, bot, c in d2.blocks:
-        verts = [("m", v) for v in top] + [("b", v) for v in bot]
-        for v in verts[1:]:
-            union(verts[0], v)
-        colors.append((verts[0], c))
+        root = find(mid + top[0]) if top else low + bot[0]
+        for v in top:
+            v = find(mid + v)
+            if v != root:
+                parent[v] = root
+                color[root] += color[v]
+        for v in bot:
+            parent[low + v] = root
+        color[root] += c
 
-    comp_color = {}
-    for v, c in colors:
-        root = find(v)
-        comp_color[root] = (comp_color.get(root, 0) + c) % r
-
-    comp_members = {}
-    for v in parent:
-        comp_members.setdefault(find(v), []).append(v)
-
+    # blocks in canonical order: top i before bottom i, first visit wins
+    slot = [-1] * n
     blocks = []
+    for i in range(1, max(k, m) + 1):
+        if i <= k:
+            root = find(i - 1)
+            b = slot[root]
+            if b < 0:
+                slot[root] = len(blocks)
+                blocks.append(([i], [], root))
+            else:
+                blocks[b][0].append(i)
+        if i <= m:
+            root = find(low + i)
+            b = slot[root]
+            if b < 0:
+                slot[root] = len(blocks)
+                blocks.append(([], [i], root))
+            else:
+                blocks[b][1].append(i)
+    # components no top or bottom reached are the removed middle ones
     exponents = [0] * r
-    for root, members in comp_members.items():
-        top = sorted(v for tag, v in members if tag == "t")
-        bot = sorted(v for tag, v in members if tag == "b")
-        c = comp_color[root]
-        if not top and not bot:
-            exponents[c] += 1
-        else:
-            blocks.append((top, bot, c))
-    return ColoredDiagram(r, k, m, blocks), tuple(exponents)
+    for v in range(k, k + l):
+        root = find(v)
+        if slot[root] == -1:
+            slot[root] = -2
+            exponents[color[root] % r] += 1
+    blocks = tuple((tuple(top), tuple(bot), color[root] % r)
+                   for top, bot, root in blocks)
+    return ColoredDiagram._canonical(r, k, m, blocks), tuple(exponents)
 
 
 def tensor(d1, d2):
@@ -314,13 +332,30 @@ def _color_tuples(r, n):
 
 
 @lru_cache(maxsize=None)
+def _bell_table(r):
+    """[B_0, B_1, ...] for r colors and the last row of their Bell triangle,
+    extended in place by count_bell."""
+    return [1], [1]
+
+
 def count_bell(k, r):
-    """Number of colored set partitions of k points (colored Bell number)."""
+    """Number of colored set partitions of k points (colored Bell number).
+
+    B_{n+1} = r * sum_j C(n, j) B_j.  The sum is the last entry of row n of
+    the Bell triangle, where row n+1 starts at B_{n+1} and each next entry
+    is its left neighbour plus the entry above that neighbour: B_{n+1}
+    costs n+1 additions, and nothing recurses.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return 1
-    return r * sum(comb(k - 1, l - 1) * count_bell(k - l, r) for l in range(1, k + 1))
+    bells, row = _bell_table(r)
+    while len(bells) <= k:
+        new = [r * row[-1]]
+        for a in row:
+            new.append(new[-1] + a)
+        bells.append(new[0])
+        row[:] = new
+    return bells[k]
 
 
 def egf_coefficients(r, N):

@@ -382,22 +382,22 @@ def check_sw(cfg):
 
 
 def check_green(cfg):
-    """Ideal-defined L/R/J classes equal the tableau-invariant classes."""
+    """Cayley-graph L/R/J classes equal the tableau-invariant classes."""
     details = []
     ok = True
-    for k, r in [(2, 2), (1, 3)]:
+    for k, r in [(2, 2), (1, 3), (2, 3), (3, 2)]:
         elems = algebra.enumerate_monoid(k, r, cap=cfg.monoid_cap)
         invariants = {d: green_invariants(d) for d in elems}
         for rel in ("L", "R", "J"):
-            ideal = {frozenset(c) for c in algebra.green_classes(
+            graph = {frozenset(c) for c in algebra.green_classes(
                 k, r, rel, cap=cfg.monoid_cap)}
             by_key = {}
             for d, inv in invariants.items():
                 by_key.setdefault(inv[rel], set()).add(d)
             tableau = {frozenset(c) for c in by_key.values()}
-            same = ideal == tableau
+            same = graph == tableau
             details.append({"k": k, "r": r, "relation": rel,
-                            "classes": len(ideal), "ok": same})
+                            "classes": len(graph), "ok": same})
             ok = ok and same
     return {"criterion": "green-relations", "ok": ok, "cases": details}
 

@@ -3,8 +3,27 @@
 import pytest
 
 from colorpart import algebra
-from colorpart.diagrams import ColoredDiagram, count_bell
+from colorpart.diagrams import ColoredDiagram, count_bell, enumerate_diagrams
 from colorpart.rs import green_invariants
+
+
+def green_classes_by_ideals(k, r, relation):
+    """Oracle for green_classes: classes of equal principal ideals Mm, mM
+    or MmM, read off a full multiplication table, members in repr order
+    and classes in the order of their first member."""
+    elems = sorted(algebra.enumerate_monoid(k, r), key=repr)
+    table = {a: {b: algebra.mcompose(a, b) for b in elems} for a in elems}
+    if relation == "L":
+        key = {m: frozenset(table[a][m] for a in elems) for m in elems}
+    elif relation == "R":
+        key = {m: frozenset(table[m].values()) for m in elems}
+    else:
+        key = {m: frozenset(y for a in elems for y in table[table[a][m]].values())
+               for m in elems}
+    classes = {}
+    for m in elems:
+        classes.setdefault(key[m], []).append(m)
+    return list(classes.values())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -64,3 +83,47 @@ def test_green_classes_partition_the_monoid():
     for relation in ("L", "R", "J"):
         classes = algebra.green_classes(2, 2, relation)
         assert sum(len(c) for c in classes) == count_bell(4, 2)
+
+
+@pytest.mark.parametrize("relation", ["L", "R", "J"])
+@pytest.mark.parametrize("k, r", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2)])
+def test_green_classes_equal_the_ideal_oracle(k, r, relation):
+    # same classes, same member order, same class order
+    assert algebra.green_classes(k, r, relation) == green_classes_by_ideals(
+        k, r, relation)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_cpar0_is_one_element(r):
+    ident = ColoredDiagram.identity(r, 0)
+    assert algebra.monoid_generators(0, r) == []
+    assert algebra.generated_closure(0, r) == {ident}
+    for relation in ("L", "R", "J"):
+        assert algebra.green_classes(0, r, relation) == [[ident]]
+
+
+def test_closure_frontier_cap_counts_products():
+    # |CPar_2| * |gens| = 94 * 5 products at r = 2
+    assert len(algebra.generated_closure(2, 2, frontier_cap=470)) == 94
+    with pytest.raises(algebra.CapExceeded):
+        algebra.generated_closure(2, 2, frontier_cap=469)
+
+
+def test_green_rejects_unknown_relation_and_cap():
+    with pytest.raises(ValueError):
+        algebra.green_classes(1, 2, "D")
+    with pytest.raises(algebra.CapExceeded):
+        algebra.green_classes(2, 2, "L", cap=93)
+
+
+def test_integrity_checks_raise(monkeypatch):
+    # explicit exceptions, so they hold under python -O as well
+    monkeypatch.setattr(algebra, "enumerate_diagrams",
+                        lambda r, k, l: list(enumerate_diagrams(r, k, l))[1:])
+    with pytest.raises(RuntimeError):
+        algebra.enumerate_monoid(1, 2)
+    monkeypatch.undo()
+    gens = algebra.monoid_generators
+    monkeypatch.setattr(algebra, "monoid_generators", lambda k, r: gens(k, r)[1:])
+    with pytest.raises(RuntimeError):
+        algebra.green_classes(2, 2, "R")

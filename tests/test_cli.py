@@ -2,9 +2,11 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from colorpart.cli import main
+from colorpart.diagrams import count_bell
 from colorpart.verify import COMPOSE_D1, COMPOSE_D2, COMPOSE_PRODUCT
 
 
@@ -20,6 +22,39 @@ def test_count():
 
 def test_count_bad_args():
     assert run("count", "--k=-1", "--r", "2").exit_code == 2
+
+
+def test_count_large():
+    # past the recursion limit, and more digits than str() converts
+    res = run("count", "--k", "1000", "--r", "100000")
+    assert res.exit_code == 0
+    digits = json.loads(res.output)["B"]
+    assert len(digits) > 4300
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10**len(chunk) + int(chunk)
+    assert value == count_bell(1000, 100000)
+
+
+@pytest.mark.parametrize("args", [
+    ("green", "--k", "1", "--r", "0", "--relation", "L"),
+    ("green", "--k=-1", "--r", "2", "--relation", "L"),
+    ("present-check", "--k", "0", "--r", "2"),
+    ("present-check", "--k", "1", "--r", "0"),
+    ("cartan", "--r", "0", "--maxweight", "1"),
+])
+def test_sizes_checked_at_the_parse_boundary(args):
+    res = run(*args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.splitlines()[-1].startswith("Error: Invalid value")
+
+
+def test_green_k0_is_one_class():
+    res = run("green", "--k", "0", "--r", "2", "--relation", "J")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["sizes"] == [1]
 
 
 def test_unknown_subcommand():

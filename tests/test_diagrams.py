@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorpart.diagrams import (
@@ -37,6 +38,95 @@ def random_diagram(rng, r, k, l):
         bot = tuple(sorted(v for tag, v in block if tag == "b"))
         out.append((top, bot, rng.randrange(r)))
     return ColoredDiagram(r, k, l, out)
+
+
+def compose_by_vertex_tuples(d1, d2):
+    """Oracle for compose: union-find over ("t", i), ("m", j), ("b", j)
+    vertex tuples, blocks canonicalized by the validating constructor."""
+    r, k, m = d1.r, d1.k, d2.l
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    for i in range(1, k + 1):
+        parent[("t", i)] = ("t", i)
+    for j in range(1, d1.l + 1):
+        parent[("m", j)] = ("m", j)
+    for j in range(1, m + 1):
+        parent[("b", j)] = ("b", j)
+
+    colors = []  # (representative vertex, color) contributions
+    for top, bot, c in d1.blocks:
+        verts = [("t", v) for v in top] + [("m", v) for v in bot]
+        for v in verts[1:]:
+            union(verts[0], v)
+        colors.append((verts[0], c))
+    for top, bot, c in d2.blocks:
+        verts = [("m", v) for v in top] + [("b", v) for v in bot]
+        for v in verts[1:]:
+            union(verts[0], v)
+        colors.append((verts[0], c))
+
+    comp_color = {}
+    for v, c in colors:
+        root = find(v)
+        comp_color[root] = (comp_color.get(root, 0) + c) % r
+
+    comp_members = {}
+    for v in parent:
+        comp_members.setdefault(find(v), []).append(v)
+
+    blocks = []
+    exponents = [0] * r
+    for root, members in comp_members.items():
+        top = sorted(v for tag, v in members if tag == "t")
+        bot = sorted(v for tag, v in members if tag == "b")
+        c = comp_color[root]
+        if not top and not bot:
+            exponents[c] += 1
+        else:
+            blocks.append((top, bot, c))
+    return ColoredDiagram(r, k, m, blocks), tuple(exponents)
+
+
+@st.composite
+def diagrams(draw, r, k, l):
+    """A colored (k,l)-diagram: each vertex draws a block label."""
+    n = k + l
+    labels = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+    colors = draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
+    blocks = {}
+    for i, label in enumerate(labels):
+        top, bot = blocks.setdefault(label, ([], []))
+        if i < k:
+            top.append(i + 1)
+        else:
+            bot.append(i - k + 1)
+    return ColoredDiagram(
+        r, k, l, [(top, bot, colors[label]) for label, (top, bot) in blocks.items()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_compose_matches_vertex_tuple_oracle(data):
+    r = data.draw(st.integers(1, 5))
+    k, l, m = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a, b = data.draw(diagrams(r, k, l)), data.draw(diagrams(r, l, m))
+    prod, exps = compose(a, b)
+    ref, ref_exps = compose_by_vertex_tuples(a, b)
+    assert prod.blocks == ref.blocks and exps == ref_exps
+    # the trusted constructor built exactly what validation would build
+    assert prod == ColoredDiagram(r, k, m, prod.blocks)
+    assert prod.blocks == ColoredDiagram(r, k, m, prod.blocks).blocks
 
 
 def test_worked_composition_example():
@@ -116,6 +206,18 @@ def test_enumeration_matches_bell_numbers():
             for l in range(3):
                 n = sum(1 for _ in enumerate_diagrams(r, k, l))
                 assert n == count_bell(k + l, r)
+
+
+def test_count_bell_beyond_the_recursion_limit():
+    # a recursive count_bell overflowed the stack from k ~ 400
+    k, r = 600, 2
+    row = [1]  # S(n, j) for j = 0..n, by rows
+    for n in range(1, k + 1):
+        row = [0] + [j * (row[j] if j < n else 0) + row[j - 1]
+                     for j in range(1, n + 1)]
+    assert count_bell(k, r) == sum(s * r**j for j, s in enumerate(row))
+    with pytest.raises(ValueError):
+        count_bell(-1, r)
 
 
 def test_bell_against_stirling_sum():
