@@ -1,110 +1,12 @@
-"""The colored partition algebra CPar_k(x) and the monoid CPar_k.
-
-LinComb elements carry MPoly coefficients in the parameter variables
-y_0..y_{r-1}; the monoid arises by evaluating every parameter at 1.
+"""The colored partition monoid CPar_k: the colored partition algebra
+CPar_k(x) with every parameter evaluated at 1.
 """
 
-from .diagrams import (
-    ArityMismatch,
-    ColoredDiagram,
-    compose,
-    count_bell,
-    enumerate_diagrams,
-)
-from .scalars import MPoly
+from .diagrams import ColoredDiagram, compose, count_bell, enumerate_diagrams
 
 
 class CapExceeded(RuntimeError):
     pass
-
-
-class LinComb:
-    """Finite formal sum of same-arity diagrams with MPoly coefficients."""
-
-    __slots__ = ("r", "k", "l", "terms")
-
-    def __init__(self, r, k, l, terms=()):
-        self.r = r
-        self.k = k
-        self.l = l
-        clean = {}
-        for d, c in dict(terms).items():
-            if not isinstance(c, MPoly):
-                c = MPoly.constant(r, c)
-            if (d.r, d.k, d.l) != (r, k, l):
-                raise ArityMismatch("diagram arity does not match LinComb arity")
-            if c:
-                clean[d] = c
-        self.terms = clean
-
-    @staticmethod
-    def of(d, coeff=1):
-        return LinComb(d.r, d.k, d.l, {d: coeff})
-
-    @staticmethod
-    def unit(r, k):
-        return LinComb.of(ColoredDiagram.identity(r, k))
-
-    def __eq__(self, other):
-        if not isinstance(other, LinComb):
-            return NotImplemented
-        return (self.r, self.k, self.l, self.terms) == (
-            other.r,
-            other.k,
-            other.l,
-            other.terms,
-        )
-
-    def __hash__(self):
-        return hash((self.r, self.k, self.l, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if (self.r, self.k, self.l) != (other.r, other.k, other.l):
-            raise ArityMismatch("LinComb arity mismatch in addition")
-        terms = dict(self.terms)
-        for d, c in other.terms.items():
-            terms[d] = terms.get(d, MPoly.zero(self.r)) + c
-        return LinComb(self.r, self.k, self.l, terms)
-
-    def __neg__(self):
-        return LinComb(self.r, self.k, self.l, {d: -c for d, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if not isinstance(c, MPoly):
-            c = MPoly.constant(self.r, c)
-        return LinComb(self.r, self.k, self.l, {d: c * v for d, v in self.terms.items()})
-
-    def __repr__(self):
-        return "LinComb(%s)" % (
-            " + ".join("(%r)*%r" % (c, d) for d, c in self.terms.items()) or "0"
-        )
-
-
-def multiply(a, b):
-    """Bilinear extension of diagram composition, scalars as y-monomials."""
-    if a.l != b.k or a.r != b.r:
-        raise ArityMismatch("cannot multiply (%d,%d) by (%d,%d)" % (a.k, a.l, b.k, b.l))
-    out = {}
-    for d1, c1 in a.terms.items():
-        for d2, c2 in b.terms.items():
-            d, exps = compose(d1, d2)
-            c = c1 * c2 * MPoly.monomial(a.r, exps)
-            out[d] = out.get(d, MPoly.zero(a.r)) + c
-    return LinComb(a.r, a.k, b.l, out)
-
-
-def multiply_many(factors):
-    out = factors[0]
-    if isinstance(out, ColoredDiagram):
-        out = LinComb.of(out)
-    for f in factors[1:]:
-        if isinstance(f, ColoredDiagram):
-            f = LinComb.of(f)
-        out = multiply(out, f)
-    return out
 
 
 # -- generators ---------------------------------------------------------------
@@ -143,32 +45,6 @@ def gen_q(i, k, r):
     blocks = [((i, i + 1), (i, i + 1), 0)]
     blocks += [((j,), (j,), 0) for j in range(1, k + 1) if j not in (i, i + 1)]
     return ColoredDiagram(r, k, k, blocks)
-
-
-def gen_e(i, k, r):
-    """First i strands kept, the rest cut into singletons."""
-    if not 0 <= i <= k:
-        raise ValueError("e(i) needs 0 <= i <= k")
-    blocks = [((j,), (j,), 0) for j in range(1, i + 1)]
-    for j in range(i + 1, k + 1):
-        blocks.append(((j,), (), 0))
-        blocks.append(((), (j,), 0))
-    return ColoredDiagram(r, k, k, blocks)
-
-
-def generator(name, k, r):
-    if name == "s0":
-        return gen_s0(k, r)
-    kind, idx = name[0], int(name[1:] or 0)
-    if kind == "s":
-        return gen_s(idx, k, r)
-    if kind == "p":
-        return gen_p(idx, k, r)
-    if kind == "q":
-        return gen_q(idx, k, r)
-    if kind == "e":
-        return gen_e(idx, k, r)
-    raise ValueError("unknown generator %r" % name)
 
 
 # -- monoid product and presentation ------------------------------------------

@@ -37,6 +37,8 @@ def partitions(n, maxpart=None):
 @lru_cache(maxsize=None)
 def multipartitions(r, n):
     """All r-tuples of partitions of total size n."""
+    if r < 1:
+        raise ValueError("multipartitions need r >= 1, got %r" % (r,))
     if r == 1:
         return tuple((lam,) for lam in partitions(n))
     out = []
@@ -54,29 +56,36 @@ def weight(lam_bar):
 # -- Murnaghan-Nakayama -------------------------------------------------------
 
 
+def abacus_moves(lam, step):
+    """Move one bead of lam's abacus by step (negative: down).
+
+    With n = len(lam) + max(step, 0) beads at the beta-numbers
+    lam_i + n - i (an added ribbon starts at most step new rows), moving a
+    bead up (down) by |step| to a free position adds (removes) a
+    |step|-ribbon.  Yields (new shape, number of beads strictly between the
+    old and the new position) per movable bead, top row first.
+    """
+    n = len(lam) + max(step, 0)
+    betas = [(lam[i] if i < len(lam) else 0) + n - 1 - i for i in range(n)]
+    bset = set(betas)
+    for b in betas:
+        to = b + step
+        if to < 0 or to in bset:
+            continue
+        new = sorted((bset - {b}) | {to}, reverse=True)
+        shape = tuple(x - (n - i) for i, x in enumerate(new, start=1) if x > n - i)
+        lo, hi = min(b, to), max(b, to)
+        yield shape, sum(1 for x in bset if lo < x < hi)
+
+
 @lru_cache(maxsize=None)
 def chi_sn(lam, mu):
     """Symmetric group character chi^lam evaluated on cycle type mu."""
     if not mu:
         return 1 if not lam else 0
-    k = mu[0]
-    rest = mu[1:]
-    total = 0
-    # enumerate removable border strips of size k via beta-numbers
-    n = len(lam) + 1
-    betas = [lam[i] + n - 1 - i for i in range(len(lam))]
-    betas += list(range(n - len(lam) - 1, -1, -1))
-    bset = set(betas)
-    for b in betas:
-        if b - k < 0 or b - k in bset:
-            continue
-        newset = (bset - {b}) | {b - k}
-        newbetas = sorted(newset, reverse=True)
-        newlam = tuple(x - (n - i) for i, x in enumerate(newbetas, start=1))
-        newlam = tuple(x for x in newlam if x)
-        ht = sum(1 for x in bset if b - k < x < b)
-        total += (-1) ** ht * chi_sn(newlam, rest)
-    return total
+    # remove each border strip of size mu[0]; its height is the bead count
+    return sum((-1) ** ht * chi_sn(new, mu[1:])
+               for new, ht in abacus_moves(lam, -mu[0]))
 
 
 def z_order(mu):

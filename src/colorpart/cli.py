@@ -63,20 +63,36 @@ def parse_diagram(text):
         raise click.UsageError("bad diagram: %s" % exc)
 
 
-def parse_multipartition(text, what="multipartition"):
-    data = parse_json(text, what)
-    try:
-        return tuple(tuple(int(p) for p in lam) for lam in data)
-    except TypeError as exc:
-        raise click.UsageError("bad %s: %s" % (what, exc))
+def _partition(data, what):
+    """A JSON list of weakly decreasing non-negative ints (JSON booleans are
+    not ints here), as a tuple without its trailing zero parts."""
+    if (not isinstance(data, list) or any(type(p) is not int for p in data)
+            or any(p < 0 for p in data)
+            or any(a < b for a, b in zip(data, data[1:]))):
+        raise click.UsageError(
+            "bad %s: %s is not a weakly decreasing list of non-negative "
+            "integers" % (what, json.dumps(data)))
+    return tuple(p for p in data if p)
 
 
 def parse_partition(text, what="partition"):
+    return _partition(parse_json(text, what), what)
+
+
+def parse_multipartition(text, r, what="multipartition"):
     data = parse_json(text, what)
+    if not isinstance(data, list) or len(data) != r:
+        raise click.UsageError("bad %s: need a list of r = %d partitions"
+                               % (what, r))
+    return tuple(_partition(lam, what) for lam in data)
+
+
+def run_config(**overrides):
+    """config.from_env, with a bad value reported as a usage error."""
     try:
-        return tuple(int(p) for p in data)
-    except TypeError as exc:
-        raise click.UsageError("bad %s: %s" % (what, exc))
+        return config.from_env(**overrides)
+    except (TypeError, ValueError) as exc:
+        raise click.UsageError("bad configuration: %s" % exc)
 
 
 @click.group()
@@ -127,7 +143,7 @@ def cmd_present_check(ctx, k, r):
 def cmd_green(k, r, relation, members):
     """Equivalence classes of a Green relation, as strongly connected
     components of the monoid's right and left Cayley graphs."""
-    cfg = config.from_env()
+    cfg = run_config()
     try:
         classes = algebra.green_classes(k, r, relation, cap=cfg.monoid_cap)
     except algebra.CapExceeded as exc:
@@ -166,8 +182,8 @@ def cmd_sw(diagram):
 @click.pass_context
 def cmd_psi_check(ctx, samples, k_max, r_max, seed):
     """Multiplicativity of the groupoid expansion on random pairs."""
-    cfg = config.from_env(psi_samples=samples, psi_k_max=k_max,
-                          psi_r_max=r_max, seed=seed)
+    cfg = run_config(psi_samples=samples, psi_k_max=k_max,
+                     psi_r_max=r_max, seed=seed)
     rep = psi_hom_check(cfg.psi_samples, cfg.psi_k_max, cfg.psi_r_max,
                         seed=cfg.seed)
     emit(rep)
@@ -182,7 +198,7 @@ def cmd_psi_check(ctx, samples, k_max, r_max, seed):
               help="multipartition as JSON, e.g. [[1],[]]")
 def cmd_gram(r, k, shape):
     """Symbolic Gram matrix and determinant of a cell module."""
-    lam_bar = parse_multipartition(shape)
+    lam_bar = parse_multipartition(shape, r)
     try:
         M = gram_matrix(r, k, lam_bar)
     except ValueError as exc:
@@ -223,7 +239,7 @@ def cmd_semisimple(r, k, x):
 
 @main.command("cartan")
 @click.option("--r", required=True, type=COLORS)
-@click.option("--maxweight", required=True, type=int)
+@click.option("--maxweight", required=True, type=click.IntRange(min=0))
 def cmd_cartan(r, maxweight):
     """Cartan matrix entries for multipartitions up to a weight."""
     labels, B = cartan_matrix(r, maxweight)
@@ -251,9 +267,9 @@ def cmd_reduced_kronecker(lam, mu, nu):
 @click.option("--nu-bar", required=True)
 def cmd_r_coeff(r, lam_bar, mu_bar, nu_bar):
     """Structure constant in the simple-module basis, via the LR/K sum."""
-    value = r_coefficient(r, parse_multipartition(lam_bar),
-                          parse_multipartition(mu_bar),
-                          parse_multipartition(nu_bar))
+    value = r_coefficient(r, parse_multipartition(lam_bar, r),
+                          parse_multipartition(mu_bar, r),
+                          parse_multipartition(nu_bar, r))
     emit({"value": value})
 
 
@@ -276,9 +292,9 @@ def cmd_thm_check(ctx, r, example, lam_bar, mu_bar, nu_bar):
         if not (lam_bar and mu_bar and nu_bar):
             raise click.UsageError(
                 "need --lam-bar/--mu-bar/--nu-bar or --example")
-        triple = (parse_multipartition(lam_bar),
-                  parse_multipartition(mu_bar),
-                  parse_multipartition(nu_bar))
+        triple = (parse_multipartition(lam_bar, r),
+                  parse_multipartition(mu_bar, r),
+                  parse_multipartition(nu_bar, r))
     rep = theorem_formula_check(r, *triple)
     emit({"lhs": rep["lhs"], "rhs": rep["rhs"], "equal": rep["ok"]})
     if not rep["ok"]:
@@ -304,10 +320,7 @@ def cmd_verify(ctx, suite, cap, seed):
                 raise click.UsageError("bad cap override %r" % item)
     if seed is not None:
         overrides["seed"] = seed
-    try:
-        cfg = config.from_env(**overrides)
-    except (TypeError, ValueError) as exc:
-        raise click.UsageError("bad configuration: %s" % exc)
+    cfg = run_config(**overrides)
     only = None if suite == "all" else {s.strip() for s in suite.split(",")}
     try:
         report = verify.run_all(cfg, only=only)

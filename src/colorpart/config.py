@@ -54,8 +54,12 @@ def from_env(**overrides):
     """Build a RunConfig from defaults, COLORPART_* variables and overrides."""
     kwargs = {}
     for f in fields(RunConfig):
-        env = os.environ.get(ENV_PREFIX + f.name.upper())
+        name = ENV_PREFIX + f.name.upper()
+        env = os.environ.get(name)
         if env is not None:
-            kwargs[f.name] = int(env)
+            try:
+                kwargs[f.name] = int(env)
+            except ValueError:
+                raise ValueError("%s=%r is not an integer" % (name, env))
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**kwargs)

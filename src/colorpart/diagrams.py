@@ -149,12 +149,13 @@ class ColoredDiagram:
     def from_json(data):
         if isinstance(data, str):
             data = json.loads(data)
-        return ColoredDiagram(
-            data["r"],
-            data["k"],
-            data["l"],
-            [(b["top"], b["bot"], b["c"]) for b in data["blocks"]],
-        )
+        blocks = [(b["top"], b["bot"], b["c"]) for b in data["blocks"]]
+        numbers = [data["r"], data["k"], data["l"]]
+        for top, bot, c in blocks:
+            numbers += list(top) + list(bot) + [c]
+        if any(type(v) is not int for v in numbers):
+            raise MalformedDiagram("r, k, l, vertices and colors must be integers")
+        return ColoredDiagram(data["r"], data["k"], data["l"], blocks)
 
 
 def compose(d1, d2):
@@ -385,15 +386,16 @@ def egf_coefficients(r, N):
     return out
 
 
+@lru_cache(maxsize=64)
+def _stirling2_row(n):
+    """(S(n, 0), ..., S(n, n)), built row by row from S(0, 0) = 1."""
+    row = [1]
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, len(row))] + [1]
+    return tuple(row)
+
+
 def stirling2(n, j):
-    from functools import lru_cache as _lc
-
-    @_lc(maxsize=None)
-    def s(n, j):
-        if n == 0:
-            return 1 if j == 0 else 0
-        if j == 0:
-            return 0
-        return j * s(n - 1, j) + s(n - 1, j - 1)
-
-    return s(n, j)
+    """Stirling number of the second kind S(n, j)."""
+    row = _stirling2_row(n)
+    return row[j] if 0 <= j <= n else 0

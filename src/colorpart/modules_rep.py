@@ -55,10 +55,6 @@ def standard_tableaux(lam):
     return tuple(out)
 
 
-def _tabloid(t):
-    return tuple(frozenset(row) for row in t)
-
-
 def _columns(t):
     width = max((len(row) for row in t), default=0)
     return [

@@ -1,17 +1,19 @@
 """r-ribbon tableaux and the color-to-spin Schensted maps.
 
-Addable r-ribbons of a shape are enumerated through beta-numbers: with n
-beads, bead positions are {lambda_i + n - i}; adding an r-ribbon moves a
-bead up r steps to a free position, and its spin equals the number of beads
-strictly in between.  firstr(mu, c) is the spin-c addable ribbon whose head
-sits on the largest diagonal; nextr(mu, h) is the spin(h)-addable ribbon
-with head strictly below and weakly left of head(h), again on the largest
-diagonal among those.  These choices make the maps injective.
+Addable r-ribbons of a shape are enumerated through beta-numbers
+(characters.abacus_moves): with n beads, bead positions are
+{lambda_i + n - i}; adding an r-ribbon moves a bead up r steps to a free
+position, and its spin equals the number of beads strictly in between.
+firstr(mu, c) is the spin-c addable ribbon whose head sits on the largest
+diagonal; nextr(mu, h) is the spin(h)-addable ribbon with head strictly
+below and weakly left of head(h), again on the largest diagonal among
+those.  These choices make the maps injective.
 
 Tableaux are dicts value -> frozenset of cells; values are ints or set
 blocks (tuples), compared by maximum entry order.
 """
 
+from .characters import abacus_moves
 from .rs import colored_array, _key as _block_key
 
 
@@ -21,14 +23,6 @@ def _key(v):
 
 def _cells(shape):
     return {(i, j) for i, m in enumerate(shape, start=1) for j in range(1, m + 1)}
-
-
-def _shape_from_betas(betas, n):
-    betas = sorted(betas, reverse=True)
-    shape = [b - (n - i) for i, b in enumerate(betas, start=1)]
-    while shape and shape[-1] == 0:
-        shape.pop()
-    return tuple(shape)
 
 
 def head(cells):
@@ -61,35 +55,17 @@ def is_ribbon(cells, r):
 
 def addable_ribbons(shape, r):
     """All (cells, spin) for addable r-ribbons of a shape, by bead moves."""
-    n = len(shape) + r
-    betas = [shape[i] + n - 1 - i for i in range(len(shape))]
-    betas += list(range(n - len(shape) - 1, -1, -1))
-    bset = set(betas)
     out = []
-    for b in betas:
-        if b + r in bset:
-            continue
-        new = _shape_from_betas((bset - {b}) | {b + r}, n)
+    for new, sp in abacus_moves(shape, r):
         cells = frozenset(_cells(new) - _cells(shape))
-        sp = sum(1 for x in bset if b < x < b + r)
         assert is_ribbon(cells, r) and spin(cells) == sp
         out.append((cells, sp))
     return out
 
 
 def removable_ribbons(shape, r):
-    n = len(shape) + r
-    betas = [shape[i] + n - 1 - i for i in range(len(shape))]
-    betas += list(range(n - len(shape) - 1, -1, -1))
-    bset = set(betas)
-    out = []
-    for b in betas:
-        if b - r < 0 or b - r in bset:
-            continue
-        new = _shape_from_betas((bset - {b}) | {b - r}, n)
-        cells = frozenset(_cells(shape) - _cells(new))
-        out.append((cells, spin(cells)))
-    return out
+    return [(frozenset(_cells(shape) - _cells(new)), sp)
+            for new, sp in abacus_moves(shape, -r)]
 
 
 def firstr(shape, c, r):

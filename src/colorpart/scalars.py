@@ -2,7 +2,9 @@
 
 CycNumber: elements of the cyclotomic field Q(zeta_r) = Q[z]/Phi_r(z),
 stored as rational coordinate vectors in the power basis 1, z, ..., z^(d-1)
-with d = deg Phi_r = euler_phi(r).
+with d = deg Phi_r = euler_phi(r).  Phi_r itself is computed as
+(z^r - 1) / prod_{d | r, d < r} Phi_d, dividing exactly by monic integer
+polynomials.
 
 MPoly: sparse multivariate polynomials over CycNumber in the parameter
 variables y_0, ..., y_{r-1}.
@@ -10,8 +12,6 @@ variables y_0, ..., y_{r-1}.
 
 from fractions import Fraction
 from functools import lru_cache
-
-from sympy import Symbol, cyclotomic_poly
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -22,10 +22,11 @@ def _phi_coeffs(r):
     """Coefficients of the r-th cyclotomic polynomial, low degree first."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    z = Symbol("z")
-    poly = cyclotomic_poly(r, z)
-    coeffs = poly.as_poly(z).all_coeffs()  # high degree first
-    return tuple(Fraction(int(c)) for c in reversed(coeffs))
+    phi = [-_ONE] + [_ZERO] * (r - 1) + [_ONE]  # z^r - 1
+    for d in range(1, r):
+        if r % d == 0:
+            phi = _polydivmod(phi, _phi_coeffs(d))[0]
+    return tuple(phi)
 
 
 @lru_cache(maxsize=None)
@@ -260,23 +261,16 @@ def _polydivmod(a, b):
 
 @lru_cache(maxsize=None)
 def zeta_pow(r, j):
-    """zeta_r^j as a CycNumber, reduced modulo Phi_r."""
-    j = j % r
-    d = len(_phi_coeffs(r)) - 1
-    if j < d:
-        coeffs = [_ZERO] * d
-        coeffs[j] = _ONE
-        return CycNumber(r, tuple(coeffs))
-    # reduce z^j for j >= d by repeated multiplication
-    out = zeta_pow(r, d - 1) if d >= 1 else CycNumber.one(r)
-    z = zeta_pow(r, 1) if d > 1 else zeta_pow(r, 0)
-    if d == 1:
-        # field is Q; zeta = root of the linear Phi_r, i.e. -phi_0
-        root = -_phi_coeffs(r)[0]
-        return CycNumber(r, (root ** j,))
-    for _ in range(j - (d - 1)):
-        out = out * z
-    return out
+    """zeta_r^j as a CycNumber: 1 multiplied j mod r times by zeta, where
+    zeta shifts the power basis up and rewrites z^d by Phi_r."""
+    low = _reduction_rows(r)[0]  # z^d in the power basis
+    coeffs = (_ONE,) + (_ZERO,) * (len(low) - 1)
+    for _ in range(j % r):
+        top = coeffs[-1]
+        coeffs = (_ZERO,) + coeffs[:-1]
+        if top:
+            coeffs = tuple(a + top * b for a, b in zip(coeffs, low))
+    return CycNumber(r, coeffs)
 
 
 class MPoly:

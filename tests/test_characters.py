@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
+
 from colorpart.characters import (
+    abacus_moves,
     admissible_set,
     chi_sn,
     class_type,
@@ -182,3 +185,22 @@ def test_wreath_char_at_identity_is_dimension():
         for lam in multipartitions(r, n):
             v = wreath_char(r, n, lam, g_identity(n))
             assert v == CycNumber.from_rational(r, Fraction(wreath_dim(r, n, lam)))
+
+
+def test_abacus_moves_add_and_remove_ribbons():
+    # the 2-ribbons addable to the empty shape, with their heights
+    assert list(abacus_moves((), 2)) == [((2,), 0), ((1, 1), 1)]
+    # (2,1) is a 3-hook of height 1; no 2-ribbon is removable from it
+    assert list(abacus_moves((2, 1), -3)) == [((), 1)]
+    assert list(abacus_moves((2, 1), -2)) == []
+    assert list(abacus_moves((2, 2), -2)) == [((1, 1), 1), ((2,), 0)]
+
+
+def test_r_coefficient_rejects_r_below_one():
+    with pytest.raises(ValueError):
+        r_coefficient(0, (), (), ())
+
+
+def test_theorem_formula_check_rejects_r_below_one():
+    with pytest.raises(ValueError):
+        theorem_formula_check(0, (), (), ())

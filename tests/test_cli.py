@@ -4,14 +4,23 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from colorpart.cli import main
 from colorpart.diagrams import count_bell
 from colorpart.verify import COMPOSE_D1, COMPOSE_D2, COMPOSE_PRODUCT
 
 
-def run(*args):
-    return CliRunner().invoke(main, args)
+def run(*args, env=None):
+    return CliRunner().invoke(main, args, env=env)
+
+
+def assert_usage_error(res):
+    """Exit 2 with exactly one Error: line and no traceback."""
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert [line for line in res.output.splitlines()
+            if line.startswith("Error:")] == [res.output.splitlines()[-1]]
 
 
 def test_count():
@@ -43,6 +52,7 @@ def test_count_large():
     ("present-check", "--k", "0", "--r", "2"),
     ("present-check", "--k", "1", "--r", "0"),
     ("cartan", "--r", "0", "--maxweight", "1"),
+    ("cartan", "--r", "1", "--maxweight", "-1"),
 ])
 def test_sizes_checked_at_the_parse_boundary(args):
     res = run(*args)
@@ -180,3 +190,87 @@ def test_output_is_deterministic():
     a = run("psi-check", "--samples", "10", "--seed", "3").output
     b = run("psi-check", "--samples", "10", "--seed", "3").output
     assert a == b
+
+
+EMPTY2 = "[[],[]]"
+
+
+@pytest.mark.parametrize("args", [
+    # multipartitions need exactly r parts
+    ("r-coeff", "--r", "2", "--lam-bar", "[[1]]",
+     "--mu-bar", "[[1],[]]", "--nu-bar", EMPTY2),
+    ("gram", "--r", "2", "--k", "1", "--shape", "[[1]]"),
+    # partitions are weakly decreasing lists of non-negative ints
+    ("reduced-kronecker", "--lam", "[1,2]", "--mu", "[1]", "--nu", "[1]"),
+    ("reduced-kronecker", "--lam", "[1,-1]", "--mu", "[1]", "--nu", "[1]"),
+    ("reduced-kronecker", "--lam", "[true]", "--mu", "[1]", "--nu", "[1]"),
+    ("gram", "--r", "1", "--k", "1", "--shape", '["a"]'),
+    ("gram", "--r", "1", "--k", "1", "--shape", "[[1.0]]"),
+    ("thm-check", "--r", "2", "--lam-bar", "[[1],[2,3]]",
+     "--mu-bar", EMPTY2, "--nu-bar", EMPTY2),
+    # diagrams carry int r, k, l, vertices and colors
+    ("rs", "--diagram", json.dumps({"r": 2, "k": 1, "l": 1, "blocks": [
+        {"top": [1], "bot": [1], "c": 1.5}]})),
+    ("rs", "--diagram", json.dumps({"r": 2, "k": 1, "l": 1, "blocks": [
+        {"top": [True], "bot": [1], "c": 0}]})),
+    ("sw", "--diagram", json.dumps({"r": 2.0, "k": 1, "l": 1, "blocks": [
+        {"top": [1], "bot": [1], "c": 0}]})),
+])
+def test_malformed_input_is_a_usage_error(args):
+    assert_usage_error(run(*args))
+
+
+@pytest.mark.parametrize("args, env", [
+    (("psi-check", "--samples", "-5"), None),
+    (("green", "--k", "1", "--r", "1", "--relation", "L"),
+     {"COLORPART_MONOID_CAP": "abc"}),
+    (("psi-check",), {"COLORPART_PSI_SAMPLES": "x"}),
+    (("verify", "--suite", "counting"), {"COLORPART_EGF_K_MAX": "1.5"}),
+])
+def test_bad_configuration_is_a_usage_error(args, env):
+    res = run(*args, env=env)
+    assert_usage_error(res)
+    if env:
+        assert next(iter(env)) in res.output
+
+
+def test_trailing_zero_parts_are_dropped():
+    a = run("r-coeff", "--r", "2", "--lam-bar", "[[1,0],[]]",
+            "--mu-bar", "[[1],[0]]", "--nu-bar", EMPTY2)
+    b = run("r-coeff", "--r", "2", "--lam-bar", "[[1],[]]",
+            "--mu-bar", "[[1],[]]", "--nu-bar", EMPTY2)
+    assert a.exit_code == 0 and a.output == b.output
+
+
+# JSON values near the valid ones: small ints, and what int() used to accept
+ATOMS = st.one_of(st.none(), st.booleans(), st.integers(-1, 2),
+                  st.sampled_from([1.0, 1.5, "1", "a"]))
+PARTITIONS = st.one_of(ATOMS, st.lists(ATOMS, max_size=3))
+MULTIPARTITIONS = st.one_of(PARTITIONS, st.lists(PARTITIONS, max_size=3))
+BLOCKS = st.fixed_dictionaries({"top": PARTITIONS, "bot": PARTITIONS, "c": ATOMS})
+DIAGRAMS = st.one_of(ATOMS, st.fixed_dictionaries({
+    "r": ATOMS, "k": ATOMS, "l": ATOMS, "blocks": st.lists(BLOCKS, max_size=3)}))
+
+
+def _text(values):
+    return st.one_of(values.map(json.dumps), st.text(max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    _text(MULTIPARTITIONS).map(
+        lambda s: ("gram", "--r", "2", "--k", "1", "--shape", s)),
+    # the fixed arguments keep every valid request cheap
+    _text(MULTIPARTITIONS).map(
+        lambda s: ("r-coeff", "--r", "2", "--lam-bar", s,
+                   "--mu-bar", EMPTY2, "--nu-bar", EMPTY2)),
+    _text(PARTITIONS).map(
+        lambda s: ("reduced-kronecker", "--lam", s, "--mu", "[]", "--nu", "[]")),
+    _text(DIAGRAMS).map(lambda s: ("rs", "--diagram", s)),
+))
+def test_fuzzed_input_never_gives_a_traceback(args):
+    first, again = run(*args), run(*args)
+    assert first.exit_code in (0, 1, 2)
+    assert first.exception is None or isinstance(first.exception, SystemExit)
+    assert "Traceback" not in first.output
+    assert first.stdout == again.stdout

@@ -220,6 +220,12 @@ def test_count_bell_beyond_the_recursion_limit():
         count_bell(-1, r)
 
 
+def test_stirling2_beyond_the_recursion_limit():
+    # a recursive stirling2 overflowed the stack from n ~ 1000
+    assert stirling2(1500, 3) == (3**1500 - 3 * 2**1500 + 3) // 6
+    assert stirling2(1500, 1500) == 1 and stirling2(1500, 1501) == 0
+
+
 def test_bell_against_stirling_sum():
     # independent oracle: B_{k,r} = sum_j S(k,j) r^j
     for r in range(1, 5):

@@ -210,6 +210,11 @@ def test_cartan_r1_values():
                 assert B[(lam, mu)] == 0
 
 
+def test_cartan_matrix_rejects_r_below_one():
+    with pytest.raises(ValueError):
+        cartan_matrix(0, 1)
+
+
 def test_cartan_tensor_factorization():
     assert cartan_tensor_check(2, 2)
 

@@ -1,11 +1,18 @@
 """Exact cyclotomic numbers and sparse multivariate polynomials."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from colorpart.scalars import CycNumber, MPoly, zeta_pow
+import colorpart
+from colorpart.cli import main
+from colorpart.scalars import CycNumber, MPoly, _phi_coeffs, _polymul, zeta_pow
 
 
 def test_zeta_powers_cycle():
@@ -101,3 +108,57 @@ def test_leading_coeff_in():
     assert d == 3 and coeff == MPoly.one(2)
     d1, coeff1 = p.leading_coeff_in(1)
     assert d1 == 2 and coeff1 == MPoly.constant(2, -1)
+
+
+@pytest.mark.parametrize("r, coeffs", [
+    (1, (-1, 1)),
+    (2, (1, 1)),
+    (6, (1, -1, 1)),
+    (8, (1, 0, 0, 0, 1)),
+    (9, (1, 0, 0, 1, 0, 0, 1)),
+    (10, (1, -1, 1, -1, 1)),
+    (12, (1, 0, -1, 0, 1)),  # z^4 - z^2 + 1
+])
+def test_cyclotomic_polynomials_frozen(r, coeffs):
+    assert _phi_coeffs(r) == tuple(Fraction(c) for c in coeffs)
+
+
+def test_cyclotomic_polynomials_multiply_to_z_r_minus_1():
+    for r in range(1, 61):
+        prod = [Fraction(1)]
+        for d in range(1, r + 1):
+            if r % d == 0:
+                prod = _polymul(prod, _phi_coeffs(d))
+        assert prod == [Fraction(-1)] + [Fraction(0)] * (r - 1) + [Fraction(1)]
+        totient = sum(1 for j in range(1, r + 1) if gcd(j, r) == 1)
+        assert len(_phi_coeffs(r)) - 1 == totient
+
+
+def test_cli_runs_without_sympy():
+    # a None entry in sys.modules makes every import of sympy fail
+    script = "\n".join([
+        "import sys",
+        "sys.modules['sympy'] = None",
+        "from click.testing import CliRunner",
+        "from colorpart.cli import main",
+        "for args in " + repr(SYMPY_FREE_CALLS) + ":",
+        "    res = CliRunner().invoke(main, args)",
+        "    assert res.exit_code == 0, res.output",
+        "    sys.stdout.write(res.output)",
+    ])
+    src = os.path.dirname(os.path.dirname(colorpart.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    expected = "".join(CliRunner().invoke(main, args).output
+                       for args in SYMPY_FREE_CALLS)
+    assert proc.stdout == expected
+
+
+SYMPY_FREE_CALLS = [
+    ["count", "--k", "6", "--r", "2"],
+    ["gram", "--r", "5", "--k", "1", "--shape", "[[],[],[],[],[]]"],
+]
