@@ -301,7 +301,7 @@ def wreath_char_table(r, n):
                 val = val * zeta_pow(r, (a * i) % r)
                 c = chi_sn(lam_bar[i], _restricted_cycle_type(perm, blk))
                 if c != 1:
-                    val = val * CycNumber.from_rational(r, Fraction(c))
+                    val = val * c
                 if not val:
                     return val
             return val
@@ -313,7 +313,7 @@ def wreath_char_table(r, n):
                 y = gmul(r, gmul(r, ginv(r, x), g), x)
                 if in_h(y):
                     acc = acc + theta(y)
-            row[t] = acc * CycNumber.from_rational(r, Fraction(1, h_order))
+            row[t] = acc * Fraction(1, h_order)
         table[lam_bar] = row
     return reps, sizes, table
 
@@ -399,7 +399,7 @@ def k_coefficient(r, delta, delta1, delta2):
     order = r ** (2 * t)
     for j in range(1, t + 1):
         order *= j
-    val = (total * CycNumber.from_rational(r, Fraction(1, order))).as_rational()
+    val = (total * Fraction(1, order)).as_rational()
     assert val.denominator == 1 and val >= 0
     return int(val)
 
@@ -584,10 +584,8 @@ def xt_multiplicity_oracle(r, lam_bar, mu_bar, nu_bar, t):
                     continue
                 fixed = sum(1 for x in X if xt_act(r, g1, g2, g3, x) == x)
                 if fixed:
-                    total = total + c12 * c3 * CycNumber.from_rational(
-                        r, Fraction(fixed)
-                    )
+                    total = total + c12 * c3 * fixed
     order = len(g_elements(r, l)) * len(g_elements(r, m)) * len(g_elements(r, n))
-    val = (total * CycNumber.from_rational(r, Fraction(1, order))).as_rational()
+    val = (total * Fraction(1, order)).as_rational()
     assert val.denominator == 1 and val >= 0, val
     return int(val)

@@ -92,7 +92,8 @@ def _solve(matrix, rhs):
     rank = 0
     for c in range(cols):
         p = next((i for i in range(rank, rows) if aug[i][c]), None)
-        assert p is not None, "column rank deficiency"
+        if p is None:
+            raise ArithmeticError("column rank deficiency")
         aug[rank], aug[p] = aug[p], aug[rank]
         inv = Fraction(1) / aug[rank][c]
         aug[rank] = [x * inv for x in aug[rank]]
@@ -102,8 +103,8 @@ def _solve(matrix, rhs):
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[rank])]
         piv.append(c)
         rank += 1
-    for i in range(rank, rows):
-        assert not aug[i][cols], "inconsistent system"
+    if any(aug[i][cols] for i in range(rank, rows)):
+        raise ArithmeticError("inconsistent system")
     x = [Fraction(0)] * cols
     for row_i, c in enumerate(piv):
         x[c] = aug[row_i][cols]
@@ -214,7 +215,7 @@ class MatrixRep:
             mat = ((Fraction(1),),)
         scal = zeta_pow(self.r, phase % self.r)
         return tuple(
-            tuple(scal * Fraction(x) if x else CycNumber.zero(self.r) for x in row)
+            tuple(scal * x if x else CycNumber.zero(self.r) for x in row)
             for row in mat
         )
 
@@ -264,29 +265,17 @@ def primitive_idempotent(r, lam_bar):
     return eps
 
 
-def algebra_mul(r, a, b):
-    """Group algebra convolution of dicts g -> CycNumber."""
-    out = {}
-    for g, cg in a.items():
-        for h, ch in b.items():
-            gh = gmul(r, g, h)
-            c = cg * ch
-            out[gh] = out.get(gh, CycNumber.zero(r)) + c
-    return {g: c for g, c in out.items() if c}
-
-
 @lru_cache(maxsize=None)
 def _phi_table(r, lam_bar):
-    """phi(z) with eps z eps = phi(z) eps, via identity-coefficient ratio."""
+    """phi(z) with eps z eps = phi(z) eps, as a ratio of identity
+    coefficients.  The identity coefficient tau(a) = a[e] is a trace, so
+    tau(eps z eps) = tau(z eps eps) = tau(z eps) = eps[z^-1]; hence
+    phi(z) = eps[z^-1] / eps[e], and no group-algebra product is formed."""
     eps = primitive_idempotent(r, lam_bar)
     n = weight(lam_bar)
-    e = g_identity(n)
-    denom = eps[e]
-    table = {}
-    for z in g_elements(r, n):
-        prod = algebra_mul(r, algebra_mul(r, eps, {z: CycNumber.one(r)}), eps)
-        table[z] = prod.get(e, CycNumber.zero(r)) / denom
-    return table
+    inv = eps[g_identity(n)].inverse()
+    zero = CycNumber.zero(r)
+    return {z: eps.get(ginv(r, z), zero) * inv for z in g_elements(r, n)}
 
 
 # -- cross-sections and factorization ------------------------------------------
@@ -438,7 +427,6 @@ def gram_matrix(r, k, lam_bar):
     cs = enumerate_cross_section(r, k, i)
     gs = _module_basis(r, lam_bar)
     phi = _phi_table(r, lam_bar)
-    dim = len(cs) * len(gs)
     rows = []
     for d in cs:
         di = flip_invert(d)
@@ -452,18 +440,20 @@ def gram_matrix(r, k, lam_bar):
                     continue
                 d2, g = factor_cross_section(prod, i)
                 # the product must be e_i-padded: d2 is the identity element
-                assert all(
+                if not all(
                     top == bot
                     or (not top and len(bot) == 1 and c == 0)
                     or (not bot and len(top) == 1 and c == 0)
                     for top, bot, c in d2.blocks
-                ), "rank-i product not in e_i form: %r" % (prod,)
+                ):
+                    raise RuntimeError("rank-i product not in e_i form: %r" % (prod,))
                 mono = _monomial(r, exps)
                 for b in gs:
                     val = phi[gmul(r, gmul(r, ai, g), b)]
                     row.append(mono * val if val else MPoly.zero(r))
             rows.append(row)
-    assert len(rows) == dim
+    if len(rows) != cell_dimension(r, k, lam_bar):
+        raise RuntimeError("Gram matrix has %d rows, not the cell dimension" % len(rows))
     return rows
 
 
@@ -496,6 +486,7 @@ def gram_det(r, k, lam_bar):
     return det_bareiss(gram_matrix(r, k, lam_bar), r)
 
 
+@lru_cache(maxsize=None)
 def cell_dimension(r, k, lam_bar):
     i = weight(lam_bar)
     return len(enumerate_cross_section(r, k, i)) * build_matrix_rep(r, lam_bar).dim
@@ -571,13 +562,15 @@ def cartan_entry(r, lam_bar, mu_bar):
             for d in basis:
                 p1, e1 = compose(dg, d)
                 p2, e2 = compose(p1, dh)
-                assert not any(e1) and not any(e2)
+                if any(e1) or any(e2):
+                    raise RuntimeError("a permutation diagram closed a loop")
                 if p2 == d:
                     fixed += 1
             if fixed:
                 total = total + cg * ch * fixed
     val = total.as_rational()
-    assert val.denominator == 1 and val >= 0, val
+    if val.denominator != 1 or val < 0:
+        raise RuntimeError("Cartan entry is not a non-negative integer: %s" % val)
     return int(val)
 
 

@@ -127,6 +127,9 @@ class CycNumber:
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational factor scales the coordinates
+            return CycNumber(self.r, tuple(a * other for a in self.coeffs))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -382,21 +385,26 @@ class MPoly:
 
     # -- queries ---------------------------------------------------------
     def eval(self, point):
-        """Exact evaluation at a vector of r CycNumbers (or rationals)."""
+        """Exact evaluation at a vector of r CycNumbers or rationals.  Each
+        coordinate is raised to each power once; a monomial at a rational
+        point is a rational that scales its coefficient."""
         if len(point) != self.r:
             raise ValueError("evaluation point has wrong length")
-        pt = []
-        for v in point:
-            if not isinstance(v, CycNumber):
-                v = CycNumber.from_rational(self.r, v)
-            pt.append(v)
+        powers = []
+        for i, v in enumerate(point):
+            if not isinstance(v, (int, CycNumber)):
+                v = Fraction(v)
+            row = [1]
+            for _ in range(max((e[i] for e in self.terms), default=0)):
+                row.append(row[-1] * v)
+            powers.append(row)
         total = CycNumber.zero(self.r)
         for e, c in self.terms.items():
-            val = c
-            for v, a in zip(pt, e):
-                for _ in range(a):
-                    val = val * v
-            total = total + val
+            m = 1
+            for row, a in zip(powers, e):
+                if a:
+                    m = m * row[a]
+            total = total + c * m
         return total
 
     def degree_in(self, i):
@@ -416,24 +424,35 @@ class MPoly:
         return d, MPoly(self.r, terms)
 
     def divexact(self, other):
-        """Exact division; raises if the division is not exact."""
+        """Exact division; raises if the division is not exact.  The
+        remainder is one dict: each step pops its lex-max term and updates
+        only the keys that the divisor's other terms reach."""
         o = self._coerce(other)
         if not o:
             raise ZeroDivisionError("division by zero polynomial")
-        rem = self
-        quot = MPoly.zero(self.r)
         lead_e = max(o.terms)  # lex order on exponent tuples
-        lead_c = o.terms[lead_e]
+        lead = o.terms[lead_e]
+        # a rational lead (a monic pivot, say) divides by scaling
+        lead_inv = lead.inverse() if any(lead.coeffs[1:]) else 1 / lead.coeffs[0]
+        tail = [(e, c) for e, c in o.terms.items() if e != lead_e]
+        rem = dict(self.terms)
+        quot = {}
         while rem:
-            e = max(rem.terms)
+            e = max(rem)
             diff = tuple(a - b for a, b in zip(e, lead_e))
             if any(d < 0 for d in diff):
                 raise ArithmeticError("inexact polynomial division")
-            c = rem.terms[e] / lead_c
-            t = MPoly.monomial(self.r, diff, c)
-            quot = quot + t
-            rem = rem - t * o
-        return quot
+            c = rem.pop(e) * lead_inv
+            quot[diff] = c
+            for oe, oc in tail:
+                key = tuple(a + b for a, b in zip(diff, oe))
+                v = rem.get(key)
+                v = -(c * oc) if v is None else v - c * oc
+                if v:
+                    rem[key] = v
+                else:
+                    del rem[key]
+        return MPoly(self.r, quot)
 
     def __repr__(self):
         if not self.terms:

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from colorpart.characters import g_elements, gmul, multipartitions, weight
+from colorpart import modules_rep as MR
+from colorpart.characters import g_elements, g_identity, gmul, multipartitions, weight
 from colorpart.diagrams import compose, count_bell, enumerate_diagrams
 from colorpart.modules_rep import (
+    _phi_table,
+    _solve,
     act,
-    algebra_mul,
     build_matrix_rep,
     cartan_entry,
     cartan_matrix,
@@ -85,10 +87,40 @@ def test_wreath_rep_is_multiplicative_and_traces_match():
             assert rep.trace(a) == wreath_char(r, n, lam_bar, a)
 
 
+def algebra_mul(r, a, b):
+    """Group algebra convolution of dicts g -> CycNumber."""
+    out = {}
+    for g, cg in a.items():
+        for h, ch in b.items():
+            gh = gmul(r, g, h)
+            out[gh] = out.get(gh, CycNumber.zero(r)) + cg * ch
+    return {g: c for g, c in out.items() if c}
+
+
+def phi_table_by_convolution(r, lam_bar):
+    """The original phi table, kept as the oracle: the identity coefficient
+    of the full product eps z eps, over that of eps."""
+    eps = primitive_idempotent(r, lam_bar)
+    n = weight(lam_bar)
+    e = g_identity(n)
+    table = {}
+    for z in g_elements(r, n):
+        prod = algebra_mul(r, algebra_mul(r, eps, {z: CycNumber.one(r)}), eps)
+        table[z] = prod.get(e, CycNumber.zero(r)) / eps[e]
+    return table
+
+
 def test_primitive_idempotent_is_idempotent():
     r, lam_bar = 2, ((1,), ())
     eps = primitive_idempotent(r, lam_bar)
     assert algebra_mul(r, eps, eps) == eps
+
+
+@pytest.mark.parametrize("r, n", [(r, n) for r in (1, 2, 3) for n in (0, 1, 2)]
+                         + [(1, 3), (2, 3)])
+def test_phi_table_matches_the_convolution_oracle(r, n):
+    for lam_bar in multipartitions(r, n):
+        assert _phi_table(r, lam_bar) == phi_table_by_convolution(r, lam_bar)
 
 
 def test_cross_section_counts():
@@ -223,3 +255,46 @@ def test_cartan_specific_entries():
     assert cartan_entry(2, ((1,), ()), ((), ())) == 1
     assert cartan_entry(2, ((1,), ()), ((1,), ())) == 1
     assert cartan_entry(2, ((), ()), ((1,), ())) == 0  # weight increases
+
+
+def test_solve_raises_on_rank_deficiency_and_inconsistency():
+    F = Fraction
+    assert _solve([[F(1)], [F(1)]], [F(2), F(2)]) == [F(2)]
+    with pytest.raises(ArithmeticError, match="rank"):
+        _solve([[F(0)], [F(0)]], [F(0), F(0)])
+    with pytest.raises(ArithmeticError, match="inconsistent"):
+        _solve([[F(1)], [F(1)]], [F(1), F(2)])
+
+
+def test_gram_matrix_rejects_a_product_outside_e_i_form(monkeypatch):
+    # at r=2, k=1, rank 0 a top block coloured 1 is not e_0-padded
+    colored = next(d for d in enumerate_cross_section(2, 1, 0)
+                   if any(c for _, _, c in d.blocks))
+    monkeypatch.setattr(MR, "factor_cross_section", lambda d, i: (colored, ((), ())))
+    with pytest.raises(RuntimeError, match="e_i form"):
+        gram_matrix(2, 1, ((), ()))
+
+
+def test_gram_matrix_rejects_a_wrong_size(monkeypatch):
+    basis = MR._module_basis
+    monkeypatch.setattr(MR, "_module_basis", lambda r, lam: basis(r, lam)[:-1])
+    with pytest.raises(RuntimeError, match="cell dimension"):
+        gram_matrix(2, 1, ((1,), ()))
+
+
+def test_cartan_entry_rejects_a_closed_loop(monkeypatch):
+    def compose_with_loop(d1, d2):
+        prod, exps = compose(d1, d2)
+        return prod, (1,) + tuple(exps[1:])
+
+    monkeypatch.setattr(MR, "compose", compose_with_loop)
+    with pytest.raises(RuntimeError, match="loop"):
+        cartan_entry.__wrapped__(2, ((1,), ()), ((1,), ()))
+
+
+def test_cartan_entry_rejects_a_non_integer(monkeypatch):
+    eps = MR.primitive_idempotent
+    monkeypatch.setattr(MR, "primitive_idempotent", lambda r, lam: {
+        g: c * Fraction(1, 2) for g, c in eps(r, lam).items()})
+    with pytest.raises(RuntimeError, match="non-negative integer"):
+        cartan_entry.__wrapped__(2, ((1,), ()), ((1,), ()))

@@ -77,12 +77,63 @@ def test_field_axioms_r3(a, b, c):
 
 @st.composite
 def mpolys(draw, r=2):
+    """Rational coefficients at r = 2 (where Q(zeta_2) = Q), arbitrary
+    cyclotomic ones otherwise."""
+    coeffs = rationals if r == 2 else cyc_numbers(r)
     n_terms = draw(st.integers(0, 4))
     terms = {}
     for _ in range(n_terms):
         e = tuple(draw(st.integers(0, 3)) for _ in range(r))
-        terms[e] = CycNumber.from_rational(r, draw(rationals))
+        terms[e] = draw(coeffs)
     return MPoly(r, terms)
+
+
+def points(r):
+    """Evaluation points mixing ints, fractions and cyclotomic numbers."""
+    coord = st.one_of(st.integers(-3, 3), rationals, cyc_numbers(r))
+    return st.tuples(*[coord] * r)
+
+
+def divexact_by_subtraction(p, q):
+    """The original exact division, kept as the oracle: one monomial
+    quotient term at a time, each rebuilding the remainder as rem - t*q."""
+    if not q:
+        raise ZeroDivisionError("division by zero polynomial")
+    rem = p
+    quot = MPoly.zero(p.r)
+    lead_e = max(q.terms)
+    lead_c = q.terms[lead_e]
+    while rem:
+        e = max(rem.terms)
+        diff = tuple(a - b for a, b in zip(e, lead_e))
+        if any(d < 0 for d in diff):
+            raise ArithmeticError("inexact polynomial division")
+        t = MPoly.monomial(p.r, diff, rem.terms[e] / lead_c)
+        quot = quot + t
+        rem = rem - t * q
+    return quot
+
+
+def eval_by_repeated_products(p, point):
+    """The original evaluation, kept as the oracle: every coordinate as a
+    CycNumber, each monomial by repeated multiplication."""
+    pt = [v if isinstance(v, CycNumber) else CycNumber.from_rational(p.r, v)
+          for v in point]
+    total = CycNumber.zero(p.r)
+    for e, c in p.terms.items():
+        val = c
+        for v, a in zip(pt, e):
+            for _ in range(a):
+                val = val * v
+        total = total + val
+    return total
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArithmeticError:
+        return ArithmeticError
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,12 +144,51 @@ def test_divexact_inverts_multiplication(a, b):
     assert (a * b).divexact(b) == a
 
 
+@settings(max_examples=40, deadline=None)
+@given(mpolys(3), mpolys(3), mpolys(3))
+def test_divexact_matches_the_subtraction_oracle_r3(a, b, c):
+    # exact quotients by an irrational lead, and (with c added) inexact ones
+    if not b:
+        return
+    assert (a * b).divexact(b) == a == divexact_by_subtraction(a * b, b)
+    p = a * b + c
+    assert _outcome(p.divexact, b) == _outcome(divexact_by_subtraction, p, b)
+
+
+def test_inexact_division_raises():
+    y0 = MPoly.variable(2, 0)
+    with pytest.raises(ArithmeticError):
+        (y0 * y0 + 1).divexact(y0 + 1)
+    with pytest.raises(ZeroDivisionError):
+        y0.divexact(MPoly.zero(2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(mpolys(), mpolys(), st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
 def test_evaluation_is_a_homomorphism(a, b, pt):
     point = tuple(Fraction(v) for v in pt)
     assert (a * b).eval(point) == a.eval(point) * b.eval(point)
     assert (a + b).eval(point) == a.eval(point) + b.eval(point)
+    assert a.eval(point) == eval_by_repeated_products(a, point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mpolys(3), mpolys(3), points(3))
+def test_evaluation_matches_the_repeated_product_oracle_r3(a, b, point):
+    assert a.eval(point) == eval_by_repeated_products(a, point)
+    assert (a * b).eval(point) == a.eval(point) * b.eval(point)
+
+
+def test_evaluation_rejects_a_wrong_length_point():
+    with pytest.raises(ValueError):
+        MPoly.variable(3, 0).eval((1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyc_numbers(), rationals, st.integers(-50, 50))
+def test_rational_scaling_matches_the_field_product(a, q, n):
+    assert a * q == a * CycNumber.from_rational(3, q) == q * a
+    assert a * n == a * CycNumber.from_rational(3, n) == n * a
 
 
 def test_leading_coeff_in():
