@@ -333,13 +333,15 @@ def wreath_dim(r, n, lam_bar):
 def kronecker(lam, mu, nu, n):
     """Symmetric group Kronecker coefficient at size n (padded sizes must
     already match n)."""
-    assert sum(lam) == sum(mu) == sum(nu) == n
+    if not sum(lam) == sum(mu) == sum(nu) == n:
+        raise ValueError("partition sizes do not all equal %d" % n)
     total = Fraction(0)
     for rho in partitions(n):
         total += (
             Fraction(chi_sn(lam, rho) * chi_sn(mu, rho) * chi_sn(nu, rho), z_order(rho))
         )
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise ArithmeticError("Kronecker coefficient is not an integer: %s" % total)
     return int(total)
 
 
@@ -350,7 +352,8 @@ class StabilizationError(RuntimeError):
 def _pad(lam, n):
     if not lam:
         return (n,) if n else ()
-    assert n - sum(lam) >= lam[0], "padding below the first part"
+    if n - sum(lam) < lam[0]:
+        raise ValueError("padding below the first part")
     return (n - sum(lam),) + tuple(lam)
 
 
@@ -381,7 +384,8 @@ def k_coefficient(r, delta, delta1, delta2):
     of the psi_1-pullback of S(delta) and the psi_2-pullback of S(delta1),
     over H(r,t) = (C_r x C_r) wr S_t."""
     t = weight(delta)
-    assert weight(delta1) == t == weight(delta2)
+    if not weight(delta1) == t == weight(delta2):
+        raise ValueError("multipartition weights differ")
     wreath_char_table(r, t)
     total = CycNumber.zero(r)
     for xi in permutations(range(1, t + 1)):
@@ -400,7 +404,8 @@ def k_coefficient(r, delta, delta1, delta2):
     for j in range(1, t + 1):
         order *= j
     val = (total * Fraction(1, order)).as_rational()
-    assert val.denominator == 1 and val >= 0
+    if val.denominator != 1 or val < 0:
+        raise ArithmeticError("K-coefficient is not a non-negative integer: %s" % val)
     return int(val)
 
 
@@ -428,7 +433,8 @@ def xt_formula(r, lam_bar, mu_bar, nu_bar, t):
     """The LR/K sum: multiplicity of S(lam)xS(mu)*xS(nu)* in k X^t."""
     l, m, n = weight(lam_bar), weight(mu_bar), weight(nu_bar)
     data = [d for d in admissible_set(l, m, n) if d["t"] == t]
-    assert data, "t is not admissible"
+    if not data:
+        raise ValueError("t = %d is not admissible" % t)
     a, b, c = data[0]["a"], data[0]["b"], data[0]["c"]
     total = 0
     for alpha in multipartitions(r, a):
@@ -478,7 +484,8 @@ def xt_elements(r, l, m, n, t):
     """All colored tripartite matchings with a parts {j',k''}, b parts
     {i,k''}, c parts {i,j'} and t parts {i,j',k''}."""
     data = [d for d in admissible_set(l, m, n) if d["t"] == t]
-    assert data, "t is not admissible"
+    if not data:
+        raise ValueError("t = %d is not admissible" % t)
     a, b, c = data[0]["a"], data[0]["b"], data[0]["c"]
     L = list(range(1, l + 1))
     M = list(range(1, m + 1))
@@ -587,5 +594,6 @@ def xt_multiplicity_oracle(r, lam_bar, mu_bar, nu_bar, t):
                     total = total + c12 * c3 * fixed
     order = len(g_elements(r, l)) * len(g_elements(r, m)) * len(g_elements(r, n))
     val = (total * Fraction(1, order)).as_rational()
-    assert val.denominator == 1 and val >= 0, val
+    if val.denominator != 1 or val < 0:
+        raise ArithmeticError("X^t multiplicity is not a non-negative integer: %s" % val)
     return int(val)

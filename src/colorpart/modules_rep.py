@@ -10,7 +10,8 @@ Wreath irreducibles are built as induced modules from Specht matrices
 
 Cartan entries are computed character-theoretically: the downward (m,l)
 diagram basis carries a G(r,m) x G(r,l) bi-action by place permutation, and
-dim eps_mu * M * eps_lam is the trace of the corresponding projection.
+dim eps_mu * M * eps_lam is the trace of the corresponding projection, read
+off one basis-permutation table per group element.
 """
 
 from fractions import Fraction
@@ -458,12 +459,13 @@ def gram_matrix(r, k, lam_bar):
 
 
 def det_bareiss(M, r):
-    """Fraction-free determinant of a square MPoly matrix."""
+    """Fraction-free determinant of a square MPoly matrix.  Each step
+    divides exactly by the previous pivot, unless that pivot is 1."""
     n = len(M)
     if n == 0:
         return MPoly.one(r)
     M = [list(row) for row in M]
-    prev = MPoly.one(r)
+    one = prev = MPoly.one(r)
     sign = 1
     for t in range(n - 1):
         if not M[t][t]:
@@ -472,9 +474,11 @@ def det_bareiss(M, r):
                 return MPoly.zero(r)
             M[t], M[p] = M[p], M[t]
             sign = -sign
+        unit = prev == one
         for s in range(t + 1, n):
             for j in range(t + 1, n):
-                M[s][j] = (M[t][t] * M[s][j] - M[s][t] * M[t][j]).divexact(prev)
+                v = M[t][t] * M[s][j] - M[s][t] * M[t][j]
+                M[s][j] = v if unit else v.divexact(prev)
             M[s][t] = MPoly.zero(r)
         prev = M[t][t]
     det = M[n - 1][n - 1]
@@ -540,10 +544,27 @@ def _perm_diagram(r, n, g):
     )
 
 
+def _basis_map(index, products):
+    """The index map j -> index(p_j) of a permutation diagram acting on one
+    side of the downward basis, given the products (p_j, exps_j) in basis
+    order."""
+    out = []
+    for prod, exps in products:
+        if any(exps):
+            raise RuntimeError("a permutation diagram closed a loop")
+        j = index.get(prod)
+        if j is None:
+            raise RuntimeError("a permutation diagram left the downward basis")
+        out.append(j)
+    return out
+
+
 @lru_cache(maxsize=None)
 def cartan_entry(r, lam_bar, mu_bar):
     """Multiplicity dim eps_mu * (downward (m,l) span) * eps_lam, as the trace
-    of the idempotent bi-projection on the diagram basis."""
+    of the idempotent bi-projection on the diagram basis.  Permutation
+    diagrams keep rank and arity, so each g in eps_mu and each h in eps_lam
+    permutes the basis; g*d*h = d is read off the two index maps."""
     lam_bar = tuple(tuple(x) for x in lam_bar)
     mu_bar = tuple(tuple(x) for x in mu_bar)
     l, m = weight(lam_bar), weight(mu_bar)
@@ -552,22 +573,21 @@ def cartan_entry(r, lam_bar, mu_bar):
         return 0
     eps_mu = primitive_idempotent(r, mu_bar)
     eps_lam = primitive_idempotent(r, lam_bar)
-    total = CycNumber.zero(r)
     index = {d: j for j, d in enumerate(basis)}
+    rights = []
+    for h, ch in eps_lam.items():
+        dh = _perm_diagram(r, l, h)
+        rights.append((ch, _basis_map(index, (compose(d, dh) for d in basis))))
+    total = CycNumber.zero(r)
     for g, cg in eps_mu.items():
         dg = _perm_diagram(r, m, g)
-        for h, ch in eps_lam.items():
-            dh = _perm_diagram(r, l, h)
-            fixed = 0
-            for d in basis:
-                p1, e1 = compose(dg, d)
-                p2, e2 = compose(p1, dh)
-                if any(e1) or any(e2):
-                    raise RuntimeError("a permutation diagram closed a loop")
-                if p2 == d:
-                    fixed += 1
+        left = _basis_map(index, (compose(dg, d) for d in basis))
+        row = CycNumber.zero(r)
+        for ch, right in rights:
+            fixed = sum(1 for j, i in enumerate(left) if right[i] == j)
             if fixed:
-                total = total + cg * ch * fixed
+                row = row + ch * fixed
+        total = total + cg * row
     val = total.as_rational()
     if val.denominator != 1 or val < 0:
         raise RuntimeError("Cartan entry is not a non-negative integer: %s" % val)

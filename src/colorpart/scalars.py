@@ -2,9 +2,11 @@
 
 CycNumber: elements of the cyclotomic field Q(zeta_r) = Q[z]/Phi_r(z),
 stored as rational coordinate vectors in the power basis 1, z, ..., z^(d-1)
-with d = deg Phi_r = euler_phi(r).  Phi_r itself is computed as
+with d = deg Phi_r = euler_phi(r).  A coordinate is an int, or a Fraction
+only when it is not integral; every division goes through Fraction, so no
+float ever appears.  Phi_r itself is computed as
 (z^r - 1) / prod_{d | r, d < r} Phi_d, dividing exactly by monic integer
-polynomials.
+polynomials, and has int coefficients.
 
 MPoly: sparse multivariate polynomials over CycNumber in the parameter
 variables y_0, ..., y_{r-1}.
@@ -13,8 +15,17 @@ variables y_0, ..., y_{r-1}.
 from fractions import Fraction
 from functools import lru_cache
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
+
+
+def _exact(c):
+    """c as an int, or as a Fraction when it is not integral."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 @lru_cache(maxsize=None)
@@ -26,7 +37,7 @@ def _phi_coeffs(r):
     for d in range(1, r):
         if r % d == 0:
             phi = _polydivmod(phi, _phi_coeffs(d))[0]
-    return tuple(phi)
+    return tuple(map(_exact, phi))
 
 
 @lru_cache(maxsize=None)
@@ -49,7 +60,8 @@ def _reduction_rows(r):
 
 
 class CycNumber:
-    """An element of Q(zeta_r) with exact rational coordinates."""
+    """An element of Q(zeta_r) with exact rational coordinates: each is an
+    int, or a Fraction whose denominator is not 1."""
 
     __slots__ = ("r", "coeffs", "_hash")
 
@@ -59,6 +71,10 @@ class CycNumber:
         if len(coeffs) != d:
             raise ValueError("coordinate vector has wrong length")
         self.r = r
+        for c in coeffs:
+            if type(c) is not int:
+                coeffs = tuple(map(_exact, coeffs))
+                break
         self.coeffs = coeffs
         self._hash = None
 
@@ -66,7 +82,6 @@ class CycNumber:
     @staticmethod
     def from_rational(r, q):
         d = len(_phi_coeffs(r)) - 1
-        q = Fraction(q)
         return CycNumber(r, (q,) + (_ZERO,) * (d - 1))
 
     @staticmethod
@@ -82,10 +97,10 @@ class CycNumber:
         return any(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycNumber.from_rational(self.r, other)
         if not isinstance(other, CycNumber):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = CycNumber.from_rational(self.r, other)
         return self.r == other.r and self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -127,7 +142,7 @@ class CycNumber:
         return o - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CycNumber) and isinstance(other, (int, Fraction)):
             # a rational factor scales the coordinates
             return CycNumber(self.r, tuple(a * other for a in self.coeffs))
         o = self._coerce(other)
@@ -154,9 +169,12 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Field inverse via the extended Euclidean algorithm in Q[z]."""
+        """Field inverse: the reciprocal of a rational number, otherwise
+        via the extended Euclidean algorithm in Q[z]."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
+        if not any(self.coeffs[1:]):
+            return CycNumber.from_rational(self.r, Fraction(1, self.coeffs[0]))
         phi = list(_phi_coeffs(self.r))
         a = list(self.coeffs)
         # extended gcd of a and phi as rational polynomials
@@ -170,7 +188,7 @@ class CycNumber:
         c = r0[0]
         if len(r0) != 1 or not c:
             raise ArithmeticError("gcd with cyclotomic polynomial not constant")
-        inv = [x / c for x in s0]
+        inv = [Fraction(x, c) for x in s0]
         d = len(self.coeffs)
         inv = (inv + [_ZERO] * d)[:d]
         return CycNumber(self.r, tuple(inv))
@@ -196,7 +214,7 @@ class CycNumber:
         return out
 
     def as_rational(self):
-        """Return self as a Fraction, or raise if not rational."""
+        """Return self as an int or Fraction, or raise if not rational."""
         if any(self.coeffs[1:]):
             raise ValueError("not a rational number: %s" % (self,))
         return self.coeffs[0]
@@ -253,7 +271,7 @@ def _polydivmod(a, b):
         a = _trim(a)
         if len(a) < len(b):
             break
-        c = a[-1] / b[-1]
+        c = _exact(Fraction(a[-1], b[-1]))
         deg = len(a) - len(b)
         q[deg] += c
         for j, y in enumerate(b):
@@ -386,14 +404,15 @@ class MPoly:
     # -- queries ---------------------------------------------------------
     def eval(self, point):
         """Exact evaluation at a vector of r CycNumbers or rationals.  Each
-        coordinate is raised to each power once; a monomial at a rational
-        point is a rational that scales its coefficient."""
+        coordinate is raised to each power once, an integral one as an int;
+        a monomial at a rational point is a rational that scales its
+        coefficient."""
         if len(point) != self.r:
             raise ValueError("evaluation point has wrong length")
         powers = []
         for i, v in enumerate(point):
-            if not isinstance(v, (int, CycNumber)):
-                v = Fraction(v)
+            if not isinstance(v, CycNumber):
+                v = _exact(v)
             row = [1]
             for _ in range(max((e[i] for e in self.terms), default=0)):
                 row.append(row[-1] * v)
@@ -431,9 +450,7 @@ class MPoly:
         if not o:
             raise ZeroDivisionError("division by zero polynomial")
         lead_e = max(o.terms)  # lex order on exponent tuples
-        lead = o.terms[lead_e]
-        # a rational lead (a monic pivot, say) divides by scaling
-        lead_inv = lead.inverse() if any(lead.coeffs[1:]) else 1 / lead.coeffs[0]
+        lead_inv = o.terms[lead_e].inverse()
         tail = [(e, c) for e, c in o.terms.items() if e != lead_e]
         rem = dict(self.terms)
         quot = {}

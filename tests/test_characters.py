@@ -1,9 +1,14 @@
 """Character engine: symmetric groups, wreath products, coefficient sums."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import colorpart
+from colorpart import characters as C
 from colorpart.characters import (
     abacus_moves,
     admissible_set,
@@ -204,3 +209,72 @@ def test_r_coefficient_rejects_r_below_one():
 def test_theorem_formula_check_rejects_r_below_one():
     with pytest.raises(ValueError):
         theorem_formula_check(0, (), (), ())
+
+
+# -- integrity checks: explicit raises, kept under python -O --------------------
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: kronecker((1,), (1,), (2,), 1), "sizes"),
+    (lambda: C._pad((3,), 4), "padding"),
+    (lambda: k_coefficient(2, ((1,), ()), ((1,), ()), ((), ())), "weights"),
+    (lambda: xt_formula(1, ((1,),), ((1,),), ((),), 1), "admissible"),
+    (lambda: C.xt_elements(1, 1, 1, 0, 1), "admissible"),
+], ids=["kronecker-sizes", "pad-below-first-part", "k-weights",
+        "xt-formula-t", "xt-elements-t"])
+def test_mismatched_sizes_and_inadmissible_t_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_kronecker_rejects_a_non_integer(monkeypatch):
+    monkeypatch.setattr(C, "z_order", lambda rho: 3)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        kronecker((2,), (2,), (2,), 2)
+
+
+def _minus_one(r, n, lam_bar, g):
+    return CycNumber.from_rational(r, -1)
+
+
+def test_k_coefficient_rejects_a_negative_value(monkeypatch):
+    monkeypatch.setattr(C, "wreath_char", _minus_one)
+    with pytest.raises(ArithmeticError, match="non-negative"):
+        k_coefficient(1, ((),), ((),), ((),))
+
+
+def test_xt_oracle_rejects_a_negative_value(monkeypatch):
+    monkeypatch.setattr(C, "wreath_char", _minus_one)
+    with pytest.raises(ArithmeticError, match="non-negative"):
+        xt_multiplicity_oracle(1, ((),), ((),), ((),), 0)
+
+
+OPTIMIZED_SCRIPT = """
+import sys
+from fractions import Fraction
+from colorpart import characters as C
+from colorpart.modules_rep import _solve
+
+C.z_order = lambda rho: 3
+checks = [lambda: _solve([[Fraction(0)]], [Fraction(0)]),
+          lambda: C.kronecker((2,), (2,), (2,), 2)]
+print(sys.flags.optimize)
+for check in checks:
+    try:
+        check()
+        print("passed")
+    except ArithmeticError as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_integrity_checks_raise_under_python_O():
+    # asserts vanish under -O; these checks must not
+    src = os.path.dirname(os.path.dirname(colorpart.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "ArithmeticError", "ArithmeticError"]

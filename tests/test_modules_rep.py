@@ -251,6 +251,36 @@ def test_cartan_tensor_factorization():
     assert cartan_tensor_check(2, 2)
 
 
+def cartan_entry_by_compose(r, lam_bar, mu_bar):
+    """The original triple loop, kept as the oracle: for every pair (g, h)
+    and every basis diagram d, compose g*d*h and test it against d."""
+    l, m = weight(lam_bar), weight(mu_bar)
+    basis = MR._downward_basis(r, m, l)
+    if not basis:
+        return 0
+    total = CycNumber.zero(r)
+    for g, cg in primitive_idempotent(r, mu_bar).items():
+        dg = MR._perm_diagram(r, m, g)
+        for h, ch in primitive_idempotent(r, lam_bar).items():
+            dh = MR._perm_diagram(r, l, h)
+            fixed = 0
+            for d in basis:
+                p1, e1 = compose(dg, d)
+                p2, e2 = compose(p1, dh)
+                assert not any(e1) and not any(e2)
+                fixed += p2 == d
+            total = total + cg * ch * fixed
+    return total.as_integer()
+
+
+@pytest.mark.parametrize("r, maxweight", [(1, 2), (2, 2), (3, 1)])
+def test_cartan_entry_matches_the_compose_oracle(r, maxweight):
+    labels = [lam for w in range(maxweight + 1) for lam in multipartitions(r, w)]
+    for lam in labels:
+        for mu in labels:
+            assert cartan_entry(r, lam, mu) == cartan_entry_by_compose(r, lam, mu)
+
+
 def test_cartan_specific_entries():
     assert cartan_entry(2, ((1,), ()), ((), ())) == 1
     assert cartan_entry(2, ((1,), ()), ((1,), ())) == 1
@@ -290,6 +320,14 @@ def test_cartan_entry_rejects_a_closed_loop(monkeypatch):
     monkeypatch.setattr(MR, "compose", compose_with_loop)
     with pytest.raises(RuntimeError, match="loop"):
         cartan_entry.__wrapped__(2, ((1,), ()), ((1,), ()))
+
+
+def test_cartan_entry_rejects_a_product_outside_the_basis(monkeypatch):
+    outside = next(enumerate_diagrams(2, 1, 1))
+    assert outside not in MR._downward_basis(2, 0, 1)
+    monkeypatch.setattr(MR, "compose", lambda d1, d2: (outside, ()))
+    with pytest.raises(RuntimeError, match="downward basis"):
+        cartan_entry.__wrapped__(2, ((1,), ()), ((), ()))
 
 
 def test_cartan_entry_rejects_a_non_integer(monkeypatch):

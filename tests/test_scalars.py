@@ -191,6 +191,126 @@ def test_rational_scaling_matches_the_field_product(a, q, n):
     assert a * n == a * CycNumber.from_rational(3, n) == n * a
 
 
+# -- a Fraction-only oracle for the int/Fraction coordinates --------------------
+
+
+def _fractions(coords):
+    return [Fraction(c) for c in coords]
+
+
+def frac_reduce(r, poly):
+    """poly mod Phi_r by long division, every coefficient a Fraction."""
+    phi = _fractions(_phi_coeffs(r))
+    d = len(phi) - 1
+    p = _fractions(poly) + [Fraction(0)] * d
+    for top in range(len(p) - 1, d - 1, -1):
+        c = p[top]
+        for j in range(d + 1):
+            p[top - d + j] -= c * phi[j]
+    return tuple(p[:d])
+
+
+def frac_add(a, b, sign=1):
+    return tuple(x + sign * y for x, y in zip(_fractions(a), _fractions(b)))
+
+
+def frac_mul(r, a, b):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(_fractions(a)):
+        for j, y in enumerate(_fractions(b)):
+            prod[i + j] += x * y
+    return frac_reduce(r, prod)
+
+
+def frac_inverse(r, a):
+    """Solve a * x = 1 by Gauss-Jordan elimination on the matrix of
+    multiplication by a, whose column j is a * z^j."""
+    d = len(a)
+    cols = [frac_mul(r, a, [Fraction(int(i == j)) for i in range(d)])
+            for j in range(d)]
+    aug = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))]
+           for i in range(d)]
+    for c in range(d):
+        p = next(i for i in range(c, d) if aug[i][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for i in range(d):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return tuple(row[d] for row in aug)
+
+
+def frac_eval(r, poly, point):
+    """The value of an MPoly at a rational point, term by term."""
+    d = len(_phi_coeffs(r)) - 1
+    total = (Fraction(0),) * d
+    for e, c in poly.terms.items():
+        m = Fraction(1)
+        for v, a in zip(point, e):
+            m *= Fraction(v) ** a
+        total = frac_add(total, [x * m for x in _fractions(c.coeffs)])
+    return total
+
+
+def assert_normal(x):
+    """Every coordinate is an int or a non-integral Fraction."""
+    for c in x.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), x.coeffs
+
+
+ORACLE_R = (1, 2, 3, 5, 8)
+# ints, integral Fractions and non-integral Fractions
+coordinates = st.one_of(st.integers(-20, 20),
+                        st.integers(-20, 20).map(Fraction),
+                        rationals)
+
+
+@st.composite
+def mixed_cyc(draw, r):
+    d = len(_phi_coeffs(r)) - 1
+    return CycNumber(r, draw(st.lists(coordinates, min_size=d, max_size=d)))
+
+
+@st.composite
+def oracle_case(draw):
+    r = draw(st.sampled_from(ORACLE_R))
+    a, b = draw(mixed_cyc(r)), draw(mixed_cyc(r))
+    q = draw(coordinates)
+    n_terms = draw(st.integers(0, 3))
+    terms = {tuple(draw(st.integers(0, 2)) for _ in range(r)): draw(mixed_cyc(r))
+             for _ in range(n_terms)}
+    point = tuple(draw(coordinates) for _ in range(r))
+    return r, a, b, q, MPoly(r, terms), point
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_case())
+def test_coordinates_match_the_fraction_oracle(case):
+    r, a, b, q, poly, point = case
+    results = [
+        (a + b, frac_add(a.coeffs, b.coeffs)),
+        (a - b, frac_add(a.coeffs, b.coeffs, -1)),
+        (a * b, frac_mul(r, a.coeffs, b.coeffs)),
+        (a * q, tuple(x * Fraction(q) for x in _fractions(a.coeffs))),
+        (q * a, tuple(x * Fraction(q) for x in _fractions(a.coeffs))),
+        (poly.eval(point), frac_eval(r, poly, point)),
+    ]
+    if b:
+        inv = frac_inverse(r, b.coeffs)
+        results += [(b.inverse(), inv), (a / b, frac_mul(r, a.coeffs, inv))]
+    for got, expected in results + [(a, _fractions(a.coeffs))]:
+        assert got.coeffs == tuple(expected)
+        assert_normal(got)
+
+
+def test_phi_and_zeta_powers_are_integer():
+    for r in range(1, 13):
+        assert all(type(c) is int for c in _phi_coeffs(r))
+        for j in range(r):
+            assert all(type(c) is int for c in zeta_pow(r, j).coeffs)
+
+
 def test_leading_coeff_in():
     y0, y1 = MPoly.variable(2, 0), MPoly.variable(2, 1)
     p = y0 * y0 * y0 + y0 * y1 - y1 * y1
