@@ -2,7 +2,7 @@
 """Walk through both Schensted-type bijections on the bundled r=5 worked
 example, printing the insertion trace step by step."""
 
-from colorpart.ribbon import _cells, insert, rt_rows, rt_shape, sw_diagram
+from colorpart.ribbon import insert, rt_rows, rt_shape, sw_diagram
 from colorpart.rs import rs_forward
 from colorpart.verify import BIJECTION_ARRAY, BIJECTION_DIAGRAM
 
@@ -27,12 +27,9 @@ def main():
     print("T:", T)
     print()
     print("== ribbon insertion ==")
-    Pr, Qr, prev = {}, {}, set()
+    Pr = {}
     for step, (c, label, v) in enumerate(BIJECTION_ARRAY):
-        Pr = insert(Pr, c, v, d.r)
-        cells = _cells(rt_shape(Pr))
-        Qr[label] = frozenset(cells - prev)
-        prev = cells
+        Pr, _ = insert(Pr, c, v, d.r)
         print("step %d: insert %r with color %d -> shape %r"
               % (step, v, c, rt_shape(Pr)))
         show("  P:", rt_rows(Pr))

@@ -33,7 +33,7 @@ class RunConfig:
     # bijections
     sw_n_max: int = 4
     sw_r_max: int = 3
-    sw_diagram_k_max: int = 2
+    sw_diagram_k_max: int = 3
     sw_diagram_r_max: int = 2
     # character identities
     formula_weight_max: int = 2

@@ -4,14 +4,25 @@ Addable r-ribbons of a shape are enumerated through beta-numbers
 (characters.abacus_moves): with n beads, bead positions are
 {lambda_i + n - i}; adding an r-ribbon moves a bead up r steps to a free
 position, and its spin equals the number of beads strictly in between.
-firstr(mu, c) is the spin-c addable ribbon whose head sits on the largest
-diagonal; nextr(mu, h) is the spin(h)-addable ribbon with head strictly
-below and weakly left of head(h), again on the largest diagonal among
-those.  These choices make the maps injective.
+addable_ribbons(shape, r) builds this once per (shape, r) and caches it:
+a table from each addable ribbon's cells to its spin and the new shape,
+checked once with is_ribbon and spin, and per spin the ribbons by head
+diagonal, largest first.  firstr(mu, c) is the first spin-c ribbon;
+nextr(mu, h) is the first spin(h) ribbon with head strictly below and
+weakly left of head(h).  These choices make the maps injective.
+
+Insertion carries the current shape forward: each placed ribbon is looked
+up in the current shape's table, which both checks that it is an addable
+r-ribbon and gives the next shape, and the displaced ribbon is updated
+from the cells just placed and restored, so no step rebuilds a shape from
+every value.
 
 Tableaux are dicts value -> frozenset of cells; values are ints or set
 blocks (tuples), compared by maximum entry order.
 """
+
+from functools import lru_cache
+from types import MappingProxyType
 
 from .characters import abacus_moves
 from .rs import colored_array, _key as _block_key
@@ -53,40 +64,50 @@ def is_ribbon(cells, r):
     return True
 
 
+@lru_cache(maxsize=None)
 def addable_ribbons(shape, r):
-    """All (cells, spin) for addable r-ribbons of a shape, by bead moves."""
-    out = []
+    """The addable r-ribbons of a shape (a tuple), built once by bead moves.
+
+    Returns (table, by_spin): table maps each ribbon's cells to
+    (spin, new shape); by_spin[c] lists the spin-c ribbons as
+    (head row, head column, cells), head diagonal largest first.  Both are
+    shared by every caller and read only.
+    """
+    old = _cells(shape)
+    table = {}
+    by_spin = [[] for _ in range(r)]
     for new, sp in abacus_moves(shape, r):
-        cells = frozenset(_cells(new) - _cells(shape))
-        assert is_ribbon(cells, r) and spin(cells) == sp
-        out.append((cells, sp))
-    return out
+        cells = frozenset(_cells(new) - old)
+        if not (is_ribbon(cells, r) and spin(cells) == sp):
+            raise RuntimeError("bead move to %r is not a spin-%d %d-ribbon"
+                               % (new, sp, r))
+        table[cells] = (sp, new)
+        by_spin[sp].append(head(cells) + (cells,))
+    for ribbons in by_spin:
+        ribbons.sort(key=lambda entry: entry[0] - entry[1])
+    return MappingProxyType(table), tuple(map(tuple, by_spin))
 
 
-def removable_ribbons(shape, r):
-    return [(frozenset(_cells(shape) - _cells(new)), sp)
-            for new, sp in abacus_moves(shape, -r)]
+def _spin_ribbons(shape, c, r):
+    ribbons = addable_ribbons(shape, r)[1][c] if 0 <= c < r else ()
+    if not ribbons:
+        raise ValueError("%r has no addable %d-ribbon of spin %r" % (shape, r, c))
+    return ribbons
 
 
 def firstr(shape, c, r):
     """The northeastmost spin-c addable ribbon (largest head diagonal)."""
-    cands = [cells for cells, sp in addable_ribbons(shape, r) if sp == c]
-    assert cands, "no addable ribbon of the requested spin"
-    return max(cands, key=lambda cs: head(cs)[1] - head(cs)[0])
+    return _spin_ribbons(shape, c, r)[0][2]
 
 
 def nextr(shape, h, r):
     """The northeastmost spin(h)-addable ribbon strictly southwest of h:
     head strictly below and weakly left of head(h)."""
-    c = spin(h)
     hi, hj = head(h)
-    cands = [
-        cells
-        for cells, sp in addable_ribbons(shape, r)
-        if sp == c and head(cells)[0] > hi and head(cells)[1] <= hj
-    ]
-    assert cands, "no qualifying addable ribbon"
-    return max(cands, key=lambda cs: head(cs)[1] - head(cs)[0])
+    for i, j, cells in _spin_ribbons(shape, spin(h), r):
+        if i > hi and j <= hj:
+            return cells
+    raise ValueError("%r has no addable %d-ribbon southwest of %r" % (shape, r, h))
 
 
 def bumpout(h1, h2):
@@ -104,7 +125,8 @@ def rt_shape(T):
         return ()
     rows = max(i for i, _ in cells)
     shape = tuple(sum(1 for a, _ in cells if a == i) for i in range(1, rows + 1))
-    assert _cells(shape) == cells, "cells do not form a partition shape"
+    if _cells(shape) != cells:
+        raise ValueError("cells do not form a partition shape")
     return shape
 
 
@@ -127,32 +149,42 @@ def insert(T, c, v, r):
     Larger values are removed, v is adjoined at firstr, and each larger
     value h_j is re-adjoined by the three-case rule, where the displaced
     ribbon is sh(P_{j-1}) minus the original cells restored so far.
+    Returns P and the ribbon sh(P) adds to sh(T).
     """
-    assert v not in T
-    bigger = sorted((u for u in T if _key(u) > _key(v)), key=_key)
-    cur = {u: T[u] for u in T if _key(u) < _key(v)}
-    base = set()
-    for cs in cur.values():
-        base |= cs
-    cur[v] = firstr(rt_shape(cur), c, r)
-    t_cells = set(base)
+    kv = _key(v)
+    cur, bigger = {}, []
+    for u, cs in T.items():
+        ku = _key(u)
+        if ku == kv:
+            raise ValueError("value %r: the tableau already holds a value of "
+                             "maximum %r" % (v, kv))
+        if ku < kv:
+            cur[u] = cs
+        else:
+            bigger.append(u)
+    bigger.sort(key=_key)
+    shape = rt_shape(cur)
+    displaced = place = firstr(shape, c, r)
+    cur[v] = place
+    shape = addable_ribbons(shape, r)[0][place][1]
     for u in bigger:
         h_orig = T[u]
-        p_cells = set()
-        for cs in cur.values():
-            p_cells |= cs
-        h_prime = frozenset(p_cells - t_cells)
-        if not (h_prime & h_orig):
+        if not (displaced & h_orig):
             place = h_orig
-        elif h_prime == h_orig:
-            place = nextr(rt_shape(cur), h_orig, r)
+        elif displaced == h_orig:
+            place = nextr(shape, h_orig, r)
         else:
-            place = bumpout(h_prime, h_orig)
-        assert is_ribbon(place, r) and not (place & p_cells)
+            place = bumpout(displaced, h_orig)
+        step = addable_ribbons(shape, r)[0].get(place)
+        if step is None:
+            raise RuntimeError("%r is not an addable %d-ribbon of %r"
+                               % (place, r, shape))
         cur[u] = place
-        t_cells |= h_orig
-        rt_shape(cur)  # validates the intermediate shape
-    return cur
+        shape = step[1]
+        # the shape gained place and the restored cells gained h_orig;
+        # the restored cells stay inside the shape, so place is new to both
+        displaced = (displaced | place) - h_orig
+    return cur, displaced
 
 
 def sw_group(columns, r):
@@ -162,21 +194,19 @@ def sw_group(columns, r):
     the recording tableau receives the labels.  Returns (P, Q).
     """
     P, Q = {}, {}
-    prev = set()
     for c, label, v in columns:
-        P = insert(P, c, v, r)
-        cells = _cells(rt_shape(P))
-        Q[label] = frozenset(cells - prev)
-        prev = cells
+        P, Q[label] = insert(P, c, v, r)
     return P, Q
 
 
 def special_type(colored_values, r):
     """Tableau built by successively adjoining firstr for each color; the
     j-th ribbon's spin equals the j-th color."""
-    T = {}
+    T, shape = {}, ()
     for c, v in colored_values:
-        T[v] = firstr(rt_shape(T), c, r)
+        cells = firstr(shape, c, r)
+        T[v] = cells
+        shape = addable_ribbons(shape, r)[0][cells][1]
     return T
 
 
@@ -188,8 +218,7 @@ def sw_diagram(d):
     Returns ((P, S), (Q, T)).
     """
     r = d.r
-    cols = [(c, top, bot) for c, top, bot in colored_array(d)]
-    P, Q = sw_group(cols, r)
+    P, Q = sw_group(colored_array(d), r)
     bot_np = sorted(
         ((c, b) for t, b, c in d.blocks if b and not t), key=lambda x: _block_key(x[1])
     )

@@ -61,7 +61,9 @@ def rs_pair(columns):
         i, j = _insert(p_rows, bot)
         while len(q_rows) <= i:
             q_rows.append([])
-        assert len(q_rows[i]) == j
+        if len(q_rows[i]) != j:
+            raise RuntimeError("insertion cell (%d, %d) is not the end of "
+                               "recording row %d" % (i, j, i))
         q_rows[i].append(top)
     return _freeze(p_rows), _freeze(q_rows)
 
@@ -108,7 +110,8 @@ def _reverse_insert(rows, i, j):
             if _key(row[b]) < _key(x):
                 pos = b
                 break
-        assert pos is not None
+        if pos is None:
+            raise ValueError("row %d has no entry below %r to bump out" % (a, x))
         row[pos], x = x, row[pos]
     return x
 

@@ -364,7 +364,8 @@ class MPoly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in o.terms.items():
-            terms[e] = terms.get(e, CycNumber.zero(self.r)) + c
+            t = terms.get(e)
+            terms[e] = c if t is None else t + c
         return MPoly(self.r, terms)
 
     __radd__ = __add__
@@ -376,7 +377,11 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        terms = dict(self.terms)
+        for e, c in o.terms.items():
+            t = terms.get(e)
+            terms[e] = -c if t is None else t - c
+        return MPoly(self.r, terms)
 
     def __rsub__(self, other):
         o = self._coerce(other)

@@ -46,7 +46,7 @@ from .modules_rep import (
     gram_matrix,
     semisimplicity_certificate,
 )
-from .ribbon import _cells, insert, rt_rows, rt_shape, sw_diagram, sw_image_key
+from .ribbon import insert, rt_rows, sw_diagram, sw_image_key
 from .rs import colored_array, green_invariants, rs_forward, rs_inverse
 from .scalars import MPoly, zeta_pow
 
@@ -347,13 +347,10 @@ def check_sw(cfg):
     """Ribbon insertion: worked trace, then injectivity with full counts."""
     # stepwise trace of the worked example
     r = BIJECTION_DIAGRAM.r
-    P, Q, prev = {}, {}, set()
+    P, Q = {}, {}
     trace_ok = True
     for step, (c, label, v) in enumerate(BIJECTION_ARRAY):
-        P = insert(P, c, v, r)
-        cells = _cells(rt_shape(P))
-        Q[label] = frozenset(cells - prev)
-        prev = cells
+        P, Q[label] = insert(P, c, v, r)
         trace_ok = trace_ok and rt_rows(P) == SW_P_STEPS[step]
         trace_ok = trace_ok and rt_rows(Q) == SW_Q_STEPS[step]
     (_, S), (_, T) = sw_diagram(BIJECTION_DIAGRAM)

@@ -78,6 +78,8 @@ def test_c07_ribbon_bijection():
     assert rep["trace_ok"]
     assert rep["group_images"]["4,3"] == 3**4 * 24
     assert rep["diagram_images"]["2,2"] == 94
+    assert rep["diagram_images"]["3,1"] == 203
+    assert rep["diagram_images"]["3,2"] == 2430
 
 
 def test_c08_green_relations():

@@ -254,16 +254,21 @@ import sys
 from fractions import Fraction
 from colorpart import characters as C
 from colorpart.modules_rep import _solve
+from colorpart.ribbon import insert
+from colorpart.rs import rs_inverse
 
 C.z_order = lambda rho: 3
 checks = [lambda: _solve([[Fraction(0)]], [Fraction(0)]),
-          lambda: C.kronecker((2,), (2,), (2,), 2)]
+          lambda: C.kronecker((2,), (2,), (2,), 2),
+          lambda: insert({(1,): frozenset({(1, 1)})}, 0, (1,), 1),
+          lambda: rs_inverse(((((((2,),), ((1,),)),), ((),)),
+                              (((((1,),), ((2,),)),), ((),))), 1, 2, 2)]
 print(sys.flags.optimize)
 for check in checks:
     try:
         check()
         print("passed")
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(type(exc).__name__)
 """
 
@@ -277,4 +282,5 @@ def test_integrity_checks_raise_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "ArithmeticError", "ArithmeticError"]
+    assert proc.stdout.split() == ["1", "ArithmeticError", "ArithmeticError",
+                                   "ValueError", "ValueError"]

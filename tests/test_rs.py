@@ -2,6 +2,7 @@
 
 import pytest
 
+from colorpart import rs as RS
 from colorpart.diagrams import enumerate_diagrams
 from colorpart.rs import (
     colored_array,
@@ -81,3 +82,20 @@ def test_green_invariants_shape():
     assert inv["J"] == 6  # six propagating parts
     assert inv["L"] == (content(RS_P), RS_S)
     assert inv["R"] == (content(RS_Q), RS_T)
+
+
+# -- integrity checks: explicit raises, kept under python -O --------------------
+
+
+def test_rs_pair_rejects_an_insertion_off_the_recording_row(monkeypatch):
+    monkeypatch.setattr(RS, "_insert", lambda rows, x: (0, 1))
+    with pytest.raises(RuntimeError, match="recording row"):
+        rs_pair([((1,), (1,))])
+
+
+def test_rs_inverse_rejects_a_tableau_that_cannot_bump_out():
+    # P has a column that decreases: the reverse bump finds no smaller entry
+    P = ((((2,),), ((1,),)),)
+    Q = ((((1,),), ((2,),)),)
+    with pytest.raises(ValueError, match="bump out"):
+        rs_inverse(((P, ((),)), (Q, ((),))), 1, 2, 2)

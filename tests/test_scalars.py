@@ -88,6 +88,16 @@ def mpolys(draw, r=2):
     return MPoly(r, terms)
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_subtraction_and_addition_term_by_term(r, data):
+    a, b = data.draw(mpolys(r)), data.draw(mpolys(r))
+    assert a - b == a + (-b)
+    assert a + b == b + a
+    assert (a + b) - b == a and a - a == MPoly.zero(r)
+
+
 def points(r):
     """Evaluation points mixing ints, fractions and cyclotomic numbers."""
     coord = st.one_of(st.integers(-3, 3), rationals, cyc_numbers(r))
