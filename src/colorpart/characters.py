@@ -7,12 +7,14 @@ induction from the block subgroup G(r,k_1) x ... x G(r,k_r) with base
 character prod_i phi_i(cycle colors) chi^{lambda_i}, cached per (r, n).
 On top of these: Kronecker and reduced Kronecker coefficients, the
 K-coefficients over H(r,t) = (C_r x C_r) wr S_t, admissible sets,
-R-coefficients, and the X^t permutation-module oracle.
+R-coefficients, and the X^t permutation-module oracle (class sums over one
+fixed-point table per (r, l, m, n, t)).
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product, combinations
+from itertools import permutations, product
+from types import MappingProxyType
 
 from .scalars import CycNumber, zeta_pow
 
@@ -323,10 +325,6 @@ def wreath_char(r, n, lam_bar, g):
     return table[lam_bar][class_type(r, g)]
 
 
-def wreath_dim(r, n, lam_bar):
-    return wreath_char(r, n, lam_bar, g_identity(n)).as_integer()
-
-
 # -- Kronecker coefficients ---------------------------------------------------
 
 
@@ -431,11 +429,7 @@ def admissible_set(l, m, n):
 
 def xt_formula(r, lam_bar, mu_bar, nu_bar, t):
     """The LR/K sum: multiplicity of S(lam)xS(mu)*xS(nu)* in k X^t."""
-    l, m, n = weight(lam_bar), weight(mu_bar), weight(nu_bar)
-    data = [d for d in admissible_set(l, m, n) if d["t"] == t]
-    if not data:
-        raise ValueError("t = %d is not admissible" % t)
-    a, b, c = data[0]["a"], data[0]["b"], data[0]["c"]
+    a, b, c = _xt_kinds(weight(lam_bar), weight(mu_bar), weight(nu_bar), t)
     total = 0
     for alpha in multipartitions(r, a):
         for beta in multipartitions(r, b):
@@ -480,119 +474,98 @@ def theorem_formula_check(r, lam_bar, mu_bar, nu_bar):
 # -- the X^t permutation module oracle -----------------------------------------
 
 
+def _xt_kinds(l, m, n, t):
+    """(a, b, c): the numbers of {j',k''}, {i,k''} and {i,j'} parts beside
+    the t parts {i,j',k''}; ValueError unless t is admissible."""
+    for d in admissible_set(l, m, n):
+        if d["t"] == t:
+            return d["a"], d["b"], d["c"]
+    raise ValueError("t = %d is not admissible" % t)
+
+
 def xt_elements(r, l, m, n, t):
     """All colored tripartite matchings with a parts {j',k''}, b parts
-    {i,k''}, c parts {i,j'} and t parts {i,j',k''}."""
-    data = [d for d in admissible_set(l, m, n) if d["t"] == t]
-    if not data:
-        raise ValueError("t = %d is not admissible" % t)
-    a, b, c = data[0]["a"], data[0]["b"], data[0]["c"]
-    L = list(range(1, l + 1))
-    M = list(range(1, m + 1))
-    N = list(range(1, n + 1))
+    {i,k''}, c parts {i,j'} and t parts {i,j',k''}.
+
+    An element is a frozenset of parts (i, j, k, color), 0 marking an absent
+    vertex.  Each l-vertex picks its kind; the c and t l-vertices pick
+    distinct m partners, then the b and t l-vertices and the m-vertices
+    left over pick distinct n partners.
+    """
+    c = _xt_kinds(l, m, n, t)[2]
+    L, M = range(1, l + 1), range(1, m + 1)
     out = []
-    for bl in combinations(L, b):
-        restl = [x for x in L if x not in bl]
-        for tl in combinations(restl, t):
-            cl = tuple(x for x in restl if x not in tl)
-            for cm in combinations(M, c):
-                restm = [x for x in M if x not in cm]
-                for tm in combinations(restm, t):
-                    am = tuple(x for x in restm if x not in tm)
-                    for an in combinations(N, a):
-                        restn = [x for x in N if x not in an]
-                        for tn in combinations(restn, t):
-                            bn = tuple(x for x in restn if x not in tn)
-                            for pa in permutations(an):
-                                for pb in permutations(bn):
-                                    for pcm in permutations(cm):
-                                        for ptm in permutations(tm):
-                                            for ptn in permutations(tn):
-                                                parts = []
-                                                parts += [
-                                                    (("m", am[i]), ("n", pa[i]))
-                                                    for i in range(a)
-                                                ]
-                                                parts += [
-                                                    (("l", bl[i]), ("n", pb[i]))
-                                                    for i in range(b)
-                                                ]
-                                                parts += [
-                                                    (("l", cl[i]), ("m", pcm[i]))
-                                                    for i in range(c)
-                                                ]
-                                                parts += [
-                                                    (
-                                                        ("l", tl[i]),
-                                                        ("m", ptm[i]),
-                                                        ("n", ptn[i]),
-                                                    )
-                                                    for i in range(t)
-                                                ]
-                                                for colors in product(
-                                                    range(r), repeat=len(parts)
-                                                ):
-                                                    out.append(
-                                                        frozenset(
-                                                            (frozenset(p), s)
-                                                            for p, s in zip(
-                                                                parts, colors
-                                                            )
-                                                        )
-                                                    )
+    for kinds in product("bct", repeat=l):
+        if kinds.count("c") != c or kinds.count("t") != t:
+            continue
+        for js in permutations(M, c + t):
+            jof = dict(zip((i for i in L if kinds[i - 1] != "b"), js))
+            done = [(i, jof[i], 0) for i in L if kinds[i - 1] == "c"]
+            pending = [(i, jof.get(i, 0)) for i in L if kinds[i - 1] != "c"]
+            pending += [(0, j) for j in M if j not in js]
+            for ks in permutations(range(1, n + 1)):
+                parts = done + [(i, j, k) for (i, j), k in zip(pending, ks)]
+                for colors in product(range(r), repeat=len(parts)):
+                    out.append(frozenset(
+                        p + (s,) for p, s in zip(parts, colors)))
     return out
 
 
-def xt_act(r, g1, g2, g3, x):
-    """Action of (g1, g2, g3) in G(r,l) x (G(r,m) x G(r,n))^op on x."""
-    (h1, s1), (h2, s2), (h3, s3) = g1, g2, g3
-    s2i, s3i = pinv(s2), pinv(s3)
-    new = []
-    for part, color in x:
-        d = {tag: idx for tag, idx in part}
-        c = color
-        np = []
-        if "l" in d:
-            i2 = s1[d["l"] - 1]
-            np.append(("l", i2))
-            c = (c + h1[i2 - 1]) % r
-        if "m" in d:
-            j = d["m"]
-            np.append(("m", s2i[j - 1]))
-            c = (c + h2[j - 1]) % r
-        if "n" in d:
-            k = d["n"]
-            np.append(("n", s3i[k - 1]))
-            c = (c + h3[k - 1]) % r
-        new.append((frozenset(np), c))
-    return frozenset(new)
+def _xt_index_map(g, left):
+    """(image, added color) per vertex of g's side, index 0 standing for an
+    absent vertex: G(r,l) acts from the left, G(r,m) and G(r,n) (the dual
+    slots) from the right."""
+    f, tau = g
+    if left:
+        return (0,) + tau, (0,) + tuple(f[v - 1] for v in tau)
+    return (0,) + pinv(tau), (0,) + f
+
+
+@lru_cache(maxsize=None)
+def xt_fixed_points(r, l, m, n, t):
+    """Fixed-point counts on X^t of G(r,l) x G(r,m) x G(r,n), a read-only map
+    keyed by triples of class types; zero counts are left out.
+
+    The count is a class function, so one representative per class (from
+    wreath_char_table) stands for its class.  x is fixed iff every part
+    maps into x, so each test stops at the first part that leaves x.
+    """
+    X = xt_elements(r, l, m, n, t)
+    sides = [[(T, _xt_index_map(g, left))
+              for T, g in wreath_char_table(r, size)[0].items()]
+             for size, left in ((l, True), (m, False), (n, False))]
+    table = {}
+    for (T1, (i1, c1)), (T2, (i2, c2)), (T3, (i3, c3)) in product(*sides):
+        fixed = 0
+        for x in X:
+            for i, j, k, s in x:
+                if (i1[i], i2[j], i3[k], (s + c1[i] + c2[j] + c3[k]) % r) not in x:
+                    break
+            else:
+                fixed += 1
+        if fixed:
+            table[T1, T2, T3] = fixed
+    return MappingProxyType(table)
 
 
 def xt_multiplicity_oracle(r, lam_bar, mu_bar, nu_bar, t):
-    """Multiplicity of S(lam) x S(mu)* x S(nu)* in k X^t, computed from the
-    explicit permutation character of the action on X^t."""
-    l, m, n = weight(lam_bar), weight(mu_bar), weight(nu_bar)
-    X = xt_elements(r, l, m, n, t)
+    """Multiplicity of S(lam) x S(mu)* x S(nu)* in k X^t: the inner product
+    of its character with the permutation character of X^t, summed over
+    triples of classes (Cauchy-Frobenius)."""
+    labels = (lam_bar, mu_bar, nu_bar)
+    l, m, n = (weight(label) for label in labels)
+    sides, order = [], 1
+    for size, label in zip((l, m, n), labels):
+        # dual slots: the character of S(mu)* on the opposite group is
+        # chi_mu itself, so no conjugation here
+        reps, sizes, _ = wreath_char_table(r, size)
+        sides.append({T: wreath_char(r, size, label, g) * sizes[T]
+                      for T, g in reps.items()})
+        order *= sum(sizes.values())
+    w1, w2, w3 = sides
     total = CycNumber.zero(r)
-    for g1 in g_elements(r, l):
-        c1 = wreath_char(r, l, lam_bar, g1)
-        if not c1:
-            continue
-        for g2 in g_elements(r, m):
-            # dual slots: the character of S(mu)* on the opposite group is
-            # chi_mu itself, so no conjugation here
-            c2 = wreath_char(r, m, mu_bar, g2)
-            if not c2:
-                continue
-            c12 = c1 * c2
-            for g3 in g_elements(r, n):
-                c3 = wreath_char(r, n, nu_bar, g3)
-                if not c3:
-                    continue
-                fixed = sum(1 for x in X if xt_act(r, g1, g2, g3, x) == x)
-                if fixed:
-                    total = total + c12 * c3 * fixed
-    order = len(g_elements(r, l)) * len(g_elements(r, m)) * len(g_elements(r, n))
+    for (T1, T2, T3), fixed in xt_fixed_points(r, l, m, n, t).items():
+        total = total + w1[T1] * w2[T2] * w3[T3] * fixed
     val = (total * Fraction(1, order)).as_rational()
     if val.denominator != 1 or val < 0:
         raise ArithmeticError("X^t multiplicity is not a non-negative integer: %s" % val)

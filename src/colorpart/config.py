@@ -37,7 +37,7 @@ class RunConfig:
     sw_diagram_r_max: int = 2
     # character identities
     formula_weight_max: int = 2
-    xt_size_max: int = 2
+    xt_size_max: int = 3
     # cell modules
     gram_k_max: int = 2
     gram_r_max: int = 3

@@ -381,7 +381,8 @@ def egf_coefficients(r, N):
         if k:
             fact *= k
         v = a[k] * fact
-        assert v.denominator == 1
+        if v.denominator != 1:
+            raise ArithmeticError("EGF coefficient %d is not an integer: %s" % (k, v))
         out.append(v.numerator)
     return out
 

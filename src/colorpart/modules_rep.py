@@ -306,18 +306,6 @@ def enumerate_cross_section(r, k, i):
     return out
 
 
-def group_diagram(r, k, i, g):
-    """The (k,k)-diagram of g in G(r,i) padded with trivial strands absent:
-    propagating blocks {v, (tau^{-1}v)'} colored f(v), plus trivial top and
-    bottom singletons at i+1..k."""
-    f, tau = g
-    ti = pinv(tau)
-    blocks = [((v,), (ti[v - 1],), f[v - 1]) for v in range(1, i + 1)]
-    blocks += [((v,), (), 0) for v in range(i + 1, k + 1)]
-    blocks += [((), (v,), 0) for v in range(i + 1, k + 1)]
-    return ColoredDiagram(r, k, k, blocks)
-
-
 class NotInLForm(RuntimeError):
     pass
 
@@ -350,31 +338,6 @@ def factor_cross_section(d, i):
     d2 = ColoredDiagram(r, k, k, blocks)
     g = (tuple(f), tuple(tau))
     return d2, g
-
-
-def recompose_cross_section(d2, g, i):
-    """Inverse of factor_cross_section: rebuild the rank-i diagram."""
-    r, k = d2.r, d2.k
-    f, tau = g
-    ti = pinv(tau) if i else ()
-    blocks = []
-    for top, bot, c in d2.blocks:
-        if top and bot:
-            p = bot[0]
-            blocks.append((top, (ti[p - 1],), f[p - 1]))
-        else:
-            blocks.append((top, bot, c))
-    return ColoredDiagram(r, k, k, blocks)
-
-
-def act(d, d1, i):
-    """Action of d in CPar_k on the cross-section index d1 of a rank-i cell
-    module: returns (d2, g, exponents) or None when the rank drops."""
-    prod, exps = compose(d, d1)
-    if prod.rank() != i:
-        return None
-    d2, g = factor_cross_section(prod, i)
-    return d2, g, exps
 
 
 # -- Gram matrices and semisimplicity -------------------------------------------
@@ -411,7 +374,7 @@ def _module_basis(r, lam_bar):
         chosen.append(g)
         if len(chosen) == rep.dim:
             return chosen
-    raise AssertionError("first columns do not span the representation")
+    raise RuntimeError("first columns do not span the representation")
 
 
 def _monomial(r, exps):

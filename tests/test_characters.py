@@ -1,9 +1,12 @@
 """Character engine: symmetric groups, wreath products, coefficient sums."""
 
+import ast
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +29,6 @@ from colorpart.characters import (
     theorem_formula_check,
     wreath_char,
     wreath_char_table,
-    wreath_dim,
     xt_formula,
     xt_multiplicity_oracle,
     z_order,
@@ -102,6 +104,10 @@ def test_wreath_table_orthogonality():
                     )
                 expected = Fraction(order) if a == b else Fraction(0)
                 assert s == CycNumber.from_rational(r, expected)
+
+
+def wreath_dim(r, n, lam_bar):
+    return wreath_char(r, n, lam_bar, C.g_identity(n)).as_integer()
 
 
 def test_wreath_dimension_sum():
@@ -183,6 +189,116 @@ def test_xt_oracle_matches_formula_small():
                         ) == xt_formula(r, lam_bar, mu_bar, nu_bar, t)
 
 
+# -- brute-force X^t oracle: the permutation character summed element by element
+
+
+def xt_elements_by_sweep(r, l, m, n, t):
+    """X^t as frozensets of (frozenset of tagged vertices, color) parts: a
+    parts {j',k''}, b parts {i,k''}, c parts {i,j'} and t parts {i,j',k''}."""
+    data = [d for d in admissible_set(l, m, n) if d["t"] == t]
+    if not data:
+        raise ValueError("t = %d is not admissible" % t)
+    a, b, c = data[0]["a"], data[0]["b"], data[0]["c"]
+    L, M, N = range(1, l + 1), range(1, m + 1), range(1, n + 1)
+    out = []
+    for bl in combinations(L, b):
+        restl = [x for x in L if x not in bl]
+        for tl in combinations(restl, t):
+            cl = tuple(x for x in restl if x not in tl)
+            for cm in combinations(M, c):
+                restm = [x for x in M if x not in cm]
+                for tm in combinations(restm, t):
+                    am = tuple(x for x in restm if x not in tm)
+                    for an in combinations(N, a):
+                        restn = [x for x in N if x not in an]
+                        for tn in combinations(restn, t):
+                            bn = tuple(x for x in restn if x not in tn)
+                            for pa, pb, pcm, ptm, ptn in product(
+                                    permutations(an), permutations(bn),
+                                    permutations(cm), permutations(tm),
+                                    permutations(tn)):
+                                parts = [(("m", am[i]), ("n", pa[i])) for i in range(a)]
+                                parts += [(("l", bl[i]), ("n", pb[i])) for i in range(b)]
+                                parts += [(("l", cl[i]), ("m", pcm[i])) for i in range(c)]
+                                parts += [(("l", tl[i]), ("m", ptm[i]), ("n", ptn[i]))
+                                          for i in range(t)]
+                                for colors in product(range(r), repeat=len(parts)):
+                                    out.append(frozenset(
+                                        (frozenset(p), s) for p, s in zip(parts, colors)))
+    return out
+
+
+def xt_act_by_sweep(r, g1, g2, g3, x):
+    """Action of (g1, g2, g3) in G(r,l) x (G(r,m) x G(r,n))^op on x."""
+    (h1, s1), (h2, s2), (h3, s3) = g1, g2, g3
+    s2i, s3i = C.pinv(s2), C.pinv(s3)
+    new = []
+    for part, color in x:
+        d = dict(part)
+        np = []
+        if "l" in d:
+            i2 = s1[d["l"] - 1]
+            np.append(("l", i2))
+            color = (color + h1[i2 - 1]) % r
+        if "m" in d:
+            np.append(("m", s2i[d["m"] - 1]))
+            color = (color + h2[d["m"] - 1]) % r
+        if "n" in d:
+            np.append(("n", s3i[d["n"] - 1]))
+            color = (color + h3[d["n"] - 1]) % r
+        new.append((frozenset(np), color))
+    return frozenset(new)
+
+
+def xt_multiplicity_by_sweep(r, lam_bar, mu_bar, nu_bar, t):
+    """The permutation character's inner product, summed over every element
+    of G(r,l) x G(r,m) x G(r,n) with its fixed points counted one by one."""
+    l, m, n = C.weight(lam_bar), C.weight(mu_bar), C.weight(nu_bar)
+    X = xt_elements_by_sweep(r, l, m, n, t)
+    total = CycNumber.zero(r)
+    for g1, g2, g3 in product(g_elements(r, l), g_elements(r, m), g_elements(r, n)):
+        fixed = sum(1 for x in X if xt_act_by_sweep(r, g1, g2, g3, x) == x)
+        if fixed:
+            total = total + (wreath_char(r, l, lam_bar, g1) * wreath_char(r, m, mu_bar, g2)
+                             * wreath_char(r, n, nu_bar, g3) * fixed)
+    order = len(g_elements(r, l)) * len(g_elements(r, m)) * len(g_elements(r, n))
+    return (total * Fraction(1, order)).as_rational()
+
+
+def _xt_cases(size_max):
+    for l, m, n in product(range(size_max + 1), repeat=3):
+        for entry in admissible_set(l, m, n):
+            yield l, m, n, entry["t"]
+
+
+def _as_index_parts(x):
+    """A sweep element in xt_elements' form: parts (i, j, k, color)."""
+    out = set()
+    for part, color in x:
+        d = dict(part)
+        out.add((d.get("l", 0), d.get("m", 0), d.get("n", 0), color))
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_xt_oracle_equals_the_element_sweep_up_to_size_one(r):
+    for l, m, n, t in _xt_cases(1):
+        for lam_bar in multipartitions(r, l):
+            for mu_bar in multipartitions(r, m):
+                for nu_bar in multipartitions(r, n):
+                    assert xt_multiplicity_oracle(r, lam_bar, mu_bar, nu_bar, t) \
+                        == xt_multiplicity_by_sweep(r, lam_bar, mu_bar, nu_bar, t)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_xt_elements_equal_the_sweep_up_to_size_two(r):
+    for l, m, n, t in _xt_cases(2):
+        X = C.xt_elements(r, l, m, n, t)
+        swept = xt_elements_by_sweep(r, l, m, n, t)
+        assert len(X) == len(swept) == len(set(X))
+        assert set(X) == {_as_index_parts(x) for x in swept}
+
+
 def test_wreath_char_at_identity_is_dimension():
     from colorpart.characters import g_identity
 
@@ -250,9 +366,12 @@ def test_xt_oracle_rejects_a_negative_value(monkeypatch):
 
 
 OPTIMIZED_SCRIPT = """
+import random
 import sys
 from fractions import Fraction
 from colorpart import characters as C
+from colorpart.diagrams import egf_coefficients
+from colorpart.groupoid import random_downward
 from colorpart.modules_rep import _solve
 from colorpart.ribbon import insert
 from colorpart.rs import rs_inverse
@@ -262,7 +381,9 @@ checks = [lambda: _solve([[Fraction(0)]], [Fraction(0)]),
           lambda: C.kronecker((2,), (2,), (2,), 2),
           lambda: insert({(1,): frozenset({(1, 1)})}, 0, (1,), 1),
           lambda: rs_inverse(((((((2,),), ((1,),)),), ((),)),
-                              (((((1,),), ((2,),)),), ((),))), 1, 2, 2)]
+                              (((((1,),), ((2,),)),), ((),))), 1, 2, 2),
+          lambda: egf_coefficients(Fraction(1, 2), 2),
+          lambda: random_downward(random.Random(0), 2, 2, 1)]
 print(sys.flags.optimize)
 for check in checks:
     try:
@@ -283,4 +404,23 @@ def test_integrity_checks_raise_under_python_O():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "ArithmeticError", "ArithmeticError",
-                                   "ValueError", "ValueError"]
+                                   "ValueError", "ValueError",
+                                   "ArithmeticError", "ValueError"]
+
+
+def _asserts(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node.lineno
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                yield node.lineno
+
+
+def test_the_library_has_no_assert():
+    # an integrity check must survive python -O and name what went wrong
+    found = {path.name: lines
+             for path in sorted(Path(colorpart.__file__).parent.glob("*.py"))
+             if (lines := list(_asserts(ast.parse(path.read_text()))))}
+    assert found == {}

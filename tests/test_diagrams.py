@@ -1,10 +1,13 @@
 """Colored diagram arithmetic: composition, counting, factorization."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from colorpart import config, verify
 from colorpart.diagrams import (
     ColoredDiagram,
     compose,
@@ -242,6 +245,30 @@ def test_bell_against_stirling_sum():
 def test_egf_matches_recurrence():
     for r in range(1, 5):
         assert egf_coefficients(r, 10) == [count_bell(k, r) for k in range(11)]
+
+
+def test_egf_rejects_a_non_integer_coefficient():
+    # r = 1/2 makes k! [t^k] exp(r(e^t - 1)) = 1/2 at k = 1
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        egf_coefficients(Fraction(1, 2), 2)
+
+
+def test_triangular_check_reports_a_closed_loop_in_the_uniqueness_sweep(monkeypatch):
+    # the existence loop makes two compositions per diagram and passes; every
+    # later one, in the uniqueness sweep, reports a closed loop
+    existence_calls = 2 * count_bell(6, 2)
+    calls = itertools.count()
+
+    def compose_late_loop(d1, d2):
+        prod, exps = compose(d1, d2)
+        if next(calls) < existence_calls:
+            return prod, exps
+        return prod, (1,) + tuple(exps[1:])
+
+    monkeypatch.setattr(verify, "compose", compose_late_loop)
+    rep = verify.check_triangular(config.RunConfig())
+    assert rep["ok"] is False and rep["triples"] > 0
+    assert next(calls) > existence_calls
 
 
 def test_triangular_factorization_roundtrip():

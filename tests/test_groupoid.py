@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from colorpart import groupoid as G
 from colorpart.diagrams import ColoredDiagram, compose, enumerate_diagrams
 from colorpart.groupoid import (
     ColorPreservingDiagram,
@@ -31,6 +32,29 @@ def test_gcompose_interface_mismatch_is_zero():
     b = ColorPreservingDiagram(ColoredDiagram(2, 1, 1, [((1,), (1,), 0)]))
     assert gcompose(a, b) is None
     assert gcompose(a, a) is not None
+
+
+def _compose_with_loop(d1, d2):
+    prod, exps = compose(d1, d2)
+    return prod, (1,) + tuple(exps[1:])
+
+
+def test_gcompose_rejects_a_removed_middle_component(monkeypatch):
+    a = ColorPreservingDiagram(ColoredDiagram(2, 1, 1, [((1,), (1,), 1)]))
+    monkeypatch.setattr(G, "compose", _compose_with_loop)
+    with pytest.raises(RuntimeError, match="middle component"):
+        gcompose(a, a)
+
+
+def test_random_downward_rejects_more_tops_than_bottoms():
+    with pytest.raises(ValueError, match="k_top <= k_bot"):
+        random_downward(random.Random(0), 2, 2, 1)
+
+
+def test_psi_hom_check_counts_a_removed_middle_component_as_failed(monkeypatch):
+    monkeypatch.setattr(G, "compose", _compose_with_loop)
+    rep = psi_hom_check(samples=5, k_max=2, r_max=2, seed=0)
+    assert rep == {"samples": 5, "failures": 5, "ok": False}
 
 
 def test_expansion_term_count_and_coefficients():

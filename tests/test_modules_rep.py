@@ -2,16 +2,17 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from colorpart import modules_rep as MR
-from colorpart.characters import g_elements, g_identity, gmul, multipartitions, weight
-from colorpart.diagrams import compose, count_bell, enumerate_diagrams
+from colorpart.characters import g_elements, g_identity, gmul, multipartitions, pinv, weight
+from colorpart.diagrams import ColoredDiagram, compose, count_bell, enumerate_diagrams
 from colorpart.modules_rep import (
+    _module_basis,
     _phi_table,
     _solve,
-    act,
     build_matrix_rep,
     cartan_entry,
     cartan_matrix,
@@ -22,9 +23,7 @@ from colorpart.modules_rep import (
     factor_cross_section,
     gram_det,
     gram_matrix,
-    group_diagram,
     primitive_idempotent,
-    recompose_cross_section,
     semisimplicity_certificate,
     specht_dim,
     specht_matrix,
@@ -131,6 +130,43 @@ def test_cross_section_counts():
     assert len(enumerate_cross_section(2, 2, 2)) == 1
     assert len(enumerate_cross_section(3, 2, 0)) == 12
     assert len(enumerate_cross_section(3, 2, 1)) == 7
+
+
+def group_diagram(r, k, i, g):
+    """The (k,k)-diagram of g in G(r,i) padded with trivial strands absent:
+    propagating blocks {v, (tau^{-1}v)'} colored f(v), plus trivial top and
+    bottom singletons at i+1..k."""
+    f, tau = g
+    ti = pinv(tau)
+    blocks = [((v,), (ti[v - 1],), f[v - 1]) for v in range(1, i + 1)]
+    blocks += [((v,), (), 0) for v in range(i + 1, k + 1)]
+    blocks += [((), (v,), 0) for v in range(i + 1, k + 1)]
+    return ColoredDiagram(r, k, k, blocks)
+
+
+def recompose_cross_section(d2, g, i):
+    """Inverse of factor_cross_section: rebuild the rank-i diagram."""
+    r, k = d2.r, d2.k
+    f, tau = g
+    ti = pinv(tau) if i else ()
+    blocks = []
+    for top, bot, c in d2.blocks:
+        if top and bot:
+            p = bot[0]
+            blocks.append((top, (ti[p - 1],), f[p - 1]))
+        else:
+            blocks.append((top, bot, c))
+    return ColoredDiagram(r, k, k, blocks)
+
+
+def act(d, d1, i):
+    """Action of d in CPar_k on the cross-section index d1 of a rank-i cell
+    module: returns (d2, g, exponents) or None when the rank drops."""
+    prod, exps = compose(d, d1)
+    if prod.rank() != i:
+        return None
+    d2, g = factor_cross_section(prod, i)
+    return d2, g, exps
 
 
 def test_cross_section_factorization_roundtrip():
@@ -310,6 +346,16 @@ def test_gram_matrix_rejects_a_wrong_size(monkeypatch):
     monkeypatch.setattr(MR, "_module_basis", lambda r, lam: basis(r, lam)[:-1])
     with pytest.raises(RuntimeError, match="cell dimension"):
         gram_matrix(2, 1, ((1,), ()))
+
+
+def test_module_basis_rejects_columns_that_do_not_span(monkeypatch):
+    rep = build_matrix_rep(2, ((1,), ()))
+    zero_rows = [[CycNumber.zero(2)] * rep.dim] * rep.dim
+    monkeypatch.setattr(MR, "build_matrix_rep", lambda r, lam: SimpleNamespace(
+        n=rep.n, dim=rep.dim, coset_reps=rep.coset_reps,
+        matrix=lambda g: zero_rows))
+    with pytest.raises(RuntimeError, match="do not span"):
+        _module_basis(2, ((1,), ()))
 
 
 def test_cartan_entry_rejects_a_closed_loop(monkeypatch):
