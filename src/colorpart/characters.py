@@ -2,18 +2,19 @@
 
 Symmetric group characters come from the Murnaghan-Nakayama rule;
 Littlewood-Richardson coefficients from lattice-word backtracking.  The
-irreducible characters of G(r,n) = C_r wr S_n are computed by brute-force
-induction from the block subgroup G(r,k_1) x ... x G(r,k_r) with base
-character prod_i phi_i(cycle colors) chi^{lambda_i}, cached per (r, n).
-On top of these: Kronecker and reduced Kronecker coefficients, the
-K-coefficients over H(r,t) = (C_r x C_r) wr S_t, admissible sets,
-R-coefficients, and the X^t permutation-module oracle (class sums over one
-fixed-point table per (r, l, m, n, t)).
+irreducible characters of G(r,n) = C_r wr S_n are induced from the block
+subgroup G(r,k_1) x ... x G(r,k_r), base character prod_i phi_i(cycle
+colors) chi^{lambda_i}, by Frobenius' formula in class form, cached per
+(r, n).  Every sum on top of them runs over conjugacy classes (Macdonald,
+Symmetric Functions, App. B): Kronecker and reduced Kronecker coefficients,
+the K-coefficients over H(r,t) = (C_r x C_r) wr S_t, R-coefficients, and
+the X^t permutation-module oracle (one fixed-point table per (r,l,m,n,t)).
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from math import factorial
 from types import MappingProxyType
 
 from .scalars import CycNumber, zeta_pow
@@ -248,29 +249,48 @@ def class_type(r, g):
     return tuple(tuple(sorted(b, reverse=True)) for b in buckets)
 
 
-def _restricted_cycle_type(perm, block):
-    """Cycle type of a block-preserving permutation restricted to block."""
-    block = list(block)
-    idx = {v: i for i, v in enumerate(block)}
-    seen = [False] * len(block)
-    cycles = []
-    for s in range(len(block)):
-        if seen[s]:
-            continue
-        j = s
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = idx[perm[block[j] - 1]]
-            length += 1
-        cycles.append(length)
-    return tuple(sorted(cycles, reverse=True))
+def _block_subgroup(r, ks):
+    """(blocks, elements) of G(r,k_1) x ... x G(r,k_s) inside G(r, sum ks):
+    the consecutive blocks of sizes ks, and the elements of G(r, sum ks)
+    whose permutation maps each block to itself, in g_elements order."""
+    blocks, start = [], 1
+    for k in ks:
+        blocks.append(tuple(range(start, start + k)))
+        start += k
+    in_h = lambda g: all(all(g[1][v - 1] in blk for v in blk) for blk in blocks)
+    return tuple(blocks), tuple(g for g in g_elements(r, start - 1) if in_h(g))
+
+
+def _block_character(r, lam_bar, blocks, h):
+    """Base character of the block subgroup at h: prod_i zeta^(i a_i)
+    chi^{lam_i}(cycle type on block i), a_i the color sum on block i."""
+    f, perm = h
+    val = CycNumber.one(r)
+    for i, blk in enumerate(blocks):
+        val = val * zeta_pow(r, i * sum(f[v - 1] for v in blk))
+        cycles, seen = [], set()
+        for v in blk:
+            length = 0
+            while v not in seen:
+                seen.add(v)
+                v = perm[v - 1]
+                length += 1
+            if length:
+                cycles.append(length)
+        c = chi_sn(lam_bar[i], tuple(sorted(cycles, reverse=True)))
+        if c != 1:
+            val = val * c
+        if not val:
+            break
+    return val
 
 
 @lru_cache(maxsize=None)
 def wreath_char_table(r, n):
     """Character table of G(r,n): (class_reps, class_sizes, table) where
-    table[lam_bar][class_type] is a CycNumber."""
+    table[lam_bar][class_type] is a CycNumber.  Each row is induced from its
+    block subgroup H by Frobenius' formula in class form, chi(C) =
+    |G| / (|H| |C|) sum_{h in H n C} theta(h): one pass over H."""
     elements = g_elements(r, n)
     reps, sizes = {}, {}
     for g in elements:
@@ -279,50 +299,18 @@ def wreath_char_table(r, n):
         sizes[t] = sizes.get(t, 0) + 1
     table = {}
     for lam_bar in multipartitions(r, n):
-        ks = [sum(lam) for lam in lam_bar]
-        blocks = []
-        start = 1
-        for k in ks:
-            blocks.append(tuple(range(start, start + k)))
-            start += k
-        h_order = 1
-        for k in ks:
-            h_order *= r**k
-            for j in range(1, k + 1):
-                h_order *= j
-
-        def in_h(g):
-            _, perm = g
-            return all(all(perm[v - 1] in blk for v in blk) for blk in blocks)
-
-        def theta(g):
-            f, perm = g
-            val = CycNumber.one(r)
-            for i, blk in enumerate(blocks):
-                a = sum(f[v - 1] for v in blk) % r
-                val = val * zeta_pow(r, (a * i) % r)
-                c = chi_sn(lam_bar[i], _restricted_cycle_type(perm, blk))
-                if c != 1:
-                    val = val * c
-                if not val:
-                    return val
-            return val
-
-        row = {}
-        for t, g in reps.items():
-            acc = CycNumber.zero(r)
-            for x in elements:
-                y = gmul(r, gmul(r, ginv(r, x), g), x)
-                if in_h(y):
-                    acc = acc + theta(y)
-            row[t] = acc * Fraction(1, h_order)
-        table[lam_bar] = row
+        blocks, h_elements = _block_subgroup(r, tuple(sum(lam) for lam in lam_bar))
+        sums = {}
+        for h in h_elements:
+            val = _block_character(r, lam_bar, blocks, h)
+            if val:
+                t = class_type(r, h)
+                sums[t] = sums[t] + val if t in sums else val
+        table[lam_bar] = {
+            t: sums[t] * Fraction(len(elements), len(h_elements) * sizes[t])
+            if t in sums else CycNumber.zero(r)
+            for t in reps}
     return reps, sizes, table
-
-
-def wreath_char(r, n, lam_bar, g):
-    _, _, table = wreath_char_table(r, n)
-    return table[lam_bar][class_type(r, g)]
 
 
 # -- Kronecker coefficients ---------------------------------------------------
@@ -377,30 +365,44 @@ def reduced_kronecker(lam, mu, nu):
 # -- K-coefficients over H(r,t) -----------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _h_classes(r, t):
+    """The classes of H(r,t) = (C_r x C_r) wr S_t as (T_a, T_b, T_c, size),
+    and |H(r,t)|.  A class is an r^2-multipartition rho of t, color pair
+    (a, b) at index a*r + b, of size |H| / prod_c z_{rho_c} r^(2 len(rho_c)).
+    T_a and T_b are its psi_1 and psi_2 types (each cycle keeps color a,
+    resp. b); T_c inverts its psi_3 type (color -(a+b)), so chi(T_c) is the
+    conjugate of chi at psi_3."""
+    order = r ** (2 * t) * factorial(t)
+    out = []
+    for rho in multipartitions(r * r, t):
+        images = [[[] for _ in range(r)] for _ in range(3)]
+        central = 1
+        for idx, parts in enumerate(rho):
+            a, b = divmod(idx, r)
+            for image, color in zip(images, (a, b, -(a + b) % r)):
+                image[color] += parts
+            central *= z_order(parts) * r ** (2 * len(parts))
+        out.append(tuple(tuple(tuple(sorted(c, reverse=True)) for c in image)
+                         for image in images) + (order // central,))
+    return tuple(out), order
+
+
 def k_coefficient(r, delta, delta1, delta2):
     """Multiplicity of the psi_3-pullback of S(delta2) in the tensor product
     of the psi_1-pullback of S(delta) and the psi_2-pullback of S(delta1),
-    over H(r,t) = (C_r x C_r) wr S_t."""
+    over H(r,t) = (C_r x C_r) wr S_t: the character inner product summed
+    over the classes of H(r,t)."""
     t = weight(delta)
     if not weight(delta1) == t == weight(delta2):
         raise ValueError("multipartition weights differ")
-    wreath_char_table(r, t)
+    table = wreath_char_table(r, t)[2]
+    chi, chi1, chi2 = table[delta], table[delta1], table[delta2]
+    classes, order = _h_classes(r, t)
     total = CycNumber.zero(r)
-    for xi in permutations(range(1, t + 1)):
-        for w in product(range(r), repeat=t):
-            c1 = wreath_char(r, t, delta, (w, xi))
-            if not c1:
-                continue
-            for u in product(range(r), repeat=t):
-                c2 = wreath_char(r, t, delta1, (u, xi))
-                if not c2:
-                    continue
-                wu = tuple((w[i] + u[i]) % r for i in range(t))
-                c3 = wreath_char(r, t, delta2, (wu, xi))
-                total = total + c1 * c2 * c3.conjugate()
-    order = r ** (2 * t)
-    for j in range(1, t + 1):
-        order *= j
+    for ta, tb, tc, size in classes:
+        if chi[ta] and chi1[tb]:
+            total = total + chi[ta] * chi1[tb] * chi2[tc] * size
     val = (total * Fraction(1, order)).as_rational()
     if val.denominator != 1 or val < 0:
         raise ArithmeticError("K-coefficient is not a non-negative integer: %s" % val)
@@ -558,9 +560,8 @@ def xt_multiplicity_oracle(r, lam_bar, mu_bar, nu_bar, t):
     for size, label in zip((l, m, n), labels):
         # dual slots: the character of S(mu)* on the opposite group is
         # chi_mu itself, so no conjugation here
-        reps, sizes, _ = wreath_char_table(r, size)
-        sides.append({T: wreath_char(r, size, label, g) * sizes[T]
-                      for T, g in reps.items()})
+        _, sizes, table = wreath_char_table(r, size)
+        sides.append({T: table[label][T] * k for T, k in sizes.items()})
         order *= sum(sizes.values())
     w1, w2, w3 = sides
     total = CycNumber.zero(r)

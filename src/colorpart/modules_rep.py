@@ -19,6 +19,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .characters import (
+    _block_subgroup,
     g_elements,
     g_identity,
     ginv,
@@ -174,18 +175,9 @@ class MatrixRep:
         self.r = r
         self.lam_bar = tuple(tuple(lam) for lam in lam_bar)
         self.n = weight(lam_bar)
-        ks = [sum(lam) for lam in lam_bar]
-        blocks = []
-        start = 1
-        for k in ks:
-            blocks.append(tuple(range(start, start + k)))
-            start += k
-        self.blocks = blocks
+        self.blocks, self.h_elements = _block_subgroup(
+            r, tuple(sum(lam) for lam in lam_bar))
         elements = g_elements(r, self.n)
-        in_h = lambda g: all(
-            all(g[1][v - 1] in blk for v in blk) for blk in blocks
-        )
-        self.h_elements = tuple(g for g in elements if in_h(g))
         # coset decomposition G = union t_c H
         self.coset_reps = []
         self.elem_coset = {}

@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,8 @@ from colorpart.characters import (
     chi_sn,
     class_type,
     g_elements,
+    ginv,
+    gmul,
     k_coefficient,
     kronecker,
     lr3_coeff,
@@ -27,13 +31,12 @@ from colorpart.characters import (
     r_coefficient,
     reduced_kronecker,
     theorem_formula_check,
-    wreath_char,
     wreath_char_table,
     xt_formula,
     xt_multiplicity_oracle,
     z_order,
 )
-from colorpart.scalars import CycNumber
+from colorpart.scalars import CycNumber, zeta_pow
 from colorpart.verify import FORMULA_EXAMPLE_R3
 
 
@@ -89,8 +92,12 @@ def test_lr3_is_iterated_lr():
     assert total == 4  # 1 + 2 + 1
 
 
+def wreath_char(r, n, lam_bar, g):
+    return wreath_char_table(r, n)[2][lam_bar][class_type(r, g)]
+
+
 def test_wreath_table_orthogonality():
-    for r, n in [(2, 2), (3, 1), (2, 3)]:
+    for r, n in [(2, 2), (3, 1), (2, 3), (2, 4), (3, 3)]:
         reps, sizes, table = wreath_char_table(r, n)
         order = sum(sizes.values())
         for a in table:
@@ -111,20 +118,108 @@ def wreath_dim(r, n, lam_bar):
 
 
 def test_wreath_dimension_sum():
-    for r, n in [(2, 2), (3, 2), (2, 3)]:
+    for r, n in [(2, 2), (3, 2), (2, 3), (2, 4), (3, 3)]:
         order = len(g_elements(r, n))
         assert sum(wreath_dim(r, n, lam) ** 2 for lam in multipartitions(r, n)) == order
 
 
 def test_class_type_is_conjugation_invariant():
-    from colorpart.characters import gmul, ginv
-
     r, n = 2, 3
     elems = g_elements(r, n)
     for g in elems[:20]:
         t = class_type(r, g)
         for x in elems[::50]:
             assert class_type(r, gmul(r, gmul(r, x, g), ginv(r, x))) == t
+
+
+# -- brute-force oracles: the character table and K element by element ----------
+
+
+def _restricted_cycle_type(perm, block):
+    """Cycle type of a block-preserving permutation restricted to block."""
+    idx = {v: i for i, v in enumerate(block)}
+    seen = [False] * len(block)
+    cycles = []
+    for s in range(len(block)):
+        length = 0
+        while not seen[s]:
+            seen[s] = True
+            s = idx[perm[block[s] - 1]]
+            length += 1
+        if length:
+            cycles.append(length)
+    return tuple(sorted(cycles, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def wreath_char_table_by_conjugation(r, n):
+    """The character table by induction summed over all of G(r,n): chi(g) =
+    (1/|H|) sum over x in G of theta(x^-1 g x), theta zero off the block
+    subgroup H, whose order is the closed form prod_i r^k_i k_i!."""
+    elements = g_elements(r, n)
+    reps, sizes = {}, {}
+    for g in elements:
+        t = class_type(r, g)
+        reps.setdefault(t, g)
+        sizes[t] = sizes.get(t, 0) + 1
+    table = {}
+    for lam_bar in multipartitions(r, n):
+        blocks, start, h_order = [], 1, 1
+        for lam in lam_bar:
+            k = sum(lam)
+            blocks.append(tuple(range(start, start + k)))
+            start += k
+            h_order *= r**k * factorial(k)
+
+        def theta(g):
+            f, perm = g
+            if not all(perm[v - 1] in blk for blk in blocks for v in blk):
+                return CycNumber.zero(r)
+            val = CycNumber.one(r)
+            for i, blk in enumerate(blocks):
+                val = val * zeta_pow(r, i * sum(f[v - 1] for v in blk))
+                val = val * chi_sn(lam_bar[i], _restricted_cycle_type(perm, blk))
+            return val
+
+        table[lam_bar] = {
+            t: sum((theta(gmul(r, gmul(r, ginv(r, x), g), x)) for x in elements),
+                   CycNumber.zero(r)) * Fraction(1, h_order)
+            for t, g in reps.items()}
+    return reps, sizes, table
+
+
+def k_coefficient_by_elements(r, delta, delta1, delta2):
+    """K summed over every element (w, u, xi) of H(r,t), with characters
+    read off the conjugation-sweep table."""
+    t = C.weight(delta)
+    table = wreath_char_table_by_conjugation(r, t)[2]
+
+    def chi(label, w, xi):
+        return table[label][class_type(r, (w, xi))]
+
+    total = CycNumber.zero(r)
+    for xi in permutations(range(1, t + 1)):
+        for w in product(range(r), repeat=t):
+            for u in product(range(r), repeat=t):
+                wu = tuple((a + b) % r for a, b in zip(w, u))
+                total = total + (chi(delta, w, xi) * chi(delta1, u, xi)
+                                 * chi(delta2, wu, xi).conjugate())
+    return (total * Fraction(1, r ** (2 * t) * factorial(t))).as_rational()
+
+
+@pytest.mark.parametrize("r, n", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2),
+                                  (2, 3), (3, 1), (3, 2)])
+def test_wreath_char_table_equals_the_conjugation_sweep(r, n):
+    assert wreath_char_table(r, n) == wreath_char_table_by_conjugation(r, n)
+
+
+@pytest.mark.parametrize("r, t", [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1),
+                                  (2, 2), (3, 0), (3, 1)])
+def test_k_coefficient_equals_the_element_sum(r, t):
+    labels = multipartitions(r, t)
+    for delta, delta1, delta2 in product(labels, repeat=3):
+        assert k_coefficient(r, delta, delta1, delta2) \
+            == k_coefficient_by_elements(r, delta, delta1, delta2)
 
 
 def test_kronecker_values():
@@ -349,18 +444,24 @@ def test_kronecker_rejects_a_non_integer(monkeypatch):
         kronecker((2,), (2,), (2,), 2)
 
 
-def _minus_one(r, n, lam_bar, g):
-    return CycNumber.from_rational(r, -1)
+def _patch_minus_one_table(monkeypatch):
+    """Every character value read from wreath_char_table becomes -1."""
+    def minus_one_table(r, n):
+        reps, sizes, table = wreath_char_table(r, n)
+        minus_one = CycNumber.from_rational(r, -1)
+        return reps, sizes, {label: dict.fromkeys(row, minus_one)
+                             for label, row in table.items()}
+    monkeypatch.setattr(C, "wreath_char_table", minus_one_table)
 
 
 def test_k_coefficient_rejects_a_negative_value(monkeypatch):
-    monkeypatch.setattr(C, "wreath_char", _minus_one)
+    _patch_minus_one_table(monkeypatch)
     with pytest.raises(ArithmeticError, match="non-negative"):
         k_coefficient(1, ((),), ((),), ((),))
 
 
 def test_xt_oracle_rejects_a_negative_value(monkeypatch):
-    monkeypatch.setattr(C, "wreath_char", _minus_one)
+    _patch_minus_one_table(monkeypatch)
     with pytest.raises(ArithmeticError, match="non-negative"):
         xt_multiplicity_oracle(1, ((),), ((),), ((),), 0)
 

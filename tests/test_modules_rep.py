@@ -62,7 +62,7 @@ def test_specht_matrices_multiply():
 
 
 def test_wreath_rep_is_multiplicative_and_traces_match():
-    from colorpart.characters import wreath_char
+    from colorpart.characters import class_type, wreath_char_table
 
     for r, n, lam_bar in [(2, 2, ((1,), (1,))), (3, 1, ((), (1,), ()))]:
         rep = build_matrix_rep(r, lam_bar)
@@ -83,7 +83,7 @@ def test_wreath_rep_is_multiplicative_and_traces_match():
                 for i in range(rep.dim)
             ]
             assert [list(row) for row in Mab] == prod
-            assert rep.trace(a) == wreath_char(r, n, lam_bar, a)
+            assert rep.trace(a) == wreath_char_table(r, n)[2][lam_bar][class_type(r, a)]
 
 
 def algebra_mul(r, a, b):

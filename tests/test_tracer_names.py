@@ -1,0 +1,29 @@
+"""The names the benchmark's per-layer tracer wraps resolve in colorpart.
+
+perfbench/tracer.py looks functions up by name; a renamed or deleted
+function would silently read 0 calls there."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+# xt_act left characters when the X^t oracle moved to class sums
+RETIRED = {"characters.xt_act"}
+
+
+def test_every_traced_name_resolves_on_its_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unresolved = set()
+    for layer, metrics in tracer.FUNCTIONS.items():
+        module = importlib.import_module("colorpart." + layer)
+        for _, names, _ in metrics:
+            for name in names:
+                obj = module
+                for attr in name.split("."):
+                    obj = getattr(obj, attr, None)
+                if obj is None:
+                    unresolved.add(layer + "." + name)
+    assert unresolved - RETIRED == set()
