@@ -2,6 +2,8 @@
 CPar_k(x) with every parameter evaluated at 1.
 """
 
+from functools import lru_cache
+
 from .diagrams import ColoredDiagram, compose, count_bell, enumerate_diagrams
 
 
@@ -233,10 +235,17 @@ def check_presentation(k, r):
 # -- enumeration, closure, Green's relations -----------------------------------
 
 
+def _monoid_size(k, r, cap):
+    """|CPar_k| = B_{2k,r}, or CapExceeded past cap.  For r >= 1,
+    B_{2k,r} >= 2^(2k-1), the set partitions into one or two blocks, so a
+    k with 2k - 1 >= cap.bit_length() is refused before B is summed."""
+    if 2 * k - 1 >= cap.bit_length() or count_bell(2 * k, r) > cap:
+        raise CapExceeded("|CPar_%d| at r = %d exceeds cap %d" % (k, r, cap))
+    return count_bell(2 * k, r)
+
+
 def enumerate_monoid(k, r, cap=10**5):
-    n = count_bell(2 * k, r)
-    if n > cap:
-        raise CapExceeded("monoid size %d exceeds cap %d" % (n, cap))
+    n = _monoid_size(k, r, cap)
     elems = set(enumerate_diagrams(r, k, k))
     if len(elems) != n:
         raise RuntimeError("enumerated %d diagrams, expected %d" % (len(elems), n))
@@ -254,50 +263,47 @@ def monoid_generators(k, r):
     return gens
 
 
-def _cayley_graphs(k, r, sides, frontier_cap=None):
+class _Closure:
     """Breadth-first closure of the generators from the identity, with
     every element interned to its index (Froidure & Pin 1997).
 
-    sides is "R", "L" or "RL".  Returns elems and a graph per side:
-    graphs["R"][i][j] is the index of elems[i] * gens[j], graphs["L"][i][j]
-    that of gens[j] * elems[i].  The BFS multiplies on the side sides[0],
-    so one side costs |M| * |gens| products; frontier_cap bounds them.
+    right[i][j] is the index of elems[i] * gens[j]: the search multiplies
+    on the right, |M| * |gens| products.  left[i][j], the index of
+    gens[j] * elems[i], is built on first use, |M| * |gens| more.
     """
-    gens = monoid_generators(k, r)
-    elems = [ColoredDiagram.identity(r, k)]
-    index = {elems[0].blocks: 0}   # r, k and l are fixed: blocks suffice
 
-    def times(side, d, g):
-        return compose(d, g)[0] if side == "R" else compose(g, d)[0]
+    def __init__(self, k, r):
+        gens = self.gens = monoid_generators(k, r)
+        elems = self.elems = [ColoredDiagram.identity(r, k)]
+        index = self.index = {elems[0].blocks: 0}  # r, k, l fixed: blocks suffice
+        self.right, self._left = [], None
+        for d in elems:    # elems grows while the loop reads it
+            row = []
+            for g in gens:
+                x = compose(d, g)[0]
+                j = index.setdefault(x.blocks, len(elems))
+                if j == len(elems):
+                    elems.append(x)
+                row.append(j)
+            self.right.append(row)
 
-    graph = []
-    products = 0
-    i = 0
-    while i < len(elems):
-        row = []
-        for g in gens:
-            products += 1
-            if frontier_cap is not None and products > frontier_cap:
-                raise CapExceeded("closure frontier exceeded %d" % frontier_cap)
-            x = times(sides[0], elems[i], g)
-            j = index.get(x.blocks)
-            if j is None:
-                j = index[x.blocks] = len(elems)
-                elems.append(x)
-            row.append(j)
-        graph.append(row)
-        i += 1
-    graphs = {sides[0]: graph}
-    for side in sides[1:]:
-        graphs[side] = [[index[times(side, d, g).blocks] for g in gens]
-                        for d in elems]
-    return elems, graphs
+    @property
+    def left(self):
+        if self._left is None:
+            self._left = [[self.index[compose(g, d)[0].blocks]
+                           for g in self.gens] for d in self.elems]
+        return self._left
 
 
-def generated_closure(k, r, frontier_cap=10**6):
-    """The monoid the generators generate; frontier_cap bounds the
-    products, |M| * |gens| of them."""
-    return set(_cayley_graphs(k, r, "R", frontier_cap)[0])
+# a few closures are kept, so that the classes of one monoid share one
+_closure = lru_cache(maxsize=4)(_Closure)
+
+
+def generated_closure(k, r, cap=10**5):
+    """The monoid the generators generate, from |M| * |gens| products;
+    cap bounds |CPar_k| >= |M| as in enumerate_monoid."""
+    _monoid_size(k, r, cap)
+    return set(_closure(k, r).elems)
 
 
 def _strong_components(graph):
@@ -348,38 +354,27 @@ def green_classes(k, r, relation, cap=10**5):
     """Partition the monoid into L, R or J classes.
 
     R classes are the strongly connected components of the right Cayley
-    graph, L classes those of the left one; J = D = L v R in a finite
-    monoid, so J classes join the two.  R or L alone costs |M| * |gens|
-    products, J twice that.  Members come in repr order and classes in
-    the order of their first member.
+    graph, L classes those of the left one, and J classes those of the two
+    graphs together: a path from x to y multiplies x on both sides, so y is
+    reachable from x iff y is in MxM.  The three read one cached closure,
+    2 |M| * |gens| products in all.  Members come in repr order and classes
+    in the order of their first member.
     """
     if relation not in ("L", "R", "J"):
         raise ValueError("relation must be L, R or J")
-    n = count_bell(2 * k, r)
-    if n > cap:
-        raise CapExceeded("monoid size %d exceeds cap %d" % (n, cap))
-    elems, graphs = _cayley_graphs(k, r, "RL" if relation == "J" else relation)
+    n = _monoid_size(k, r, cap)
+    closure = _closure(k, r)
+    elems = closure.elems
     if len(elems) != n:
         raise RuntimeError("generators reach %d elements, expected %d"
                            % (len(elems), n))
-    if relation != "J":
-        key = _strong_components(graphs[relation])
+    if relation == "R":
+        graph = closure.right
+    elif relation == "L":
+        graph = closure.left
     else:
-        # union-find join of the R and L classes
-        parent = list(range(n))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            return v
-
-        for comp in map(_strong_components, graphs.values()):
-            first = {}
-            for v, c in enumerate(comp):
-                a, b = find(first.setdefault(c, v)), find(v)
-                if a != b:
-                    parent[b] = a
-        key = [find(v) for v in range(n)]
+        graph = [a + b for a, b in zip(closure.right, closure.left)]
+    key = _strong_components(graph)
     classes = {}
     for i in sorted(range(n), key=lambda i: repr(elems[i])):
         classes.setdefault(key[i], []).append(elems[i])

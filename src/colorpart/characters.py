@@ -13,7 +13,7 @@ the X^t permutation-module oracle (one fixed-point table per (r,l,m,n,t)).
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 from math import factorial
 from types import MappingProxyType
 
@@ -525,19 +525,20 @@ def _xt_index_map(g, left):
 
 @lru_cache(maxsize=None)
 def xt_fixed_points(r, l, m, n, t):
-    """Fixed-point counts on X^t of G(r,l) x G(r,m) x G(r,n), a read-only map
-    keyed by triples of class types; zero counts are left out.
+    """Fixed-point counts on X^t of G(r,l) x G(r,m) x G(r,n) times the
+    three class sizes, a read-only map keyed by triples of class types,
+    third type innermost; zero counts are left out.
 
     The count is a class function, so one representative per class (from
     wreath_char_table) stands for its class.  x is fixed iff every part
     maps into x, so each test stops at the first part that leaves x.
     """
     X = xt_elements(r, l, m, n, t)
-    sides = [[(T, _xt_index_map(g, left))
-              for T, g in wreath_char_table(r, size)[0].items()]
-             for size, left in ((l, True), (m, False), (n, False))]
+    tables = [wreath_char_table(r, size) for size in (l, m, n)]
+    sides = [[(T, sizes[T], _xt_index_map(g, left)) for T, g in reps.items()]
+             for (reps, sizes, _), left in zip(tables, (True, False, False))]
     table = {}
-    for (T1, (i1, c1)), (T2, (i2, c2)), (T3, (i3, c3)) in product(*sides):
+    for (T1, k1, (i1, c1)), (T2, k2, (i2, c2)), (T3, k3, (i3, c3)) in product(*sides):
         fixed = 0
         for x in X:
             for i, j, k, s in x:
@@ -546,27 +547,32 @@ def xt_fixed_points(r, l, m, n, t):
             else:
                 fixed += 1
         if fixed:
-            table[T1, T2, T3] = fixed
+            table[T1, T2, T3] = fixed * k1 * k2 * k3
     return MappingProxyType(table)
 
 
 def xt_multiplicity_oracle(r, lam_bar, mu_bar, nu_bar, t):
     """Multiplicity of S(lam) x S(mu)* x S(nu)* in k X^t: the inner product
-    of its character with the permutation character of X^t, summed over
-    triples of classes (Cauchy-Frobenius)."""
+    of its character with the permutation character of X^t (Cauchy-
+    Frobenius), sum_{T1,T2} chi1 chi2 (sum_{T3} chi3 fixed) over the
+    class-summed fixed points."""
     labels = (lam_bar, mu_bar, nu_bar)
     l, m, n = (weight(label) for label in labels)
-    sides, order = [], 1
+    rows, order = [], 1
     for size, label in zip((l, m, n), labels):
         # dual slots: the character of S(mu)* on the opposite group is
         # chi_mu itself, so no conjugation here
         _, sizes, table = wreath_char_table(r, size)
-        sides.append({T: table[label][T] * k for T, k in sizes.items()})
+        rows.append(table[label])
         order *= sum(sizes.values())
-    w1, w2, w3 = sides
-    total = CycNumber.zero(r)
-    for (T1, T2, T3), fixed in xt_fixed_points(r, l, m, n, t).items():
-        total = total + w1[T1] * w2[T2] * w3[T3] * fixed
+    chi1, chi2, chi3 = rows
+    total = zero = CycNumber.zero(r)
+    for (T1, T2), run in groupby(xt_fixed_points(r, l, m, n, t).items(),
+                                 key=lambda item: item[0][:2]):
+        inner = zero
+        for (_, _, T3), fixed in run:
+            inner = inner + chi3[T3] * fixed
+        total = total + chi1[T1] * chi2[T2] * inner
     val = (total * Fraction(1, order)).as_rational()
     if val.denominator != 1 or val < 0:
         raise ArithmeticError("X^t multiplicity is not a non-negative integer: %s" % val)

@@ -16,9 +16,8 @@ ENV_PREFIX = "COLORPART_"
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    # monoid enumeration / closure
+    # monoid enumeration, closure and Green's classes
     monoid_cap: int = 10**5
-    closure_cap: int = 10**6
     presentation_k_max: int = 4
     presentation_r_max: int = 4
     # groupoid checks

@@ -256,7 +256,7 @@ def check_presentation(cfg):
             ok = ok and rep["ok"]
     closures = {}
     for k, r in [(2, 3), (3, 2)]:
-        closed = algebra.generated_closure(k, r, frontier_cap=cfg.closure_cap)
+        closed = algebra.generated_closure(k, r, cap=cfg.monoid_cap)
         full = algebra.enumerate_monoid(k, r, cap=cfg.monoid_cap)
         closures["%d,%d" % (k, r)] = len(closed)
         ok = ok and closed == full

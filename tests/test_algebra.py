@@ -102,11 +102,58 @@ def test_cpar0_is_one_element(r):
         assert algebra.green_classes(0, r, relation) == [[ident]]
 
 
-def test_closure_frontier_cap_counts_products():
-    # |CPar_2| * |gens| = 94 * 5 products at r = 2
-    assert len(algebra.generated_closure(2, 2, frontier_cap=470)) == 94
+def test_closure_cap_bounds_the_monoid_size():
+    # |CPar_2| = 94 at r = 2
+    assert len(algebra.generated_closure(2, 2, cap=94)) == 94
     with pytest.raises(algebra.CapExceeded):
-        algebra.generated_closure(2, 2, frontier_cap=469)
+        algebra.generated_closure(2, 2, cap=93)
+
+
+@pytest.fixture
+def fresh_closures():
+    algebra._closure.cache_clear()
+    yield
+    algebra._closure.cache_clear()
+
+
+def test_green_classes_share_one_closure(monkeypatch, fresh_closures):
+    # one right and one left graph: 2 * |CPar_2| * |gens| = 2 * 94 * 5 at r = 2
+    compose = algebra.compose
+    calls = []
+
+    def counted(d1, d2):
+        calls.append(1)
+        return compose(d1, d2)
+
+    monkeypatch.setattr(algebra, "compose", counted)
+    for relation in ("L", "R", "J"):
+        algebra.green_classes(2, 2, relation)
+    assert len(calls) == 2 * 94 * 5
+
+
+def test_size_cap_admits_exactly_cap_elements():
+    for k in range(8):
+        for r in (1, 2, 3):
+            n = count_bell(2 * k, r)
+            assert algebra._monoid_size(k, r, n) == n
+            with pytest.raises(algebra.CapExceeded):
+                algebra._monoid_size(k, r, n - 1)
+
+
+def test_size_cap_is_checked_before_the_bell_number(monkeypatch):
+    # B_{2k,r} >= 2^(2k-1) > cap: refused without summing B_{8000,2}
+    def no_bell(k, r):
+        raise AssertionError("count_bell(%d, %d) called" % (k, r))
+
+    monkeypatch.setattr(algebra, "count_bell", no_bell)
+    with pytest.raises(algebra.CapExceeded):
+        algebra.green_classes(4000, 2, "L")
+    with pytest.raises(algebra.CapExceeded):
+        algebra.generated_closure(4000, 2)
+    with pytest.raises(algebra.CapExceeded):
+        algebra.enumerate_monoid(4000, 2)
+    with pytest.raises(algebra.CapExceeded):
+        algebra.enumerate_monoid(9, 1, cap=2**17 - 1)
 
 
 def test_green_rejects_unknown_relation_and_cap():
@@ -116,7 +163,7 @@ def test_green_rejects_unknown_relation_and_cap():
         algebra.green_classes(2, 2, "L", cap=93)
 
 
-def test_integrity_checks_raise(monkeypatch):
+def test_integrity_checks_raise(monkeypatch, fresh_closures):
     # explicit exceptions, so they hold under python -O as well
     monkeypatch.setattr(algebra, "enumerate_diagrams",
                         lambda r, k, l: list(enumerate_diagrams(r, k, l))[1:])

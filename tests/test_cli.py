@@ -186,6 +186,18 @@ def test_verify_bad_cap():
     assert run("verify", "--suite", "counting", "--cap", "zzz").exit_code == 2
 
 
+def test_verify_rejects_the_retired_closure_cap():
+    # the monoid cap bounds the closure; closure_cap is no field any more
+    assert_usage_error(
+        run("verify", "--suite", "counting", "--cap", "closure_cap=1"))
+
+
+@pytest.mark.parametrize("k", ["4000", "1000000"])
+def test_green_refuses_a_large_k_before_counting(k):
+    # B_{2k,2} >= 2^(2k-1) exceeds the cap without summing B
+    assert_usage_error(run("green", "--k", k, "--r", "2", "--relation", "L"))
+
+
 def test_output_is_deterministic():
     a = run("psi-check", "--samples", "10", "--seed", "3").output
     b = run("psi-check", "--samples", "10", "--seed", "3").output
