@@ -40,7 +40,7 @@ class RunConfig:
     # cell modules
     gram_k_max: int = 2
     gram_r_max: int = 3
-    cartan_weight_max: int = 2
+    cartan_weight_max: int = 3
 
     def __post_init__(self):
         for f in fields(self):

@@ -5,28 +5,33 @@ of the wreath irreducible S(lam_bar)).  S(k,i) is the cross-section of
 normally ordered rank-i (k,k)-diagrams; a rank-preserving product d*d1
 factors uniquely as d2*g with d2 in S(k,i) and g in G(r,i), which drives
 the action, the symbolic Gram matrices, and the semisimplicity certificate.
-Wreath irreducibles are built as induced modules from Specht matrices
-(polytabloid basis with a linear-solve straightening, small n only).
+Wreath irreducibles are induced modules from Specht matrices (polytabloid
+basis with a linear-solve straightening, small n only); only the first
+column rho(g) e_1 of each element is ever formed.  The Gram scalar phi(z),
+eps z eps = phi(z) eps for the primitive idempotent eps, is the matrix
+coefficient rho(z)_11.
 
-Cartan entries are computed character-theoretically: the downward (m,l)
-diagram basis carries a G(r,m) x G(r,l) bi-action by place permutation, and
-dim eps_mu * M * eps_lam is the trace of the corresponding projection, read
-off one basis-permutation table per group element.
+Cartan entries are computed by class sums: the downward (m,l) diagram
+basis carries a G(r,m) x G(r,l) bi-action by place permutation, and
+dim eps_mu * M * eps_lam is the multiplicity of S(mu) x S(lam) in it, read
+off one class-summed fixed-point table per (r, m, l) and two rows of the
+wreath character tables.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from types import MappingProxyType
 
 from .characters import (
     _block_subgroup,
     g_elements,
-    g_identity,
     ginv,
     gmul,
     multipartitions,
     pinv,
     weight,
+    wreath_char_table,
 )
 from .diagrams import ColoredDiagram, compose, count_bell, enumerate_diagrams, flip_invert, set_partitions
 from .scalars import CycNumber, MPoly, zeta_pow
@@ -152,23 +157,11 @@ def specht_dim(lam):
 # -- wreath product matrix representations -------------------------------------
 
 
-def _kron(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    return tuple(
-        tuple(a[i][j] * b[p][q] for j in range(len(a)) for q in range(len(b)))
-        for i in range(len(a))
-        for p in range(len(b))
-    )
-
-
 class MatrixRep:
     """Matrix model of the G(r,n)-irreducible labeled by a multipartition.
 
     Induced from the block subgroup G(r,k_0) x ... x G(r,k_{r-1}) acting by
-    color characters times Specht matrices.
+    color characters times Specht matrices; only first columns are formed.
     """
 
     def __init__(self, r, lam_bar):
@@ -192,50 +185,28 @@ class MatrixRep:
         for lam in self.lam_bar:
             self.base_dim *= specht_dim(lam)
         self.dim = len(self.coset_reps) * self.base_dim
-        self._cache = {}
 
-    def _base_matrix(self, h):
-        """The block-subgroup representation: color scalar x Specht kron."""
-        f, tau = h
+    def column(self, g):
+        """rho(g) e_1, the first column of g's matrix.  With g = t_c h, it
+        is theta(h) e_1 in coset block c (t_0 is the identity): the color
+        scalar times the Kronecker product of the Specht first columns."""
+        r = self.r
+        c = self.elem_coset[g]
+        f, tau = gmul(r, ginv(r, self.coset_reps[c]), g)
         phase = 0
-        mat = ()
+        col = [1]
         for j, blk in enumerate(self.blocks):
             phase += j * sum(f[v - 1] for v in blk)
             off = blk[0] - 1 if blk else 0
             local = tuple(tau[off + v - 1] - off for v in range(1, len(blk) + 1))
-            mat = _kron(mat, specht_matrix(self.lam_bar[j], local))
-        if not mat:
-            mat = ((Fraction(1),),)
-        scal = zeta_pow(self.r, phase % self.r)
-        return tuple(
-            tuple(scal * x if x else CycNumber.zero(self.r) for x in row)
-            for row in mat
-        )
-
-    def matrix(self, g):
-        if g in self._cache:
-            return self._cache[g]
-        r, d = self.r, self.dim
-        m = [[CycNumber.zero(r) for _ in range(d)] for _ in range(d)]
-        for c, t in enumerate(self.coset_reps):
-            gt = gmul(r, g, t)
-            c2 = self.elem_coset[gt]
-            h = gmul(r, ginv(r, self.coset_reps[c2]), gt)
-            sig = self._base_matrix(h)
-            for v in range(self.base_dim):
-                for w in range(self.base_dim):
-                    if sig[v][w]:
-                        m[c2 * self.base_dim + v][c * self.base_dim + w] = sig[v][w]
-        out = tuple(tuple(row) for row in m)
-        self._cache[g] = out
+            first = [row[0] for row in specht_matrix(self.lam_bar[j], local)]
+            col = [a * b for a in col for b in first]
+        scal = zeta_pow(r, phase % r)
+        zero = CycNumber.zero(r)
+        out = [zero] * self.dim
+        out[c * self.base_dim:(c + 1) * self.base_dim] = [
+            scal * x if x else zero for x in col]
         return out
-
-    def trace(self, g):
-        m = self.matrix(g)
-        t = CycNumber.zero(self.r)
-        for i in range(self.dim):
-            t = t + m[i][i]
-        return t
 
 
 @lru_cache(maxsize=None)
@@ -244,31 +215,13 @@ def build_matrix_rep(r, lam_bar):
 
 
 @lru_cache(maxsize=None)
-def primitive_idempotent(r, lam_bar):
-    """eps = (dim/|G|) sum_g rho(g^{-1})_{11} g, as dict g -> CycNumber."""
-    rep = build_matrix_rep(r, lam_bar)
-    n = rep.n
-    elements = g_elements(r, n)
-    scale = Fraction(rep.dim, len(elements))
-    eps = {}
-    for g in elements:
-        c = rep.matrix(ginv(r, g))[0][0] * scale
-        if c:
-            eps[g] = c
-    return eps
-
-
-@lru_cache(maxsize=None)
 def _phi_table(r, lam_bar):
-    """phi(z) with eps z eps = phi(z) eps, as a ratio of identity
-    coefficients.  The identity coefficient tau(a) = a[e] is a trace, so
-    tau(eps z eps) = tau(z eps eps) = tau(z eps) = eps[z^-1]; hence
-    phi(z) = eps[z^-1] / eps[e], and no group-algebra product is formed."""
-    eps = primitive_idempotent(r, lam_bar)
-    n = weight(lam_bar)
-    inv = eps[g_identity(n)].inverse()
-    zero = CycNumber.zero(r)
-    return {z: eps.get(ginv(r, z), zero) * inv for z in g_elements(r, n)}
+    """phi(z) with eps z eps = phi(z) eps, for the primitive idempotent
+    eps = (dim/|G|) sum_g rho(g^-1)_11 g.  By Schur orthogonality
+    phi(z) = rho(z)_11, a matrix coefficient; no group-algebra element is
+    formed."""
+    rep = build_matrix_rep(r, lam_bar)
+    return {z: rep.column(z)[0] for z in g_elements(r, rep.n)}
 
 
 # -- cross-sections and factorization ------------------------------------------
@@ -340,15 +293,12 @@ def _module_basis(r, lam_bar):
     representatives first (for induced reps with one-dimensional base this
     makes the weight-n Gram block the identity)."""
     rep = build_matrix_rep(r, lam_bar)
-    n = rep.n
-    candidates = list(rep.coset_reps) + [
-        g for g in g_elements(r, n) if g not in set(rep.coset_reps)
-    ]
+    reps = set(rep.coset_reps)
+    candidates = rep.coset_reps + [g for g in g_elements(r, rep.n) if g not in reps]
     chosen = []
     rows = []  # reduced echelon rows of first columns
 
     def reduce(vec):
-        vec = list(vec)
         for lead, row in rows:
             if vec[lead]:
                 c = vec[lead]
@@ -356,8 +306,7 @@ def _module_basis(r, lam_bar):
         return vec
 
     for g in candidates:
-        col = [rep.matrix(g)[v][0] for v in range(rep.dim)]
-        red = reduce(col)
+        red = reduce(rep.column(g))
         lead = next((j for j, a in enumerate(red) if a), None)
         if lead is None:
             continue
@@ -515,35 +464,55 @@ def _basis_map(index, products):
 
 
 @lru_cache(maxsize=None)
+def _cartan_fixed_points(r, m, l):
+    """Fixed-point counts #{d : g d h = d} on the downward (m,l) basis of
+    G(r,m) (left) x G(r,l) (right) times both class sizes, a read-only map
+    keyed by pairs of class types; zero counts are left out.
+
+    The count is a class function on each side, so one representative per
+    class (from wreath_char_table) stands for its class.  Permutation
+    diagrams keep rank and arity, so each representative permutes the
+    basis; its index map is built once and g d h = d is read off the two
+    index maps."""
+    basis = _downward_basis(r, m, l)
+    index = {d: j for j, d in enumerate(basis)}
+    reps_m, sizes_m, _ = wreath_char_table(r, m)
+    reps_l, sizes_l, _ = wreath_char_table(r, l)
+    rights = []
+    for T, h in reps_l.items():
+        dh = _perm_diagram(r, l, h)
+        right = _basis_map(index, (compose(d, dh) for d in basis))
+        rights.append((T, sizes_l[T], right))
+    table = {}
+    for S, g in reps_m.items():
+        dg = _perm_diagram(r, m, g)
+        left = _basis_map(index, (compose(dg, d) for d in basis))
+        for T, size, right in rights:
+            fixed = sum(1 for j, i in enumerate(left) if right[i] == j)
+            if fixed:
+                table[S, T] = fixed * sizes_m[S] * size
+    return MappingProxyType(table)
+
+
+@lru_cache(maxsize=None)
 def cartan_entry(r, lam_bar, mu_bar):
-    """Multiplicity dim eps_mu * (downward (m,l) span) * eps_lam, as the trace
-    of the idempotent bi-projection on the diagram basis.  Permutation
-    diagrams keep rank and arity, so each g in eps_mu and each h in eps_lam
-    permutes the basis; g*d*h = d is read off the two index maps."""
+    """Multiplicity dim eps_mu * (downward (m,l) span) * eps_lam, by class
+    sums: sum_{S,T} chi_mu(S) chi_lam(T) fixed(S,T) / (|G(r,m)| |G(r,l)|)
+    over the class-summed fixed points of the bi-action on the diagram
+    basis.  Summing eps over a class gives chi(g^-1), the conjugate, on
+    both sides; the sum is an integer, so neither character is
+    conjugated."""
     lam_bar = tuple(tuple(x) for x in lam_bar)
     mu_bar = tuple(tuple(x) for x in mu_bar)
     l, m = weight(lam_bar), weight(mu_bar)
-    basis = _downward_basis(r, m, l)
-    if not basis:
-        return 0
-    eps_mu = primitive_idempotent(r, mu_bar)
-    eps_lam = primitive_idempotent(r, lam_bar)
-    index = {d: j for j, d in enumerate(basis)}
-    rights = []
-    for h, ch in eps_lam.items():
-        dh = _perm_diagram(r, l, h)
-        rights.append((ch, _basis_map(index, (compose(d, dh) for d in basis))))
+    _, sizes_m, table_m = wreath_char_table(r, m)
+    _, sizes_l, table_l = wreath_char_table(r, l)
+    chi_mu, chi_lam = table_m[mu_bar], table_l[lam_bar]
     total = CycNumber.zero(r)
-    for g, cg in eps_mu.items():
-        dg = _perm_diagram(r, m, g)
-        left = _basis_map(index, (compose(dg, d) for d in basis))
-        row = CycNumber.zero(r)
-        for ch, right in rights:
-            fixed = sum(1 for j, i in enumerate(left) if right[i] == j)
-            if fixed:
-                row = row + ch * fixed
-        total = total + cg * row
-    val = total.as_rational()
+    for (S, T), fixed in _cartan_fixed_points(r, m, l).items():
+        total = total + chi_mu[S] * chi_lam[T] * fixed
+    order = sum(sizes_m.values()) * sum(sizes_l.values())
+    val = (total * Fraction(1, order)).as_rational()
     if val.denominator != 1 or val < 0:
         raise RuntimeError("Cartan entry is not a non-negative integer: %s" % val)
     return int(val)

@@ -28,6 +28,14 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _normalized(coeffs):
+    """A coordinate tuple with its integral Fractions made ints."""
+    for c in coeffs:
+        if type(c) is not int:
+            return tuple(map(_exact, coeffs))
+    return coeffs
+
+
 @lru_cache(maxsize=None)
 def _phi_coeffs(r):
     """Coefficients of the r-th cyclotomic polynomial, low degree first."""
@@ -66,19 +74,20 @@ class CycNumber:
     __slots__ = ("r", "coeffs", "_hash")
 
     def __init__(self, r, coeffs):
-        d = len(_phi_coeffs(r)) - 1
         coeffs = tuple(coeffs)
-        if len(coeffs) != d:
+        if len(coeffs) != len(_phi_coeffs(r)) - 1:
             raise ValueError("coordinate vector has wrong length")
-        self.r = r
-        for c in coeffs:
-            if type(c) is not int:
-                coeffs = tuple(map(_exact, coeffs))
-                break
-        self.coeffs = coeffs
-        self._hash = None
+        self.r, self.coeffs, self._hash = r, _normalized(coeffs), None
 
     # -- constructors -------------------------------------------------
+    @classmethod
+    def _trusted(cls, r, coeffs):
+        """Trusted constructor for arithmetic results: coeffs is already a
+        tuple of the right length, so its length is not checked again."""
+        x = object.__new__(cls)
+        x.r, x.coeffs, x._hash = r, _normalized(coeffs), None
+        return x
+
     @staticmethod
     def from_rational(r, q):
         d = len(_phi_coeffs(r)) - 1
@@ -122,18 +131,18 @@ class CycNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNumber(self.r, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return CycNumber._trusted(self.r, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber(self.r, tuple(-a for a in self.coeffs))
+        return CycNumber._trusted(self.r, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNumber(self.r, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return CycNumber._trusted(self.r, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -144,7 +153,7 @@ class CycNumber:
     def __mul__(self, other):
         if not isinstance(other, CycNumber) and isinstance(other, (int, Fraction)):
             # a rational factor scales the coordinates
-            return CycNumber(self.r, tuple(a * other for a in self.coeffs))
+            return CycNumber._trusted(self.r, tuple(a * other for a in self.coeffs))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -164,7 +173,7 @@ class CycNumber:
                 row = rows[i - d]
                 for j in range(d):
                     out[j] += c * row[j]
-        return CycNumber(self.r, tuple(out))
+        return CycNumber._trusted(self.r, tuple(out))
 
     __rmul__ = __mul__
 

@@ -103,6 +103,7 @@ def test_c10_xt_multiplicity_oracle():
 def test_c11_cartan():
     rep = timed(verify.check_cartan, 300)
     assert rep["diag_ok"] and rep["vanish_ok"] and rep["tensor_ok"]
+    assert rep["labels"] == 18
 
 
 def test_c12_gram_and_semisimplicity():

@@ -2,12 +2,22 @@
 
 import random
 from fractions import Fraction
-from types import SimpleNamespace
+from functools import lru_cache
 
 import pytest
 
 from colorpart import modules_rep as MR
-from colorpart.characters import g_elements, g_identity, gmul, multipartitions, pinv, weight
+from colorpart.characters import (
+    class_type,
+    g_elements,
+    g_identity,
+    ginv,
+    gmul,
+    multipartitions,
+    pinv,
+    weight,
+    wreath_char_table,
+)
 from colorpart.diagrams import ColoredDiagram, compose, count_bell, enumerate_diagrams
 from colorpart.modules_rep import (
     _module_basis,
@@ -23,12 +33,11 @@ from colorpart.modules_rep import (
     factor_cross_section,
     gram_det,
     gram_matrix,
-    primitive_idempotent,
     semisimplicity_certificate,
     specht_dim,
     specht_matrix,
 )
-from colorpart.scalars import CycNumber, MPoly
+from colorpart.scalars import CycNumber, MPoly, zeta_pow
 from colorpart.verify import GRAM_K1_R2
 
 
@@ -61,17 +70,63 @@ def test_specht_matrices_multiply():
             assert [list(row) for row in specht_matrix(lam, ab)] == prod
 
 
-def test_wreath_rep_is_multiplicative_and_traces_match():
-    from colorpart.characters import class_type, wreath_char_table
+def _kron(a, b):
+    if not a:
+        return b
+    if not b:
+        return a
+    return tuple(
+        tuple(a[i][j] * b[p][q] for j in range(len(a)) for q in range(len(b)))
+        for i in range(len(a))
+        for p in range(len(b))
+    )
 
+
+def base_matrix(rep, h):
+    """The block-subgroup representation: color scalar x Specht kron."""
+    f, tau = h
+    phase = 0
+    mat = ()
+    for j, blk in enumerate(rep.blocks):
+        phase += j * sum(f[v - 1] for v in blk)
+        off = blk[0] - 1 if blk else 0
+        local = tuple(tau[off + v - 1] - off for v in range(1, len(blk) + 1))
+        mat = _kron(mat, specht_matrix(rep.lam_bar[j], local))
+    if not mat:
+        mat = ((Fraction(1),),)
+    scal = zeta_pow(rep.r, phase % rep.r)
+    return tuple(
+        tuple(scal * x if x else CycNumber.zero(rep.r) for x in row)
+        for row in mat
+    )
+
+
+def induced_matrix(rep, g):
+    """The full dim x dim matrix of g on the induced module, kept as the
+    oracle for MatrixRep.column."""
+    r, d = rep.r, rep.dim
+    m = [[CycNumber.zero(r) for _ in range(d)] for _ in range(d)]
+    for c, t in enumerate(rep.coset_reps):
+        gt = gmul(r, g, t)
+        c2 = rep.elem_coset[gt]
+        h = gmul(r, ginv(r, rep.coset_reps[c2]), gt)
+        sig = base_matrix(rep, h)
+        for v in range(rep.base_dim):
+            for w in range(rep.base_dim):
+                if sig[v][w]:
+                    m[c2 * rep.base_dim + v][c * rep.base_dim + w] = sig[v][w]
+    return tuple(tuple(row) for row in m)
+
+
+def test_wreath_rep_is_multiplicative_and_traces_match():
     for r, n, lam_bar in [(2, 2, ((1,), (1,))), (3, 1, ((), (1,), ()))]:
         rep = build_matrix_rep(r, lam_bar)
         elems = g_elements(r, n)
         rng = random.Random(1)
         for _ in range(10):
             a, b = rng.choice(elems), rng.choice(elems)
-            Mab = rep.matrix(gmul(r, a, b))
-            Ma, Mb = rep.matrix(a), rep.matrix(b)
+            Mab = induced_matrix(rep, gmul(r, a, b))
+            Ma, Mb = induced_matrix(rep, a), induced_matrix(rep, b)
             prod = [
                 [
                     sum(
@@ -83,7 +138,30 @@ def test_wreath_rep_is_multiplicative_and_traces_match():
                 for i in range(rep.dim)
             ]
             assert [list(row) for row in Mab] == prod
-            assert rep.trace(a) == wreath_char_table(r, n)[2][lam_bar][class_type(r, a)]
+            trace = sum((Ma[i][i] for i in range(rep.dim)), CycNumber.zero(r))
+            assert trace == wreath_char_table(r, n)[2][lam_bar][class_type(r, a)]
+
+
+@pytest.mark.parametrize("r, lam_bar", [
+    (2, ((1,), (1,))), (3, ((), (1,), ())), (1, ((2, 1),)), (2, ((2, 1), ()))])
+def test_column_is_the_first_column_of_the_induced_matrix(r, lam_bar):
+    rep = build_matrix_rep(r, lam_bar)
+    for g in g_elements(r, rep.n):
+        assert rep.column(g) == [row[0] for row in induced_matrix(rep, g)]
+
+
+@lru_cache(maxsize=None)
+def primitive_idempotent(r, lam_bar):
+    """eps = (dim/|G|) sum_g rho(g^{-1})_{11} g, as dict g -> CycNumber."""
+    rep = build_matrix_rep(r, lam_bar)
+    elements = g_elements(r, rep.n)
+    scale = Fraction(rep.dim, len(elements))
+    eps = {}
+    for g in elements:
+        c = induced_matrix(rep, ginv(r, g))[0][0] * scale
+        if c:
+            eps[g] = c
+    return eps
 
 
 def algebra_mul(r, a, b):
@@ -317,6 +395,39 @@ def test_cartan_entry_matches_the_compose_oracle(r, maxweight):
             assert cartan_entry(r, lam, mu) == cartan_entry_by_compose(r, lam, mu)
 
 
+def cartan_entry_by_basis_map(r, lam_bar, mu_bar):
+    """The idempotent sum over basis-permutation tables, kept as the oracle:
+    each g in eps_mu and each h in eps_lam permutes the downward basis, and
+    sum_{g,h} eps_mu[g] eps_lam[h] #{d : g d h = d} is the trace of the
+    bi-projection."""
+    l, m = weight(lam_bar), weight(mu_bar)
+    basis = MR._downward_basis(r, m, l)
+    if not basis:
+        return 0
+    index = {d: j for j, d in enumerate(basis)}
+    rights = []
+    for h, ch in primitive_idempotent(r, lam_bar).items():
+        dh = MR._perm_diagram(r, l, h)
+        rights.append((ch, MR._basis_map(index, (compose(d, dh) for d in basis))))
+    total = CycNumber.zero(r)
+    for g, cg in primitive_idempotent(r, mu_bar).items():
+        dg = MR._perm_diagram(r, m, g)
+        left = MR._basis_map(index, (compose(dg, d) for d in basis))
+        for ch, right in rights:
+            fixed = sum(1 for j, i in enumerate(left) if right[i] == j)
+            if fixed:
+                total = total + cg * ch * fixed
+    return total.as_integer()
+
+
+@pytest.mark.parametrize("r, maxweight", [(1, 3), (2, 2), (3, 2)])
+def test_cartan_class_sums_match_the_idempotent_oracle(r, maxweight):
+    labels = [lam for w in range(maxweight + 1) for lam in multipartitions(r, w)]
+    for lam in labels:
+        for mu in labels:
+            assert cartan_entry(r, lam, mu) == cartan_entry_by_basis_map(r, lam, mu)
+
+
 def test_cartan_specific_entries():
     assert cartan_entry(2, ((1,), ()), ((), ())) == 1
     assert cartan_entry(2, ((1,), ()), ((1,), ())) == 1
@@ -349,16 +460,22 @@ def test_gram_matrix_rejects_a_wrong_size(monkeypatch):
 
 
 def test_module_basis_rejects_columns_that_do_not_span(monkeypatch):
-    rep = build_matrix_rep(2, ((1,), ()))
-    zero_rows = [[CycNumber.zero(2)] * rep.dim] * rep.dim
-    monkeypatch.setattr(MR, "build_matrix_rep", lambda r, lam: SimpleNamespace(
-        n=rep.n, dim=rep.dim, coset_reps=rep.coset_reps,
-        matrix=lambda g: zero_rows))
+    monkeypatch.setattr(MR.MatrixRep, "column",
+                        lambda self, g: [CycNumber.zero(self.r)] * self.dim)
     with pytest.raises(RuntimeError, match="do not span"):
         _module_basis(2, ((1,), ()))
 
 
-def test_cartan_entry_rejects_a_closed_loop(monkeypatch):
+@pytest.fixture
+def fresh_cartan_tables():
+    """Clear the fixed-point tables around a test that patches compose, so
+    it builds its own table and leaves no table built from the patch."""
+    MR._cartan_fixed_points.cache_clear()
+    yield
+    MR._cartan_fixed_points.cache_clear()
+
+
+def test_cartan_entry_rejects_a_closed_loop(monkeypatch, fresh_cartan_tables):
     def compose_with_loop(d1, d2):
         prod, exps = compose(d1, d2)
         return prod, (1,) + tuple(exps[1:])
@@ -368,7 +485,7 @@ def test_cartan_entry_rejects_a_closed_loop(monkeypatch):
         cartan_entry.__wrapped__(2, ((1,), ()), ((1,), ()))
 
 
-def test_cartan_entry_rejects_a_product_outside_the_basis(monkeypatch):
+def test_cartan_entry_rejects_a_product_outside_the_basis(monkeypatch, fresh_cartan_tables):
     outside = next(enumerate_diagrams(2, 1, 1))
     assert outside not in MR._downward_basis(2, 0, 1)
     monkeypatch.setattr(MR, "compose", lambda d1, d2: (outside, ()))
@@ -377,8 +494,11 @@ def test_cartan_entry_rejects_a_product_outside_the_basis(monkeypatch):
 
 
 def test_cartan_entry_rejects_a_non_integer(monkeypatch):
-    eps = MR.primitive_idempotent
-    monkeypatch.setattr(MR, "primitive_idempotent", lambda r, lam: {
-        g: c * Fraction(1, 2) for g, c in eps(r, lam).items()})
+    def halved(r, n):
+        reps, sizes, table = wreath_char_table(r, n)
+        return reps, sizes, {lam: {t: c * Fraction(1, 2) for t, c in row.items()}
+                             for lam, row in table.items()}
+
+    monkeypatch.setattr(MR, "wreath_char_table", halved)
     with pytest.raises(RuntimeError, match="non-negative integer"):
         cartan_entry.__wrapped__(2, ((1,), ()), ((1,), ()))

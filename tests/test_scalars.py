@@ -54,6 +54,14 @@ def test_as_integer_rejects_nonrational():
     assert (z + z.conjugate()).as_integer() == -1
 
 
+def test_constructor_rejects_a_wrong_length():
+    # arithmetic results skip this check; the public constructor keeps it
+    with pytest.raises(ValueError, match="wrong length"):
+        CycNumber(3, (1, 0, 0))
+    with pytest.raises(ValueError, match="wrong length"):
+        CycNumber(5, [1])
+
+
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
 
