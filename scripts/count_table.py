@@ -3,6 +3,7 @@
 exponential generating function against the recurrence."""
 
 import argparse
+import sys
 
 from colorpart.diagrams import count_bell, egf_coefficients, stirling2
 
@@ -19,14 +20,14 @@ def main():
         row = [str(k)]
         for r in range(1, args.r_max + 1):
             b = count_bell(k, r)
-            assert b == sum(stirling2(k, j) * r**j for j in range(k + 1))
+            if b != sum(stirling2(k, j) * r**j for j in range(k + 1)):
+                sys.exit("B_{%d,%d} = %d disagrees with the Stirling sum" % (k, r, b))
             row.append(str(b))
         print("\t".join(row))
 
     for r in range(1, args.r_max + 1):
-        assert egf_coefficients(r, args.k_max) == [
-            count_bell(k, r) for k in range(args.k_max + 1)
-        ]
+        if egf_coefficients(r, args.k_max) != [count_bell(k, r) for k in range(args.k_max + 1)]:
+            sys.exit("egf/recurrence disagreement at r = %d" % r)
     print("egf/recurrence agreement: ok")
 
 

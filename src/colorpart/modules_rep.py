@@ -5,11 +5,11 @@ of the wreath irreducible S(lam_bar)).  S(k,i) is the cross-section of
 normally ordered rank-i (k,k)-diagrams; a rank-preserving product d*d1
 factors uniquely as d2*g with d2 in S(k,i) and g in G(r,i), which drives
 the action, the symbolic Gram matrices, and the semisimplicity certificate.
-Wreath irreducibles are induced modules from Specht matrices (polytabloid
-basis with a linear-solve straightening, small n only); only the first
-column rho(g) e_1 of each element is ever formed.  The Gram scalar phi(z),
-eps z eps = phi(z) eps for the primitive idempotent eps, is the matrix
-coefficient rho(z)_11.
+Wreath irreducibles are induced modules from Specht matrices (standard
+polytabloid basis, straightened by peeling the standard tabloids in
+dominance order, small n only); only the first column rho(g) e_1 of each
+element is ever formed.  The Gram scalar phi(z), eps z eps = phi(z) eps
+for the primitive idempotent eps, is the matrix coefficient rho(z)_11.
 
 Cartan entries are computed by class sums: the downward (m,l) diagram
 basis carries a G(r,m) x G(r,l) bi-action by place permutation, and
@@ -69,8 +69,12 @@ def _columns(t):
     ]
 
 
+def _tabloid(t):
+    return tuple(frozenset(row) for row in t)
+
+
 def _polytabloid(t):
-    """e_t as a dict tabloid -> Fraction (column antisymmetrization)."""
+    """e_t as a dict tabloid -> int (column antisymmetrization)."""
     cols = _columns(t)
     vec = {}
     for perms in product(*[permutations(col) for col in cols]):
@@ -86,48 +90,25 @@ def _polytabloid(t):
             sign *= (-1) ** inv
             for src, dst in zip(col, img):
                 sub[src] = dst
-        rows = tuple(frozenset(sub.get(v, v) for v in row) for row in t)
-        vec[rows] = vec.get(rows, Fraction(0)) + sign
+        rows = _tabloid((sub.get(v, v) for v in row) for row in t)
+        vec[rows] = vec.get(rows, 0) + sign
     return {k: v for k, v in vec.items() if v}
 
 
-def _solve(matrix, rhs):
-    """Solve matrix @ x = rhs exactly (matrix has full column rank)."""
-    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(rows)]
-    piv = []
-    rank = 0
-    for c in range(cols):
-        p = next((i for i in range(rank, rows) if aug[i][c]), None)
-        if p is None:
-            raise ArithmeticError("column rank deficiency")
-        aug[rank], aug[p] = aug[p], aug[rank]
-        inv = Fraction(1) / aug[rank][c]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for i in range(rows):
-            if i != rank and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[rank])]
-        piv.append(c)
-        rank += 1
-    if any(aug[i][cols] for i in range(rank, rows)):
-        raise ArithmeticError("inconsistent system")
-    x = [Fraction(0)] * cols
-    for row_i, c in enumerate(piv):
-        x[c] = aug[row_i][cols]
-    return x
+def _row_word(t):
+    """The row index of each of 1..n in t.  If {s} strictly dominates {t},
+    the word of s is lexicographically smaller."""
+    row_of = {v: i for i, row in enumerate(t) for v in row}
+    return tuple(row_of[v] for v in sorted(row_of))
 
 
 @lru_cache(maxsize=None)
 def _specht_data(lam):
+    """The standard tableaux of lam, and the peeling order: (index j, {s},
+    e_s) for each standard s = std[j], the smallest row word first."""
     std = standard_tableaux(lam)
-    vecs = [_polytabloid(t) for t in std]
-    tabloids = sorted({tb for v in vecs for tb in v}, key=repr)
-    index = {tb: i for i, tb in enumerate(tabloids)}
-    matrix = [
-        [vecs[j].get(tb, Fraction(0)) for j in range(len(std))] for tb in tabloids
-    ]
-    return std, index, matrix
+    order = sorted(range(len(std)), key=lambda j: _row_word(std[j]))
+    return std, tuple((j, _tabloid(std[j]), _polytabloid(std[j])) for j in order)
 
 
 def _apply_perm(t, perm):
@@ -136,18 +117,29 @@ def _apply_perm(t, perm):
 
 @lru_cache(maxsize=None)
 def specht_matrix(lam, perm):
-    """Matrix of perm on the Specht module of shape lam, standard basis."""
-    std, index, matrix = _specht_data(lam)
-    d = len(std)
+    """Matrix of perm on the Specht module of shape lam, standard basis.
+
+    Column j holds the coordinates of perm e_t = e_{perm t}, t = std[j],
+    found by straightening: e_s has coefficient 1 at {s} and is otherwise
+    supported on tabloids that {s} dominates, so peeling the standard s in
+    dominance order reads each coordinate off as the coefficient of {s}
+    in what is left.  The coordinates are ints."""
+    std, peel = _specht_data(lam)
     out = []
     for t in std:
         vec = _polytabloid(_apply_perm(t, perm))
-        rhs = [Fraction(0)] * len(index)
-        for tb, c in vec.items():
-            rhs[index[tb]] = c
-        out.append(_solve(matrix, rhs))
+        coords = [0] * len(std)
+        for j, tb, e in peel:
+            c = vec.get(tb)
+            if c:
+                coords[j] = c
+                for key, v in e.items():
+                    vec[key] = vec.get(key, 0) - c * v
+        if any(vec.values()):
+            raise ArithmeticError("a polytabloid is outside the span of the standard basis")
+        out.append(coords)
     # out[j] = coordinates of perm . e_{std[j]}; columns of the matrix
-    return tuple(tuple(out[j][i] for j in range(d)) for i in range(d))
+    return tuple(tuple(col[i] for col in out) for i in range(len(std)))
 
 
 def specht_dim(lam):
@@ -318,10 +310,6 @@ def _module_basis(r, lam_bar):
     raise RuntimeError("first columns do not span the representation")
 
 
-def _monomial(r, exps):
-    return MPoly.monomial(r, exps, CycNumber.one(r))
-
-
 def gram_matrix(r, k, lam_bar):
     """Symbolic Gram matrix of the cell module W(lam_bar) at rank i = |lam_bar|
     inside CPar_k; entries are MPoly in y_0..y_{r-1}."""
@@ -352,10 +340,8 @@ def gram_matrix(r, k, lam_bar):
                     for top, bot, c in d2.blocks
                 ):
                     raise RuntimeError("rank-i product not in e_i form: %r" % (prod,))
-                mono = _monomial(r, exps)
-                for b in gs:
-                    val = phi[gmul(r, gmul(r, ai, g), b)]
-                    row.append(mono * val if val else MPoly.zero(r))
+                row.extend(MPoly.monomial(r, exps, phi[gmul(r, gmul(r, ai, g), b)])
+                           for b in gs)
             rows.append(row)
     if len(rows) != cell_dimension(r, k, lam_bar):
         raise RuntimeError("Gram matrix has %d rows, not the cell dimension" % len(rows))

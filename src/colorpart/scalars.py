@@ -6,14 +6,17 @@ with d = deg Phi_r = euler_phi(r).  A coordinate is an int, or a Fraction
 only when it is not integral; every division goes through Fraction, so no
 float ever appears.  Phi_r itself is computed as
 (z^r - 1) / prod_{d | r, d < r} Phi_d, dividing exactly by monic integer
-polynomials, and has int coefficients.
+polynomials, and has int coefficients.  The inverse of a non-rational
+element a is P / (a * P), where P is the product of the Galois conjugates
+of a other than a itself and a * P is its norm, a rational number.
 
 MPoly: sparse multivariate polynomials over CycNumber in the parameter
 variables y_0, ..., y_{r-1}.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import gcd, lcm
 
 _ZERO = 0
 _ONE = 1
@@ -38,14 +41,24 @@ def _normalized(coeffs):
 
 @lru_cache(maxsize=None)
 def _phi_coeffs(r):
-    """Coefficients of the r-th cyclotomic polynomial, low degree first."""
+    """Coefficients of the r-th cyclotomic polynomial, low degree first:
+    z^r - 1 divided exactly by each monic Phi_d, d | r, d < r, in int
+    arithmetic."""
     if r < 1:
         raise ValueError("r must be >= 1")
     phi = [-_ONE] + [_ZERO] * (r - 1) + [_ONE]  # z^r - 1
     for d in range(1, r):
         if r % d == 0:
-            phi = _polydivmod(phi, _phi_coeffs(d))[0]
-    return tuple(map(_exact, phi))
+            div = _phi_coeffs(d)
+            m = len(div) - 1
+            quot = [_ZERO] * (len(phi) - m)
+            for top in range(len(phi) - 1, m - 1, -1):
+                c = quot[top - m] = phi[top]
+                if c:
+                    for j, b in enumerate(div):
+                        phi[top - m + j] -= c * b
+            phi = quot
+    return tuple(phi)
 
 
 @lru_cache(maxsize=None)
@@ -179,28 +192,18 @@ class CycNumber:
 
     def inverse(self):
         """Field inverse: the reciprocal of a rational number, otherwise
-        via the extended Euclidean algorithm in Q[z]."""
+        den * P / N.  Here a = den * self has int coordinates, P is the
+        product of the Galois conjugates sigma_j(a) for j prime to r,
+        j != 1, and N = a * P is the field norm of a, an int."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if not any(self.coeffs[1:]):
             return CycNumber.from_rational(self.r, Fraction(1, self.coeffs[0]))
-        phi = list(_phi_coeffs(self.r))
-        a = list(self.coeffs)
-        # extended gcd of a and phi as rational polynomials
-        r0, r1 = phi, _trim(a)
-        s0, s1 = [_ZERO], [_ONE]
-        while len(r1) > 1 or r1[0]:
-            q, rem = _polydivmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        # now r0 = gcd (a nonzero constant since Phi_r is irreducible)
-        c = r0[0]
-        if len(r0) != 1 or not c:
-            raise ArithmeticError("gcd with cyclotomic polynomial not constant")
-        inv = [Fraction(x, c) for x in s0]
-        d = len(self.coeffs)
-        inv = (inv + [_ZERO] * d)[:d]
-        return CycNumber(self.r, tuple(inv))
+        den = lcm(*(c.denominator for c in self.coeffs))
+        a = self * den  # int coordinates, so the products below stay in ints
+        prod = reduce(CycNumber.__mul__, (a._galois(j) for j in range(2, self.r)
+                                          if gcd(j, self.r) == 1))
+        return prod * Fraction(den, (a * prod).as_rational())
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -214,13 +217,17 @@ class CycNumber:
             return NotImplemented
         return o * self.inverse()
 
-    def conjugate(self):
-        """Complex conjugation: zeta -> zeta^(r-1)."""
-        out = CycNumber.zero(self.r)
+    def _galois(self, j):
+        """sigma_j: zeta -> zeta^j, applied coordinate by coordinate."""
+        out = [_ZERO] * len(self.coeffs)
         for i, a in enumerate(self.coeffs):
             if a:
-                out = out + a * zeta_pow(self.r, (i * (self.r - 1)) % self.r)
-        return out
+                out = [x + a * y for x, y in zip(out, zeta_pow(self.r, i * j % self.r).coeffs)]
+        return CycNumber._trusted(self.r, tuple(out))
+
+    def conjugate(self):
+        """Complex conjugation: zeta -> zeta^(r-1)."""
+        return self._galois(self.r - 1)
 
     def as_rational(self):
         """Return self as an int or Fraction, or raise if not rational."""
@@ -246,47 +253,6 @@ class CycNumber:
             else:
                 terms.append("%s*z^%d" % (a, i))
         return " + ".join(terms) if terms else "0"
-
-
-def _trim(p):
-    p = list(p)
-    while len(p) > 1 and not p[-1]:
-        p.pop()
-    return p if p else [_ZERO]
-
-
-def _polymul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _trim(out)
-
-
-def _polysub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return _trim([x - y for x, y in zip(a, b)])
-
-
-def _polydivmod(a, b):
-    a = list(a)
-    b = _trim(b)
-    q = [_ZERO] * max(1, len(a) - len(b) + 1)
-    while len(_trim(a)) >= len(b) and _trim(a) != [_ZERO]:
-        a = _trim(a)
-        if len(a) < len(b):
-            break
-        c = _exact(Fraction(a[-1], b[-1]))
-        deg = len(a) - len(b)
-        q[deg] += c
-        for j, y in enumerate(b):
-            a[deg + j] -= c * y
-        a = a[:-1]
-    return _trim(q), _trim(a)
 
 
 @lru_cache(maxsize=None)

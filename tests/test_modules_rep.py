@@ -22,7 +22,7 @@ from colorpart.diagrams import ColoredDiagram, compose, count_bell, enumerate_di
 from colorpart.modules_rep import (
     _module_basis,
     _phi_table,
-    _solve,
+    _specht_data,
     build_matrix_rep,
     cartan_entry,
     cartan_matrix,
@@ -68,6 +68,78 @@ def test_specht_matrices_multiply():
                 for i in range(len(Ma))
             ]
             assert [list(row) for row in specht_matrix(lam, ab)] == prod
+
+
+def _solve(matrix, rhs):
+    """Solve matrix @ x = rhs exactly (matrix has full column rank)."""
+    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    aug = [list(matrix[i]) + [rhs[i]] for i in range(rows)]
+    piv = []
+    rank = 0
+    for c in range(cols):
+        p = next((i for i in range(rank, rows) if aug[i][c]), None)
+        if p is None:
+            raise ArithmeticError("column rank deficiency")
+        aug[rank], aug[p] = aug[p], aug[rank]
+        inv = Fraction(1) / aug[rank][c]
+        aug[rank] = [x * inv for x in aug[rank]]
+        for i in range(rows):
+            if i != rank and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[rank])]
+        piv.append(c)
+        rank += 1
+    if any(aug[i][cols] for i in range(rank, rows)):
+        raise ArithmeticError("inconsistent system")
+    x = [Fraction(0)] * cols
+    for row_i, c in enumerate(piv):
+        x[c] = aug[row_i][cols]
+    return x
+
+
+def specht_matrix_by_solve(lam, perm):
+    """The original Specht matrix, kept as the oracle: each column solves
+    the tall system of standard polytabloids over all tabloids."""
+    std = MR.standard_tableaux(lam)
+    vecs = [MR._polytabloid(t) for t in std]
+    tabloids = sorted({tb for v in vecs for tb in v}, key=repr)
+    index = {tb: i for i, tb in enumerate(tabloids)}
+    matrix = [[Fraction(vecs[j].get(tb, 0)) for j in range(len(std))] for tb in tabloids]
+    out = []
+    for t in std:
+        rhs = [Fraction(0)] * len(index)
+        for tb, c in MR._polytabloid(MR._apply_perm(t, perm)).items():
+            rhs[index[tb]] = Fraction(c)
+        out.append(_solve(matrix, rhs))
+    return tuple(tuple(col[i] for col in out) for i in range(len(std)))
+
+
+def test_straightening_matches_the_solve_oracle():
+    from itertools import permutations
+
+    # every permutation for n <= 4; at n = 5, the first size where peeling
+    # out of dominance order goes wrong, the adjacent transpositions and a
+    # seeded sample
+    rng = random.Random(5)
+    cases = [(lam, perm) for n in range(5) for (lam,) in multipartitions(1, n)
+             for perm in permutations(range(1, n + 1))]
+    swaps = [tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, 6)) for i in range(1, 5)]
+    sample = swaps + [tuple(rng.sample(range(1, 6), 5)) for _ in range(8)]
+    cases += [(lam, perm) for (lam,) in multipartitions(1, 5) for perm in sample]
+    for lam, perm in cases:
+        got = specht_matrix(lam, perm)
+        assert got == specht_matrix_by_solve(lam, perm)
+        assert all(type(x) is int for row in got for x in row)
+
+
+def test_straightening_rejects_a_vector_outside_the_span(monkeypatch):
+    lam, perm = (2, 1), (2, 3, 1)
+    _specht_data(lam)  # the standard polytabloids stay unpatched
+    real = MR._polytabloid
+    monkeypatch.setattr(MR, "_polytabloid",
+                        lambda t: {**real(t), (frozenset({99}),): 1})
+    with pytest.raises(ArithmeticError, match="outside the span"):
+        specht_matrix.__wrapped__(lam, perm)
 
 
 def _kron(a, b):
@@ -176,14 +248,15 @@ def algebra_mul(r, a, b):
 
 def phi_table_by_convolution(r, lam_bar):
     """The original phi table, kept as the oracle: the identity coefficient
-    of the full product eps z eps, over that of eps."""
+    of eps z eps, sum_g eps_g eps_{(gz)^-1}, over that of eps."""
     eps = primitive_idempotent(r, lam_bar)
     n = weight(lam_bar)
-    e = g_identity(n)
+    zero = CycNumber.zero(r)
     table = {}
     for z in g_elements(r, n):
-        prod = algebra_mul(r, algebra_mul(r, eps, {z: CycNumber.one(r)}), eps)
-        table[z] = prod.get(e, CycNumber.zero(r)) / eps[e]
+        coeff = sum((c * eps.get(ginv(r, gmul(r, g, z)), zero) for g, c in eps.items()),
+                    zero)
+        table[z] = coeff / eps[g_identity(n)]
     return table
 
 
@@ -432,15 +505,6 @@ def test_cartan_specific_entries():
     assert cartan_entry(2, ((1,), ()), ((), ())) == 1
     assert cartan_entry(2, ((1,), ()), ((1,), ())) == 1
     assert cartan_entry(2, ((), ()), ((1,), ())) == 0  # weight increases
-
-
-def test_solve_raises_on_rank_deficiency_and_inconsistency():
-    F = Fraction
-    assert _solve([[F(1)], [F(1)]], [F(2), F(2)]) == [F(2)]
-    with pytest.raises(ArithmeticError, match="rank"):
-        _solve([[F(0)], [F(0)]], [F(0), F(0)])
-    with pytest.raises(ArithmeticError, match="inconsistent"):
-        _solve([[F(1)], [F(1)]], [F(1), F(2)])
 
 
 def test_gram_matrix_rejects_a_product_outside_e_i_form(monkeypatch):

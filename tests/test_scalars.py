@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import colorpart
 from colorpart.cli import main
-from colorpart.scalars import CycNumber, MPoly, _phi_coeffs, _polymul, zeta_pow
+from colorpart.scalars import CycNumber, MPoly, _phi_coeffs, zeta_pow
 
 
 def test_zeta_powers_cycle():
@@ -40,11 +40,16 @@ def test_r4_zeta_squared_is_minus_one():
 
 
 def test_conjugate_and_inverse():
-    for r in range(1, 7):
+    for r in range(1, 13):
+        one = CycNumber.one(r)
         for j in range(r):
             z = zeta_pow(r, j)
             assert z.conjugate() == zeta_pow(r, (-j) % r)
-            assert z * z.inverse() == CycNumber.one(r)
+            assert z * z.inverse() == one
+        # a non-unit: 2 + 3 zeta - zeta^2
+        a = 2 + 3 * zeta_pow(r, 1) - zeta_pow(r, 2)
+        assert a * a.inverse() == one
+        assert a.conjugate() == 2 + 3 * zeta_pow(r, r - 1) - zeta_pow(r, r - 2)
 
 
 def test_as_integer_rejects_nonrational():
@@ -351,9 +356,17 @@ def test_cyclotomic_polynomials_frozen(r, coeffs):
     assert _phi_coeffs(r) == tuple(Fraction(c) for c in coeffs)
 
 
+def _polymul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def test_cyclotomic_polynomials_multiply_to_z_r_minus_1():
     for r in range(1, 61):
-        prod = [Fraction(1)]
+        prod = [1]
         for d in range(1, r + 1):
             if r % d == 0:
                 prod = _polymul(prod, _phi_coeffs(d))
