@@ -235,6 +235,10 @@ def check_presentation(k, r):
 # -- enumeration, closure, Green's relations -----------------------------------
 
 
+# the default bound on |CPar_k|, shared by the library and RunConfig
+MONOID_CAP = 10**5
+
+
 def _monoid_size(k, r, cap):
     """|CPar_k| = B_{2k,r}, or CapExceeded past cap.  For r >= 1,
     B_{2k,r} >= 2^(2k-1), the set partitions into one or two blocks, so a
@@ -244,7 +248,7 @@ def _monoid_size(k, r, cap):
     return count_bell(2 * k, r)
 
 
-def enumerate_monoid(k, r, cap=10**5):
+def enumerate_monoid(k, r, cap=MONOID_CAP):
     n = _monoid_size(k, r, cap)
     elems = set(enumerate_diagrams(r, k, k))
     if len(elems) != n:
@@ -299,7 +303,7 @@ class _Closure:
 _closure = lru_cache(maxsize=4)(_Closure)
 
 
-def generated_closure(k, r, cap=10**5):
+def generated_closure(k, r, cap=MONOID_CAP):
     """The monoid the generators generate, from |M| * |gens| products;
     cap bounds |CPar_k| >= |M| as in enumerate_monoid."""
     _monoid_size(k, r, cap)
@@ -350,7 +354,7 @@ def _strong_components(graph):
     return comp
 
 
-def green_classes(k, r, relation, cap=10**5):
+def green_classes(k, r, relation, cap=MONOID_CAP):
     """Partition the monoid into L, R or J classes.
 
     R classes are the strongly connected components of the right Cayley

@@ -1,13 +1,16 @@
-"""Run configuration: feasibility caps and the random seed.
+"""Run configuration: the random seed and the monoid size cap.
 
 Every randomized check takes an explicit seed (default 0) so failures are
-reproducible.  Caps bound the exhaustive sweeps; each field can be
-overridden through an environment variable COLORPART_<FIELD> (upper case),
-e.g. COLORPART_PSI_SAMPLES=50.
+reproducible.  monoid_cap bounds |CPar_k| wherever a monoid is enumerated
+or closed.  Both can be set through COLORPART_SEED and
+COLORPART_MONOID_CAP; the sweep sizes of the verification suite are fixed
+inside its checks and cannot be set.
 """
 
 import os
 from dataclasses import dataclass, fields
+
+from .algebra import MONOID_CAP
 
 
 ENV_PREFIX = "COLORPART_"
@@ -17,36 +20,12 @@ ENV_PREFIX = "COLORPART_"
 class RunConfig:
     seed: int = 0
     # monoid enumeration, closure and Green's classes
-    monoid_cap: int = 10**5
-    presentation_k_max: int = 4
-    presentation_r_max: int = 4
-    # groupoid checks
-    psi_samples: int = 1000
-    psi_k_max: int = 4
-    psi_r_max: int = 3
-    homdim_k_max: int = 3
-    homdim_r_max: int = 3
-    # counting
-    egf_k_max: int = 10
-    egf_r_max: int = 4
-    # bijections
-    sw_n_max: int = 4
-    sw_r_max: int = 3
-    sw_diagram_k_max: int = 3
-    sw_diagram_r_max: int = 2
-    # character identities
-    formula_weight_max: int = 2
-    xt_size_max: int = 3
-    # cell modules
-    gram_k_max: int = 2
-    gram_r_max: int = 3
-    cartan_weight_max: int = 3
+    monoid_cap: int = MONOID_CAP
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name != "seed" and v <= 0:
-                raise ValueError("cap %s must be positive, got %r" % (f.name, v))
+        if self.monoid_cap <= 0:
+            raise ValueError("cap monoid_cap must be positive, got %r"
+                             % self.monoid_cap)
 
 
 def from_env(**overrides):

@@ -9,6 +9,7 @@ scalar monomial exponent vector.
 
 import json
 from functools import lru_cache
+from itertools import product
 
 
 class MalformedDiagram(ValueError):
@@ -314,22 +315,13 @@ def enumerate_diagrams(r, k, l):
     verts = [("t", i) for i in range(1, k + 1)] + [("b", j) for j in range(1, l + 1)]
     for part in set_partitions(verts):
         n = len(part)
-        for colors in _color_tuples(r, n):
+        for colors in product(range(r), repeat=n):
             blocks = []
             for block, c in zip(part, colors):
                 top = [v for tag, v in block if tag == "t"]
                 bot = [v for tag, v in block if tag == "b"]
                 blocks.append((top, bot, c))
             yield ColoredDiagram(r, k, l, blocks)
-
-
-def _color_tuples(r, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _color_tuples(r, n - 1):
-        for c in range(r):
-            yield rest + (c,)
 
 
 @lru_cache(maxsize=None)

@@ -11,8 +11,9 @@ color-preserving diagrams, one term per coloring of its blocks.
 """
 
 import random
+from itertools import combinations, permutations, product
 
-from .diagrams import ColoredDiagram, compose, set_partitions
+from .diagrams import ColoredDiagram, compose, enumerate_diagrams, set_partitions
 from .scalars import CycNumber, zeta_pow
 
 
@@ -160,7 +161,7 @@ def random_downward(rng, r, k_top, k_bot):
     return ColoredDiagram(r, k_top, k_bot, blocks)
 
 
-def psi_hom_check(samples, k_max, r_max, seed=0):
+def psi_hom_check(samples=1000, k_max=4, r_max=3, seed=0):
     """Check psi(d d') = psi(d) psi(d') on random composable downward pairs."""
     rng = random.Random(seed)
     failures = 0
@@ -181,15 +182,11 @@ def psi_hom_check(samples, k_max, r_max, seed=0):
 
 def downward_shapes(l, k):
     """All downward (l,k) uncolored shapes: partition bottoms, attach tops."""
-    from itertools import permutations
-
     out = []
     for part in set_partitions(range(1, k + 1)):
         n = len(part)
         if n < l:
             continue
-        from itertools import combinations
-
         for chosen in combinations(range(n), l):
             for perm in permutations(chosen):
                 blocks = []
@@ -205,10 +202,6 @@ def downward_shapes(l, k):
 def hom_dimension_check(l, k, r):
     """Total Hom-basis count over all object pairs vs the dimension of the
     span of colored downward (l,k)-diagrams, computed independently."""
-    from itertools import product
-
-    from .diagrams import enumerate_diagrams
-
     # groupoid side: enumerate color-preserving diagrams from block colorings
     cpds = set()
     for blocks in downward_shapes(l, k):

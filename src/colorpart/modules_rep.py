@@ -104,36 +104,35 @@ def _row_word(t):
 
 @lru_cache(maxsize=None)
 def _specht_data(lam):
-    """The standard tableaux of lam, and the peeling order: (index j, {s},
-    e_s) for each standard s = std[j], the smallest row word first."""
+    """The standard tableaux std of lam, their polytabloids e_{std[j]}, and
+    the peeling order: (index j, {std[j]}), the smallest row word first."""
     std = standard_tableaux(lam)
     order = sorted(range(len(std)), key=lambda j: _row_word(std[j]))
-    return std, tuple((j, _tabloid(std[j]), _polytabloid(std[j])) for j in order)
-
-
-def _apply_perm(t, perm):
-    return tuple(tuple(perm[v - 1] for v in row) for row in t)
+    return (std, tuple(_polytabloid(t) for t in std),
+            tuple((j, _tabloid(std[j])) for j in order))
 
 
 @lru_cache(maxsize=None)
 def specht_matrix(lam, perm):
     """Matrix of perm on the Specht module of shape lam, standard basis.
 
-    Column j holds the coordinates of perm e_t = e_{perm t}, t = std[j],
-    found by straightening: e_s has coefficient 1 at {s} and is otherwise
-    supported on tabloids that {s} dominates, so peeling the standard s in
-    dominance order reads each coordinate off as the coefficient of {s}
-    in what is left.  The coordinates are ints."""
-    std, peel = _specht_data(lam)
+    Column j holds the coordinates of perm e_t = e_{perm t}, t = std[j]:
+    perm applied to every tabloid of the cached e_t.  They are found by
+    straightening: e_s has coefficient 1 at {s} and is otherwise supported
+    on tabloids that {s} dominates, so peeling the standard s in dominance
+    order reads each coordinate off as the coefficient of {s} in what is
+    left.  The coordinates are ints."""
+    std, polys, peel = _specht_data(lam)
     out = []
-    for t in std:
-        vec = _polytabloid(_apply_perm(t, perm))
+    for e_t in polys:
+        vec = {tuple(frozenset(perm[v - 1] for v in row) for row in tb): c
+               for tb, c in e_t.items()}
         coords = [0] * len(std)
-        for j, tb, e in peel:
+        for j, tb in peel:
             c = vec.get(tb)
             if c:
                 coords[j] = c
-                for key, v in e.items():
+                for key, v in polys[j].items():
                     vec[key] = vec.get(key, 0) - c * v
         if any(vec.values()):
             raise ArithmeticError("a polytabloid is outside the span of the standard basis")

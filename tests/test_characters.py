@@ -478,10 +478,9 @@ from colorpart.ribbon import insert
 from colorpart.rs import rs_inverse
 
 C.z_order = lambda rho: 3
-MR._specht_data((2, 1))
-real_polytabloid = MR._polytabloid
-MR._polytabloid = lambda t: {**real_polytabloid(t), (frozenset({99}),): 1}
-checks = [lambda: MR.specht_matrix((2, 1), (2, 3, 1)),
+std, polys, peel = MR._specht_data((2, 1))
+MR._specht_data = lambda lam: (std, polys, peel[1:])
+checks = [lambda: MR.specht_matrix((2, 1), (1, 2, 3)),
           lambda: C.kronecker((2,), (2,), (2,), 2),
           lambda: insert({(1,): frozenset({(1, 1)})}, 0, (1,), 1),
           lambda: rs_inverse(((((((2,),), ((1,),)),), ((),)),

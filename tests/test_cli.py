@@ -183,19 +183,40 @@ def test_verify_unknown_suite():
 
 
 def test_verify_bad_cap():
-    assert run("verify", "--suite", "counting", "--cap", "zzz").exit_code == 2
+    # the sweep sizes are fixed inside the checks: --cap is no option
+    res = run("verify", "--suite", "counting", "--cap", "zzz")
+    assert_usage_error(res)
+    assert "No such option '--cap'" in res.output
 
 
 def test_verify_rejects_the_retired_closure_cap():
-    # the monoid cap bounds the closure; closure_cap is no field any more
-    assert_usage_error(
-        run("verify", "--suite", "counting", "--cap", "closure_cap=1"))
+    res = run("verify", "--suite", "counting", "--cap", "closure_cap=1")
+    assert_usage_error(res)
+    assert "No such option '--cap'" in res.output
 
 
 @pytest.mark.parametrize("k", ["4000", "1000000"])
 def test_green_refuses_a_large_k_before_counting(k):
     # B_{2k,2} >= 2^(2k-1) exceeds the cap without summing B
     assert_usage_error(run("green", "--k", k, "--r", "2", "--relation", "L"))
+
+
+@pytest.mark.parametrize("args", [
+    ("gram", "--r", "1", "--k", "40", "--shape", "[[]]"),
+    ("semisimple", "--r", "2", "--k", "40", "--x", "1,1"),
+])
+def test_cells_refuse_a_large_k_before_building(args):
+    # the cells of CPar_k have sum of (dim W)^2 = |CPar_k|: the same cap
+    res = run(*args)
+    assert_usage_error(res)
+    assert "cap exceeded" in res.output
+
+
+def test_cells_admit_k_up_to_the_cap():
+    # |CPar_2| = B_4 = 15 at r = 1
+    args = ("semisimple", "--r", "1", "--k", "2", "--x", "7")
+    assert run(*args, env={"COLORPART_MONOID_CAP": "15"}).exit_code == 0
+    assert_usage_error(run(*args, env={"COLORPART_MONOID_CAP": "14"}))
 
 
 def test_output_is_deterministic():
@@ -236,8 +257,8 @@ def test_malformed_input_is_a_usage_error(args):
     (("psi-check", "--samples", "-5"), None),
     (("green", "--k", "1", "--r", "1", "--relation", "L"),
      {"COLORPART_MONOID_CAP": "abc"}),
-    (("psi-check",), {"COLORPART_PSI_SAMPLES": "x"}),
-    (("verify", "--suite", "counting"), {"COLORPART_EGF_K_MAX": "1.5"}),
+    (("psi-check",), {"COLORPART_SEED": "x"}),
+    (("verify", "--suite", "counting"), {"COLORPART_SEED": "1.5"}),
 ])
 def test_bad_configuration_is_a_usage_error(args, env):
     res = run(*args, env=env)

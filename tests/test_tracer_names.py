@@ -5,6 +5,7 @@ function would silently read 0 calls there."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -27,3 +28,14 @@ def test_every_traced_name_resolves_on_its_module():
                 if obj is None:
                     unresolved.add(layer + "." + name)
     assert unresolved - RETIRED == set()
+
+
+def test_every_module_function_the_tracer_wraps_resolves():
+    # install() wraps a few functions by name outside FUNCTIONS, such as
+    # config.from_env, which it counts under cli
+    names = re.findall(r'mods\["(\w+)"\]\.(\w+)', TRACER.read_text())
+    assert ("config", "from_env") in names
+    unresolved = {module + "." + name for module, name in names
+                  if not callable(getattr(importlib.import_module(
+                      "colorpart." + module), name, None))}
+    assert unresolved == set()
