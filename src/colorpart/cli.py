@@ -98,7 +98,9 @@ def run_config(**overrides):
 
 def check_monoid_size(k, r):
     """Refuse a k whose monoid CPar_k exceeds the cap before any work: the
-    cells of CPar_k have sum of (dim W)^2 = |CPar_k|."""
+    cells of CPar_k have sum of (dim W)^2 = |CPar_k|, and the Cartan
+    entries up to weight k filter their downward basis from the (m,l)
+    diagrams, at most |CPar_k| for m, l <= k."""
     try:
         algebra._monoid_size(k, r, run_config().monoid_cap)
     except algebra.CapExceeded as exc:
@@ -254,6 +256,7 @@ def cmd_semisimple(r, k, x):
 @click.option("--maxweight", required=True, type=click.IntRange(min=0))
 def cmd_cartan(r, maxweight):
     """Cartan matrix entries for multipartitions up to a weight."""
+    check_monoid_size(maxweight, r)
     labels, B = cartan_matrix(r, maxweight)
     emit({
         "labels": labels,

@@ -7,9 +7,8 @@ factors uniquely as d2*g with d2 in S(k,i) and g in G(r,i), which drives
 the action, the symbolic Gram matrices, and the semisimplicity certificate.
 Wreath irreducibles are induced modules from Specht matrices (standard
 polytabloid basis, straightened by peeling the standard tabloids in
-dominance order, small n only); only the first column rho(g) e_1 of each
-element is ever formed.  The Gram scalar phi(z), eps z eps = phi(z) eps
-for the primitive idempotent eps, is the matrix coefficient rho(z)_11.
+dominance order, small n only).  A Gram entry is y^e rho(g)_ab, a matrix
+entry of a group element in that standard basis.
 
 Cartan entries are computed by class sums: the downward (m,l) diagram
 basis carries a G(r,m) x G(r,l) bi-action by place permutation, and
@@ -152,7 +151,8 @@ class MatrixRep:
     """Matrix model of the G(r,n)-irreducible labeled by a multipartition.
 
     Induced from the block subgroup G(r,k_0) x ... x G(r,k_{r-1}) acting by
-    color characters times Specht matrices; only first columns are formed.
+    color characters times Specht matrices; the standard basis is the
+    coset blocks times the Specht standard polytabloids.
     """
 
     def __init__(self, r, lam_bar):
@@ -177,42 +177,36 @@ class MatrixRep:
             self.base_dim *= specht_dim(lam)
         self.dim = len(self.coset_reps) * self.base_dim
 
-    def column(self, g):
-        """rho(g) e_1, the first column of g's matrix.  With g = t_c h, it
-        is theta(h) e_1 in coset block c (t_0 is the identity): the color
-        scalar times the Kronecker product of the Specht first columns."""
-        r = self.r
-        c = self.elem_coset[g]
-        f, tau = gmul(r, ginv(r, self.coset_reps[c]), g)
-        phase = 0
-        col = [1]
-        for j, blk in enumerate(self.blocks):
-            phase += j * sum(f[v - 1] for v in blk)
-            off = blk[0] - 1 if blk else 0
-            local = tuple(tau[off + v - 1] - off for v in range(1, len(blk) + 1))
-            first = [row[0] for row in specht_matrix(self.lam_bar[j], local)]
-            col = [a * b for a in col for b in first]
-        scal = zeta_pow(r, phase % r)
+    def matrix(self, g):
+        """rho(g) in the standard basis.  With g t_c = t_c' h, block (c', c)
+        is theta(h): the color scalar times the Kronecker product of the
+        Specht matrices; every other block is zero."""
+        r, size = self.r, self.base_dim
         zero = CycNumber.zero(r)
-        out = [zero] * self.dim
-        out[c * self.base_dim:(c + 1) * self.base_dim] = [
-            scal * x if x else zero for x in col]
-        return out
+        out = [[zero] * self.dim for _ in range(self.dim)]
+        for c, t in enumerate(self.coset_reps):
+            gt = gmul(r, g, t)
+            c2 = self.elem_coset[gt]
+            f, tau = gmul(r, ginv(r, self.coset_reps[c2]), gt)
+            phase = 0
+            theta = [[1]]
+            for j, blk in enumerate(self.blocks):
+                phase += j * sum(f[v - 1] for v in blk)
+                off = blk[0] - 1 if blk else 0
+                local = tuple(tau[off + v - 1] - off for v in range(1, len(blk) + 1))
+                spec = specht_matrix(self.lam_bar[j], local)
+                theta = [[x * y for x in row for y in srow]
+                         for row in theta for srow in spec]
+            scal = zeta_pow(r, phase % r)
+            for v, row in enumerate(theta):
+                out[c2 * size + v][c * size:(c + 1) * size] = [
+                    scal * x if x else zero for x in row]
+        return tuple(tuple(row) for row in out)
 
 
 @lru_cache(maxsize=None)
 def build_matrix_rep(r, lam_bar):
     return MatrixRep(r, lam_bar)
-
-
-@lru_cache(maxsize=None)
-def _phi_table(r, lam_bar):
-    """phi(z) with eps z eps = phi(z) eps, for the primitive idempotent
-    eps = (dim/|G|) sum_g rho(g^-1)_11 g.  By Schur orthogonality
-    phi(z) = rho(z)_11, a matrix coefficient; no group-algebra element is
-    formed."""
-    rep = build_matrix_rep(r, lam_bar)
-    return {z: rep.column(z)[0] for z in g_elements(r, rep.n)}
 
 
 # -- cross-sections and factorization ------------------------------------------
@@ -279,68 +273,57 @@ def factor_cross_section(d, i):
 # -- Gram matrices and semisimplicity -------------------------------------------
 
 
-def _module_basis(r, lam_bar):
-    """Group elements g_a whose first rep columns are independent; coset
-    representatives first (for induced reps with one-dimensional base this
-    makes the weight-n Gram block the identity)."""
-    rep = build_matrix_rep(r, lam_bar)
-    reps = set(rep.coset_reps)
-    candidates = rep.coset_reps + [g for g in g_elements(r, rep.n) if g not in reps]
-    chosen = []
-    rows = []  # reduced echelon rows of first columns
-
-    def reduce(vec):
-        for lead, row in rows:
-            if vec[lead]:
-                c = vec[lead]
-                vec = [a - c * b for a, b in zip(vec, row)]
-        return vec
-
-    for g in candidates:
-        red = reduce(rep.column(g))
-        lead = next((j for j, a in enumerate(red) if a), None)
-        if lead is None:
-            continue
-        inv = red[lead].inverse()
-        rows.append((lead, [a * inv for a in red]))
-        chosen.append(g)
-        if len(chosen) == rep.dim:
-            return chosen
-    raise RuntimeError("first columns do not span the representation")
-
-
 def gram_matrix(r, k, lam_bar):
     """Symbolic Gram matrix of the cell module W(lam_bar) at rank i = |lam_bar|
-    inside CPar_k; entries are MPoly in y_0..y_{r-1}."""
+    inside CPar_k; entries are MPoly in y_0..y_{r-1}.
+
+    Rows are (d, a) and columns (d', b), for d, d' in S(k,i) and a, b
+    indexing the standard basis of the G(r,i)-irreducible.  When
+    flip_invert(d) d' keeps rank i it is y^e times the e_i-padded g, and
+    the entry is y^e rho(g)_ab; it is 0 when the rank drops.  So row
+    (d, .) holds the coordinates of flip(d) w in the rank-i quotient, the
+    kernel is the radical of W(lam_bar), and the rank and the zero locus
+    of the determinant are those of the cell form.  The matrix is
+    symmetric only where the Specht dimension is 1; at r = 1 the form
+    itself is (1 x Q) times it, Q the Gram matrix of the standard
+    polytabloids."""
     lam_bar = tuple(tuple(lam) for lam in lam_bar)
     i = weight(lam_bar)
     if i > k:
         raise ValueError("weight exceeds k")
     cs = enumerate_cross_section(r, k, i)
-    gs = _module_basis(r, lam_bar)
-    phi = _phi_table(r, lam_bar)
+    rep = build_matrix_rep(r, lam_bar)
+    zeros = [MPoly.zero(r)] * rep.dim
+    rho = {}
     rows = []
     for d in cs:
         di = flip_invert(d)
-        for a in gs:
+        blocks = []
+        for dp in cs:
+            prod, exps = compose(di, dp)
+            if prod.rank() != i:
+                blocks.append(None)
+                continue
+            d2, g = factor_cross_section(prod, i)
+            # the product must be e_i-padded: d2 is the identity element
+            if not all(
+                top == bot
+                or (not top and len(bot) == 1 and c == 0)
+                or (not bot and len(top) == 1 and c == 0)
+                for top, bot, c in d2.blocks
+            ):
+                raise RuntimeError("rank-i product not in e_i form: %r" % (prod,))
+            if g not in rho:
+                rho[g] = rep.matrix(g)
+            blocks.append((exps, rho[g]))
+        for a in range(rep.dim):
             row = []
-            ai = ginv(r, a)
-            for dp in cs:
-                prod, exps = compose(di, dp)
-                if prod.rank() != i:
-                    row.extend([MPoly.zero(r)] * len(gs))
-                    continue
-                d2, g = factor_cross_section(prod, i)
-                # the product must be e_i-padded: d2 is the identity element
-                if not all(
-                    top == bot
-                    or (not top and len(bot) == 1 and c == 0)
-                    or (not bot and len(top) == 1 and c == 0)
-                    for top, bot, c in d2.blocks
-                ):
-                    raise RuntimeError("rank-i product not in e_i form: %r" % (prod,))
-                row.extend(MPoly.monomial(r, exps, phi[gmul(r, gmul(r, ai, g), b)])
-                           for b in gs)
+            for blk in blocks:
+                if blk is None:
+                    row.extend(zeros)
+                else:
+                    exps, m = blk
+                    row.extend(MPoly.monomial(r, exps, x) for x in m[a])
             rows.append(row)
     if len(rows) != cell_dimension(r, k, lam_bar):
         raise RuntimeError("Gram matrix has %d rows, not the cell dimension" % len(rows))

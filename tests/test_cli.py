@@ -204,9 +204,11 @@ def test_green_refuses_a_large_k_before_counting(k):
 @pytest.mark.parametrize("args", [
     ("gram", "--r", "1", "--k", "40", "--shape", "[[]]"),
     ("semisimple", "--r", "2", "--k", "40", "--x", "1,1"),
+    ("cartan", "--r", "1", "--maxweight", "40"),
 ])
 def test_cells_refuse_a_large_k_before_building(args):
-    # the cells of CPar_k have sum of (dim W)^2 = |CPar_k|: the same cap
+    # the cells of CPar_k have sum of (dim W)^2 = |CPar_k|, and the Cartan
+    # entries to weight k filter their basis from CPar_k: the same cap
     res = run(*args)
     assert_usage_error(res)
     assert "cap exceeded" in res.output

@@ -20,8 +20,6 @@ from colorpart.characters import (
 )
 from colorpart.diagrams import ColoredDiagram, compose, count_bell, enumerate_diagrams
 from colorpart.modules_rep import (
-    _module_basis,
-    _phi_table,
     _specht_data,
     build_matrix_rep,
     cartan_entry,
@@ -180,7 +178,7 @@ def base_matrix(rep, h):
 
 def induced_matrix(rep, g):
     """The full dim x dim matrix of g on the induced module, kept as the
-    oracle for MatrixRep.column."""
+    oracle for MatrixRep.matrix."""
     r, d = rep.r, rep.dim
     m = [[CycNumber.zero(r) for _ in range(d)] for _ in range(d)]
     for c, t in enumerate(rep.coset_reps):
@@ -224,7 +222,7 @@ def test_wreath_rep_is_multiplicative_and_traces_match():
 def test_column_is_the_first_column_of_the_induced_matrix(r, lam_bar):
     rep = build_matrix_rep(r, lam_bar)
     for g in g_elements(r, rep.n):
-        assert rep.column(g) == [row[0] for row in induced_matrix(rep, g)]
+        assert rep.matrix(g) == induced_matrix(rep, g)
 
 
 @lru_cache(maxsize=None)
@@ -252,8 +250,8 @@ def algebra_mul(r, a, b):
 
 
 def phi_table_by_convolution(r, lam_bar):
-    """The original phi table, kept as the oracle: the identity coefficient
-    of eps z eps, sum_g eps_g eps_{(gz)^-1}, over that of eps."""
+    """phi(z) with eps z eps = phi(z) eps: the identity coefficient of
+    eps z eps, sum_g eps_g eps_{(gz)^-1}, over that of eps."""
     eps = primitive_idempotent(r, lam_bar)
     n = weight(lam_bar)
     zero = CycNumber.zero(r)
@@ -274,8 +272,11 @@ def test_primitive_idempotent_is_idempotent():
 @pytest.mark.parametrize("r, n", [(r, n) for r in (1, 2, 3) for n in (0, 1, 2)]
                          + [(1, 3), (2, 3)])
 def test_phi_table_matches_the_convolution_oracle(r, n):
+    # by Schur orthogonality phi(z) = rho(z)_11, the corner of matrix(z)
     for lam_bar in multipartitions(r, n):
-        assert _phi_table(r, lam_bar) == phi_table_by_convolution(r, lam_bar)
+        rep = build_matrix_rep(r, lam_bar)
+        phi = phi_table_by_convolution(r, lam_bar)
+        assert {z: rep.matrix(z)[0][0] for z in phi} == phi
 
 
 def test_cross_section_counts():
@@ -408,28 +409,70 @@ def test_dimension_identity():
             assert total == count_bell(2 * k, r)
 
 
-# ROADMAP item 1: these top cells get a singular form at every parameter;
-# the change that makes the cell forms nondegenerate removes the marks
-DEGENERATE_TOP_CELLS = {(1, ((2, 2),)), (1, ((3, 2),)), (1, ((2, 2, 1),)),
-                        (2, ((2, 2), ())), (2, ((), (2, 2)))}
-
-
-def _top_cell(r, lam_bar):
-    marks = ([pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the cell "
-                                "form is degenerate")]
-             if (r, lam_bar) in DEGENERATE_TOP_CELLS else [])
-    return pytest.param(r, lam_bar, marks=marks, id="%d-%s" % (r, lam_bar))
-
-
 @pytest.mark.parametrize("r, lam_bar", [
-    _top_cell(r, lam_bar)
-    for r, sizes in ((1, range(6)), (2, (4,)))
+    pytest.param(r, lam_bar, id="%d-%s" % (r, lam_bar))
+    for r, sizes in ((1, range(7)), (2, range(5)), (3, range(4)))
     for n in sizes for lam_bar in multipartitions(r, n)
     if build_matrix_rep(r, lam_bar).dim > 1])
 def test_top_cell_form_is_nondegenerate(r, lam_bar):
     # the top cell (k = |lam_bar|) is the irreducible G(r,k)-module, so an
     # invariant form on it is zero or nondegenerate, and it is not zero
     assert gram_det(r, weight(lam_bar), lam_bar)
+
+
+def rank_at(M, x):
+    """Rank of the Gram matrix M at the point x, by exact elimination over
+    Q(zeta_r), in Fractions where r <= 2."""
+    rows = [[e.eval(x) for e in row] for row in M]
+    if len(x) <= 2:
+        rows = [[Fraction(v.as_rational()) for v in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        inv = 1 / rows[rank][c]
+        pivot = [v * inv for v in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], pivot)]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("r, k, points", [
+    pytest.param(1, 4, {(7,): 4140, (11,): 4140, (6,): 4121, (5,): 3968, (3,): 2603,
+                        (0,): 2275}, id="1-4"),
+    pytest.param(2, 3, {(2, 1): 2430, (7, 2): 2430, (3, 1): 1555}, id="2-3"),
+    pytest.param(3, 3, {(2, 1, 1): 12351}, id="3-3"),
+])
+def test_cell_ranks_square_to_the_semisimple_quotient(r, k, points):
+    # End(k) is cellular: the sum over cells of rank(G(x))^2 is
+    # dim A/rad A, so B_{2k,r} at a semisimple point (P_4(x) for x not in
+    # 0..6, Halverson-Ram) and less where the algebra is not semisimple
+    grams = [gram_matrix(r, k, lam_bar)
+             for i in range(k + 1) for lam_bar in multipartitions(r, i)]
+    for x, expected in points.items():
+        assert sum(rank_at(M, x) ** 2 for M in grams) == expected
+    assert count_bell(2 * k, r) == max(points.values())
+
+
+@pytest.mark.parametrize("lam", [
+    lam for i in range(6) for (lam,) in multipartitions(1, i) if specht_dim(lam) > 1],
+    ids=str)
+def test_form_is_invariant_at_r1(lam):
+    # (1 x Q) M is the cell form, Q the Gram matrix of the standard
+    # polytabloids under the S_n-invariant tabloid form, so it is symmetric
+    _, polys, _ = _specht_data(lam)
+    Q = [[sum(c * b.get(tb, 0) for tb, c in a.items()) for b in polys] for a in polys]
+    M = gram_matrix(1, 5, (lam,))
+    dim = len(Q)
+    QM = [[sum((M[d + j][col] * q for j, q in enumerate(Q[a]) if q), MPoly.zero(1))
+           for col in range(len(M))]
+          for d in range(0, len(M), dim) for a in range(dim)]
+    assert all(QM[s][t] == QM[t][s] for s in range(len(QM)) for t in range(s))
 
 
 def test_semisimplicity_points():
@@ -546,17 +589,15 @@ def test_gram_matrix_rejects_a_product_outside_e_i_form(monkeypatch):
 
 
 def test_gram_matrix_rejects_a_wrong_size(monkeypatch):
-    basis = MR._module_basis
-    monkeypatch.setattr(MR, "_module_basis", lambda r, lam: basis(r, lam)[:-1])
+    # a cross-section that lost a diagram, against the cell dimension
+    # cached from the whole one
+    r, k, lam_bar = 2, 2, ((1,), ())
+    cell_dimension(r, k, lam_bar)
+    cross_section = MR.enumerate_cross_section
+    monkeypatch.setattr(MR, "enumerate_cross_section",
+                        lambda r, k, i: cross_section(r, k, i)[:-1])
     with pytest.raises(RuntimeError, match="cell dimension"):
-        gram_matrix(2, 1, ((1,), ()))
-
-
-def test_module_basis_rejects_columns_that_do_not_span(monkeypatch):
-    monkeypatch.setattr(MR.MatrixRep, "column",
-                        lambda self, g: [CycNumber.zero(self.r)] * self.dim)
-    with pytest.raises(RuntimeError, match="do not span"):
-        _module_basis(2, ((1,), ()))
+        gram_matrix(r, k, lam_bar)
 
 
 @pytest.fixture
