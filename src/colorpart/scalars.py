@@ -10,13 +10,26 @@ polynomials, and has int coefficients.  The inverse of a non-rational
 element a is P / (a * P), where P is the product of the Galois conjugates
 of a other than a itself and a * P is its norm, a rational number.
 
-MPoly: sparse multivariate polynomials over CycNumber in the parameter
-variables y_0, ..., y_{r-1}.
+MPoly: sparse multivariate polynomials over Q(zeta_r) in the parameter
+variables y_0, ..., y_{r-1}, stored as one flat dict from (y-exponents,
+z-degree) to the rational coordinate of that term: an int, or a Fraction
+only when it is not integral.  The pair is packed into one int, each
+exponent and the z-degree in a 32-bit field, y_0's the highest, so a
+monomial product is one integer addition and int order is lex order.  A
+product's z-degrees d..2d-2 are rewritten by the same reduction rows as
+CycNumber's.  At a rational point, evaluation sums coordinate times
+monomial value per z-degree and builds one CycNumber at the end; exact
+division forms a CycNumber only for an irrational leading coefficient.  `terms` is a read-only {y-exponents:
+CycNumber} view built on demand.  The constructor rejects an exponent
+vector that is not r ints in 0..2^31 - 1; arithmetic results skip the
+check.
 """
 
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
+from operator import or_
+from types import MappingProxyType
 
 _ZERO = 0
 _ONE = 1
@@ -269,23 +282,82 @@ def zeta_pow(r, j):
     return CycNumber(r, coeffs)
 
 
-class MPoly:
-    """Sparse polynomial in y_0..y_{r-1} with CycNumber coefficients."""
+# -- packed monomial keys ------------------------------------------------------
 
-    __slots__ = ("r", "terms", "_hash")
+_BITS = 32  # width of one field of a packed key
+_FIELD = (1 << _BITS) - 1
+_LIMIT = 1 << (_BITS - 1)  # every exponent stays below its field's top bit
+
+
+@lru_cache(maxsize=None)
+def _layout(r):
+    """(d, shifts, guard) for keys in r variables.  d = euler_phi(r) is the
+    number of z-degrees; shifts[i] is the bit offset of y_i's field, y_0's
+    the highest, so the int order of keys is the lex order of
+    (y-exponents, z-degree); guard has the top bit of every field set."""
+    d = len(_phi_coeffs(r)) - 1
+    shifts = tuple(_BITS * (r - i) for i in range(r))
+    guard = sum(_LIMIT << (_BITS * f) for f in range(r + 1))
+    return d, shifts, guard
+
+
+def _quo(a, b):
+    """a / b for rationals, an int wherever it is integral."""
+    if type(a) is int and type(b) is int:
+        q, m = divmod(a, b)
+        if not m:
+            return q
+    return _exact(Fraction(a) / b)
+
+
+def _settled(r, acc):
+    """The MPoly of a raw {key: coordinate} sum: zeros dropped, integral
+    Fractions made ints."""
+    return MPoly._trusted(r, {k: c if type(c) is int else _exact(c)
+                              for k, c in acc.items() if c})
+
+
+class MPoly:
+    """Sparse polynomial in y_0..y_{r-1} over Q(zeta_r), stored as one flat
+    dict: the packed key of (y-exponents, z-degree) maps to the rational
+    coordinate of that z-power in the monomial's coefficient.  A monomial
+    product is one key addition; `terms` is the {y-exponents: CycNumber}
+    view, built on each access."""
+
+    __slots__ = ("r", "_c", "_hash")
 
     def __init__(self, r, terms):
-        self.r = r
-        clean = {}
+        """terms maps exponent vectors, r non-negative ints each, to ints,
+        Fractions or CycNumbers of order r; anything else raises
+        ValueError."""
+        _, shifts, _ = _layout(r)
+        flat = {}
         for exps, c in terms.items():
-            if not isinstance(c, CycNumber):
-                c = CycNumber.from_rational(r, c)
-            if c:
-                clean[tuple(exps)] = c
-        self.terms = clean
-        self._hash = None
+            exps = tuple(exps)
+            if len(exps) != r or not all(type(e) is int and 0 <= e < _LIMIT for e in exps):
+                raise ValueError("exponent vector %r is not %d exponents in 0..%d"
+                                 % (exps, r, _LIMIT - 1))
+            if isinstance(c, CycNumber):
+                if c.r != r:
+                    raise ValueError("mixed cyclotomic orders")
+                coords = c.coeffs
+            else:
+                coords = (_exact(c),)
+            base = sum(e << s for e, s in zip(exps, shifts))
+            for z, a in enumerate(coords):
+                if a:
+                    flat[base + z] = a
+        self.r, self._c, self._hash = r, flat, None
 
     # -- constructors -------------------------------------------------
+    @classmethod
+    def _trusted(cls, r, flat):
+        """Trusted constructor for arithmetic results: flat is already a
+        packed, reduced map with nonzero normalized coordinates."""
+        x = object.__new__(cls)
+        x.r, x._c, x._hash = r, flat, None
+        return x
+
     @staticmethod
     def zero(r):
         return MPoly(r, {})
@@ -302,26 +374,41 @@ class MPoly:
     def variable(r, i):
         exps = [0] * r
         exps[i] = 1
-        return MPoly(r, {tuple(exps): CycNumber.one(r)})
+        return MPoly(r, {tuple(exps): 1})
 
     @staticmethod
     def monomial(r, exps, c=1):
         return MPoly(r, {tuple(exps): c})
 
     # -- protocol ------------------------------------------------------
+    @property
+    def terms(self):
+        """Read-only {y-exponents: CycNumber} view of the polynomial."""
+        d, shifts, _ = _layout(self.r)
+        coords = {}
+        for key, c in self._c.items():
+            base = key - (key & _FIELD)
+            vec = coords.get(base)
+            if vec is None:
+                vec = coords[base] = [0] * d
+            vec[key & _FIELD] = c
+        return MappingProxyType({
+            tuple(base >> s & _FIELD for s in shifts): CycNumber._trusted(self.r, tuple(vec))
+            for base, vec in coords.items()})
+
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._c)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, CycNumber)):
             other = MPoly.constant(self.r, other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.r == other.r and self.terms == other.terms
+        return self.r == other.r and self._c == other._c
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.r, frozenset(self.terms.items())))
+            self._hash = hash((self.r, frozenset(self._c.items())))
         return self._hash
 
     def _coerce(self, other):
@@ -337,26 +424,24 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in o.terms.items():
-            t = terms.get(e)
-            terms[e] = c if t is None else t + c
-        return MPoly(self.r, terms)
+        acc = dict(self._c)
+        for k, c in o._c.items():
+            acc[k] = acc.get(k, 0) + c
+        return _settled(self.r, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.r, {e: -c for e, c in self.terms.items()})
+        return MPoly._trusted(self.r, {k: -c for k, c in self._c.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in o.terms.items():
-            t = terms.get(e)
-            terms[e] = -c if t is None else t - c
-        return MPoly(self.r, terms)
+        acc = dict(self._c)
+        for k, c in o._c.items():
+            acc[k] = acc.get(k, 0) - c
+        return _settled(self.r, acc)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -365,98 +450,144 @@ class MPoly:
         return o - self
 
     def __mul__(self, other):
+        """Term by term: a product of monomials is one key addition, and
+        z-degrees d..2d-2 are then rewritten by _reduction_rows.  Fields
+        never carry into each other, since every exponent is below half
+        its field; a product exponent that reaches that bound raises."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                if e in terms:
-                    terms[e] = terms[e] + c
-                else:
-                    terms[e] = c
-        return MPoly(self.r, terms)
+        r = self.r
+        d, _, guard = _layout(r)
+        acc = {}
+        get = acc.get
+        right = list(o._c.items())
+        for k1, c1 in self._c.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+        if reduce(or_, acc, 0) & guard:
+            raise OverflowError("an exponent reached %d" % _LIMIT)
+        for key in [k for k in acc if k & _FIELD >= d]:
+            c = acc.pop(key)
+            base = key - (key & _FIELD)
+            for j, a in enumerate(_reduction_rows(r)[(key & _FIELD) - d]):
+                if a:
+                    acc[base + j] = get(base + j, 0) + c * a
+        return _settled(r, acc)
 
     __rmul__ = __mul__
 
     # -- queries ---------------------------------------------------------
     def eval(self, point):
         """Exact evaluation at a vector of r CycNumbers or rationals.  Each
-        coordinate is raised to each power once, an integral one as an int;
-        a monomial at a rational point is a rational that scales its
-        coefficient."""
-        if len(point) != self.r:
+        term adds coefficient times monomial value to its z-degree's
+        coordinate, in ints or Fractions; one CycNumber is built at the
+        end.  Where the point has a cyclotomic coordinate the monomial
+        value is a CycNumber, which multiplies the term's coordinate
+        vector.  Each coordinate is raised to each power once, an integral
+        one as an int."""
+        r = self.r
+        if len(point) != r:
             raise ValueError("evaluation point has wrong length")
-        powers = []
-        for i, v in enumerate(point):
-            if not isinstance(v, CycNumber):
-                v = _exact(v)
-            row = [1]
-            for _ in range(max((e[i] for e in self.terms), default=0)):
-                row.append(row[-1] * v)
-            powers.append(row)
-        total = CycNumber.zero(self.r)
-        for e, c in self.terms.items():
+        d, shifts, _ = _layout(r)
+        fields = [(s, [1], v if isinstance(v, CycNumber) else _exact(v))
+                  for s, v in zip(shifts, point)]
+        acc = [0] * d
+        for key, c in self._c.items():
             m = 1
-            for row, a in zip(powers, e):
-                if a:
-                    m = m * row[a]
-            total = total + c * m
-        return total
+            for s, row, v in fields:
+                e = key >> s & _FIELD
+                if e:
+                    while len(row) <= e:
+                        row.append(row[-1] * v)
+                    m = m * row[e]
+            if isinstance(m, CycNumber):
+                for j, a in enumerate((m * zeta_pow(r, key & _FIELD)).coeffs):
+                    acc[j] += c * a
+            else:
+                acc[key & _FIELD] += c * m
+        return CycNumber._trusted(r, tuple(acc))
 
     def degree_in(self, i):
-        if not self.terms:
+        if not 0 <= i < self.r:
+            raise IndexError("no variable y%d" % i)
+        if not self._c:
             raise ValueError("degree of zero polynomial")
-        return max(e[i] for e in self.terms)
+        s = _layout(self.r)[1][i]
+        return max(k >> s & _FIELD for k in self._c)
 
     def leading_coeff_in(self, i):
         """(max degree d in y_i, coefficient polynomial of y_i^d)."""
         d = self.degree_in(i)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == d:
-                e2 = list(e)
-                e2[i] = 0
-                terms[tuple(e2)] = c
-        return d, MPoly(self.r, terms)
+        s = _layout(self.r)[1][i]
+        return d, MPoly._trusted(self.r, {k - (d << s): c for k, c in self._c.items()
+                                          if k >> s & _FIELD == d})
 
     def divexact(self, other):
-        """Exact division; raises if the division is not exact.  The
-        remainder is one dict: each step pops its lex-max term and updates
-        only the keys that the divisor's other terms reach."""
+        """Exact division; raises ArithmeticError if it is not exact.  The
+        divisor's lead is its lex-max exponent vector.  Each step pops the
+        lex-max exponent of the remainder, one dict, divides its coordinate
+        vector by the lead's (rationally unless the lead coefficient is
+        irrational) and subtracts the quotient term times the divisor's
+        other terms in place."""
         o = self._coerce(other)
+        if o is None:
+            raise TypeError("cannot divide an MPoly by %r" % (other,))
         if not o:
             raise ZeroDivisionError("division by zero polynomial")
-        lead_e = max(o.terms)  # lex order on exponent tuples
-        lead_inv = o.terms[lead_e].inverse()
-        tail = [(e, c) for e, c in o.terms.items() if e != lead_e]
-        rem = dict(self.terms)
+        r = self.r
+        d, _, guard = _layout(r)
+        rows = _reduction_rows(r)
+        top = max(o._c)
+        lead = top - (top & _FIELD)
+        lc = [o._c.get(lead + z, 0) for z in range(d)]
+        inv = CycNumber._trusted(r, tuple(lc)).inverse() if any(lc[1:]) else None
+        tail = [(k, c) for k, c in o._c.items() if k - (k & _FIELD) != lead]
+        rem = dict(self._c)
+        get = rem.get
         quot = {}
         while rem:
-            e = max(rem)
-            diff = tuple(a - b for a, b in zip(e, lead_e))
-            if any(d < 0 for d in diff):
+            top = max(rem)
+            e = top - (top & _FIELD)
+            if e & guard:
+                raise OverflowError("an exponent reached %d" % _LIMIT)
+            diff = (e | guard) - lead  # a field keeps its top bit iff e >= lead there
+            if diff & guard != guard:
                 raise ArithmeticError("inexact polynomial division")
-            c = rem.pop(e) * lead_inv
-            quot[diff] = c
-            for oe, oc in tail:
-                key = tuple(a + b for a, b in zip(diff, oe))
-                v = rem.get(key)
-                v = -(c * oc) if v is None else v - c * oc
-                if v:
-                    rem[key] = v
-                else:
-                    del rem[key]
-        return MPoly(self.r, quot)
+            diff -= guard
+            vec = [rem.pop(e + z, 0) for z in range(d)]
+            if inv is None:
+                q = [_quo(c, lc[0]) for c in vec]
+            else:
+                q = (CycNumber._trusted(r, tuple(vec)) * inv).coeffs
+            for z, qc in enumerate(q):
+                if not qc:
+                    continue
+                quot[diff + z] = qc
+                for k, c in tail:
+                    key = diff + z + k
+                    if key & _FIELD < d:
+                        v = get(key, 0) - qc * c
+                        if v:
+                            rem[key] = v
+                        else:
+                            del rem[key]
+                        continue
+                    base = key - (key & _FIELD)
+                    for j, a in enumerate(rows[(key & _FIELD) - d]):
+                        v = get(base + j, 0) - qc * c * a
+                        if v:
+                            rem[base + j] = v
+                        elif base + j in rem:
+                            del rem[base + j]
+        return MPoly._trusted(r, quot)
 
     def __repr__(self):
-        if not self.terms:
+        if not self._c:
             return "0"
         parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e, c in sorted(self.terms.items(), reverse=True):
             factors = []
             for i, a in enumerate(e):
                 if a == 1:

@@ -402,10 +402,10 @@ def check_green(cfg):
 
 def check_formula(cfg):
     """Product of reduced Kronecker coefficients equals the LR/K sum, on
-    every triple of weight <= 2 at r = 2."""
+    every triple of weight <= 3 at r = 2."""
     example = theorem_formula_check(3, *FORMULA_EXAMPLE_R3)
     example_ok = example["ok"] and example["lhs"] == 1 and example["rhs"] == 1
-    multis = [m for w in range(3) for m in multipartitions(2, w)]
+    multis = [m for w in range(4) for m in multipartitions(2, w)]
     failures = []
     checked = 0
     for lam_bar in multis:

@@ -90,7 +90,7 @@ def test_c08_green_relations():
 def test_c09_coefficient_identity():
     rep = timed(verify.check_formula, 300)
     assert rep["example"] == {"lhs": 1, "rhs": 1}
-    assert rep["checked"] == 8**3
+    assert rep["checked"] == 18**3
     assert not rep["failures"]
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from hashlib import sha256
 from functools import lru_cache
 
 import pytest
@@ -37,6 +38,7 @@ from colorpart.modules_rep import (
 )
 from colorpart.scalars import CycNumber, MPoly, zeta_pow
 from colorpart.verify import GRAM_K1_R2
+from nested_mpoly import NestedMPoly, nested_det_bareiss
 
 
 def test_specht_dimensions():
@@ -396,6 +398,54 @@ def test_bareiss_determinant_against_cofactors():
     ]
     expected = y0 * (y0 * y0 - y1 * y1) - y0  # expand along the last row
     assert det_bareiss(M, 2) == expected
+
+
+RANK0_R3_K2 = ((), (), ())
+
+
+@pytest.mark.parametrize("r, k", [(r, k) for r in (1, 2, 3) for k in (0, 1, 2)])
+def test_cell_determinants_match_the_nested_oracle(r, k):
+    # the 12x12 rank-0 cell of (3,2) takes the nested oracle ~15 s; it is
+    # frozen against the parent's output below instead
+    for i in range(k + 1):
+        for lam_bar in multipartitions(r, i):
+            if (r, k, lam_bar) != (3, 2, RANK0_R3_K2):
+                det = gram_det(r, k, lam_bar)
+                assert NestedMPoly.of(det) == nested_det_bareiss(gram_matrix(r, k, lam_bar), r)
+
+
+def det_at(M, x):
+    """Determinant of M evaluated at x, by Gaussian elimination with field
+    division over Q(zeta_r); no Bareiss step and no MPoly product."""
+    rows = [[e.eval(x) for e in row] for row in M]
+    det = CycNumber.one(len(x))
+    for t in range(len(rows)):
+        p = next((s for s in range(t, len(rows)) if rows[s][t]), None)
+        if p is None:
+            return CycNumber.zero(len(x))
+        if p != t:
+            rows[t], rows[p] = rows[p], rows[t]
+            det = -det
+        det = det * rows[t][t]
+        inv = rows[t][t].inverse()
+        for s in range(t + 1, len(rows)):
+            if rows[s][t]:
+                f = rows[s][t] * inv
+                rows[s] = [a - f * b for a, b in zip(rows[s], rows[t])]
+    return det
+
+
+def test_rank0_determinant_r3_k2_is_frozen():
+    # the 12x12 Gram determinant as the nested Bareiss printed it; read
+    # through the cache that c12 fills
+    det = gram_det(3, 2, RANK0_R3_K2)
+    assert len(det.terms) == 290
+    assert sha256(repr(det).encode()).hexdigest() == (
+        "707a48be29abef83a3a69d8c8a7b8efbbf2907edacc215d71d10d0ff709cc263")
+    M = gram_matrix(3, 2, RANK0_R3_K2)
+    for x in [(2, 1, 1), (5, -2, Fraction(1, 3))]:
+        assert det.eval(x) == det_at(M, x)
+    assert det.eval((2, 1, 1))
 
 
 def test_dimension_identity():

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import colorpart
 from colorpart.cli import main
 from colorpart.scalars import CycNumber, MPoly, _phi_coeffs, zeta_pow
+from nested_mpoly import NestedMPoly
 
 
 def test_zeta_powers_cycle():
@@ -325,6 +326,70 @@ def test_coordinates_match_the_fraction_oracle(case):
     for got, expected in results + [(a, _fractions(a.coeffs))]:
         assert got.coeffs == tuple(expected)
         assert_normal(got)
+
+
+@st.composite
+def flat_and_nested(draw, r):
+    """One polynomial as a flat MPoly and as its nested oracle copy."""
+    n_terms = draw(st.integers(0, 4))
+    terms = {tuple(draw(st.integers(0, 2)) for _ in range(r)): draw(mixed_cyc(r))
+             for _ in range(n_terms)}
+    return MPoly(r, terms), NestedMPoly(r, terms)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_flat_arithmetic_matches_the_nested_oracle(r, data):
+    # products reduce z-degrees >= euler_phi(r); a random c makes the
+    # second division inexact, and both sides must raise then
+    (a, A), (b, B), (c, C) = (data.draw(flat_and_nested(r)) for _ in range(3))
+    for got, expected in [(a * b, A * B), (a - b, A - B), (a + b, A + B), (-a, -A)]:
+        assert dict(got.terms) == expected.terms
+    if b:
+        assert (a * b).divexact(b) == a
+        assert dict(a.terms) == (A * B).divexact(B).terms
+        p, P = a * b + c, A * B + C
+        assert (_outcome(lambda: dict(p.divexact(b).terms))
+                == _outcome(lambda: P.divexact(B).terms))
+
+
+MALFORMED_EXPONENTS = [
+    "MPoly(2, {(-1, 0): 1}).eval((2, 3))",
+    "MPoly(2, {(1, 0): 1}) * MPoly(2, {(0, 1, 5): 1})",
+    "MPoly(2, {(1,): 1})",
+    "MPoly(1, {(2**31,): 1})",
+]
+
+
+@pytest.mark.parametrize("probe", MALFORMED_EXPONENTS)
+def test_constructor_rejects_a_malformed_exponent_vector(probe):
+    # a negative exponent was evaluated as if it were 0, and a vector of
+    # length r + 1 was truncated by zip in a product
+    with pytest.raises(ValueError, match="exponent vector"):
+        eval(probe)
+
+
+def test_malformed_exponent_vectors_are_rejected_under_O():
+    script = "\n".join(["from colorpart.scalars import MPoly",
+                        "for probe in %r:" % (MALFORMED_EXPONENTS,),
+                        "    try:",
+                        "        eval(probe)",
+                        "    except ValueError:",
+                        "        continue",
+                        "    raise SystemExit('accepted: ' + probe)"])
+    src = os.path.dirname(os.path.dirname(colorpart.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_product_exponent_past_the_key_field_raises():
+    big = MPoly.monomial(2, (0, 2**30))
+    assert (big * MPoly.variable(2, 1)).degree_in(1) == 2**30 + 1
+    with pytest.raises(OverflowError):
+        big * big
 
 
 def test_phi_and_zeta_powers_are_integer():
