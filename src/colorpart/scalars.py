@@ -19,10 +19,10 @@ monomial product is one integer addition and int order is lex order.  A
 product's z-degrees d..2d-2 are rewritten by the same reduction rows as
 CycNumber's.  At a rational point, evaluation sums coordinate times
 monomial value per z-degree and builds one CycNumber at the end; exact
-division forms a CycNumber only for an irrational leading coefficient.  `terms` is a read-only {y-exponents:
-CycNumber} view built on demand.  The constructor rejects an exponent
-vector that is not r ints in 0..2^31 - 1; arithmetic results skip the
-check.
+division forms a CycNumber only for an irrational leading coefficient.
+`terms` is a read-only {y-exponents: CycNumber} view built on demand.
+The constructor rejects an exponent vector that is not r ints in
+0..2^31 - 1; arithmetic results skip the check.
 """
 
 from fractions import Fraction
