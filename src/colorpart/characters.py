@@ -551,27 +551,11 @@ def xt_fixed_points(r, l, m, n, t):
     return MappingProxyType(table)
 
 
-@lru_cache(maxsize=None)
-def _xt_inner_sums(r, l, m, n, t, nu_bar):
-    """sum_{T3} chi_nu(T3) fixed(T1, T2, T3) for each (T1, T2) of the
-    fixed-point table, a read-only map: it depends on the third label
-    only, so every (lam, mu) of sizes (l, m) shares it."""
-    chi3 = wreath_char_table(r, n)[2][nu_bar]
-    sums = {}
-    for (T1, T2), run in groupby(xt_fixed_points(r, l, m, n, t).items(),
-                                 key=lambda item: item[0][:2]):
-        inner = CycNumber.zero(r)
-        for (_, _, T3), fixed in run:
-            inner = inner + chi3[T3] * fixed
-        sums[T1, T2] = inner
-    return MappingProxyType(sums)
-
-
 def xt_multiplicity_oracle(r, lam_bar, mu_bar, nu_bar, t):
     """Multiplicity of S(lam) x S(mu)* x S(nu)* in k X^t: the inner product
     of its character with the permutation character of X^t (Cauchy-
     Frobenius), sum_{T1,T2} chi1 chi2 (sum_{T3} chi3 fixed) over the
-    class-summed fixed points, the inner sums cached per nu."""
+    class-summed fixed points."""
     labels = (lam_bar, mu_bar, nu_bar)
     l, m, n = (weight(label) for label in labels)
     rows, order = [], 1
@@ -581,9 +565,13 @@ def xt_multiplicity_oracle(r, lam_bar, mu_bar, nu_bar, t):
         _, sizes, table = wreath_char_table(r, size)
         rows.append(table[label])
         order *= sum(sizes.values())
-    chi1, chi2, _ = rows
-    total = CycNumber.zero(r)
-    for (T1, T2), inner in _xt_inner_sums(r, l, m, n, t, nu_bar).items():
+    chi1, chi2, chi3 = rows
+    total = zero = CycNumber.zero(r)
+    for (T1, T2), run in groupby(xt_fixed_points(r, l, m, n, t).items(),
+                                 key=lambda item: item[0][:2]):
+        inner = zero
+        for (_, _, T3), fixed in run:
+            inner = inner + chi3[T3] * fixed
         total = total + chi1[T1] * chi2[T2] * inner
     val = (total * Fraction(1, order)).as_rational()
     if val.denominator != 1 or val < 0:

@@ -22,7 +22,8 @@ monomial value per z-degree and builds one CycNumber at the end; exact
 division forms a CycNumber only for an irrational leading coefficient.
 `terms` is a read-only {y-exponents: CycNumber} view built on demand.
 The constructor rejects an exponent vector that is not r ints in
-0..2^31 - 1; arithmetic results skip the check.
+0..2^31 - 1 and a coefficient that is not an int, Fraction or CycNumber;
+arithmetic results skip the check.
 """
 
 from fractions import Fraction
@@ -328,8 +329,9 @@ class MPoly:
 
     def __init__(self, r, terms):
         """terms maps exponent vectors, r non-negative ints each, to ints,
-        Fractions or CycNumbers of order r; anything else raises
-        ValueError."""
+        Fractions or CycNumbers of order r.  A malformed exponent vector or
+        a CycNumber of another order raises ValueError, a coefficient of
+        any other type TypeError."""
         _, shifts, _ = _layout(r)
         flat = {}
         for exps, c in terms.items():
@@ -341,8 +343,11 @@ class MPoly:
                 if c.r != r:
                     raise ValueError("mixed cyclotomic orders")
                 coords = c.coeffs
-            else:
+            elif isinstance(c, (int, Fraction)):
                 coords = (_exact(c),)
+            else:
+                raise TypeError("coefficient %r is not an int, Fraction or CycNumber"
+                                % (c,))
             base = sum(e << s for e, s in zip(exps, shifts))
             for z, a in enumerate(coords):
                 if a:

@@ -462,9 +462,6 @@ def test_k_coefficient_rejects_a_negative_value(monkeypatch):
 
 def test_xt_oracle_rejects_a_negative_value(monkeypatch):
     _patch_minus_one_table(monkeypatch)
-    # an empty inner-sum cache for this test, so the patched table is read
-    # and no sum of it outlives the test
-    monkeypatch.setattr(C, "_xt_inner_sums", lru_cache(C._xt_inner_sums.__wrapped__))
     with pytest.raises(ArithmeticError, match="non-negative"):
         xt_multiplicity_oracle(1, ((),), ((),), ((),), 0)
 

@@ -414,27 +414,6 @@ def test_cell_determinants_match_the_nested_oracle(r, k):
                 assert NestedMPoly.of(det) == nested_det_bareiss(gram_matrix(r, k, lam_bar), r)
 
 
-def det_at(M, x):
-    """Determinant of M evaluated at x, by Gaussian elimination with field
-    division over Q(zeta_r); no Bareiss step and no MPoly product."""
-    rows = [[e.eval(x) for e in row] for row in M]
-    det = CycNumber.one(len(x))
-    for t in range(len(rows)):
-        p = next((s for s in range(t, len(rows)) if rows[s][t]), None)
-        if p is None:
-            return CycNumber.zero(len(x))
-        if p != t:
-            rows[t], rows[p] = rows[p], rows[t]
-            det = -det
-        det = det * rows[t][t]
-        inv = rows[t][t].inverse()
-        for s in range(t + 1, len(rows)):
-            if rows[s][t]:
-                f = rows[s][t] * inv
-                rows[s] = [a - f * b for a, b in zip(rows[s], rows[t])]
-    return det
-
-
 def test_rank0_determinant_r3_k2_is_frozen():
     # the 12x12 Gram determinant as the nested Bareiss printed it; read
     # through the cache that c12 fills
@@ -444,7 +423,7 @@ def test_rank0_determinant_r3_k2_is_frozen():
         "707a48be29abef83a3a69d8c8a7b8efbbf2907edacc215d71d10d0ff709cc263")
     M = gram_matrix(3, 2, RANK0_R3_K2)
     for x in [(2, 1, 1), (5, -2, Fraction(1, 3))]:
-        assert det.eval(x) == det_at(M, x)
+        assert det.eval(x) == eliminate_at(M, x)[1]
     assert det.eval((2, 1, 1))
 
 
@@ -470,18 +449,24 @@ def test_top_cell_form_is_nondegenerate(r, lam_bar):
     assert gram_det(r, weight(lam_bar), lam_bar)
 
 
-def rank_at(M, x):
-    """Rank of the Gram matrix M at the point x, by exact elimination over
-    Q(zeta_r), in Fractions where r <= 2."""
+def eliminate_at(M, x):
+    """(rank, determinant) of the matrix M at the point x, by Gaussian
+    elimination with field division over Q(zeta_r), in Fractions where
+    r <= 2; no Bareiss step and no MPoly product.  The determinant is 0
+    where the rank falls short."""
     rows = [[e.eval(x) for e in row] for row in M]
     if len(x) <= 2:
         rows = [[Fraction(v.as_rational()) for v in row] for row in rows]
-    rank = 0
+    rank, det = 0, 1
     for c in range(len(rows[0]) if rows else 0):
         p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if p is None:
+            det = 0
             continue
-        rows[rank], rows[p] = rows[p], rows[rank]
+        if p != rank:
+            rows[rank], rows[p] = rows[p], rows[rank]
+            det = -det
+        det = det * rows[rank][c]
         inv = 1 / rows[rank][c]
         pivot = [v * inv for v in rows[rank]]
         for i in range(rank + 1, len(rows)):
@@ -489,7 +474,7 @@ def rank_at(M, x):
             if f:
                 rows[i] = [a - f * b for a, b in zip(rows[i], pivot)]
         rank += 1
-    return rank
+    return rank, det
 
 
 @pytest.mark.parametrize("r, k, points", [
@@ -505,7 +490,7 @@ def test_cell_ranks_square_to_the_semisimple_quotient(r, k, points):
     grams = [gram_matrix(r, k, lam_bar)
              for i in range(k + 1) for lam_bar in multipartitions(r, i)]
     for x, expected in points.items():
-        assert sum(rank_at(M, x) ** 2 for M in grams) == expected
+        assert sum(eliminate_at(M, x)[0] ** 2 for M in grams) == expected
     assert count_bell(2 * k, r) == max(points.values())
 
 

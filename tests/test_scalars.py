@@ -370,6 +370,12 @@ def test_constructor_rejects_a_malformed_exponent_vector(probe):
         eval(probe)
 
 
+@pytest.mark.parametrize("coeff", [object(), 0.5, "1/2"])
+def test_constructor_rejects_a_coefficient_that_is_not_exact(coeff):
+    with pytest.raises(TypeError, match="coefficient"):
+        MPoly(2, {(1, 0): coeff})
+
+
 def test_malformed_exponent_vectors_are_rejected_under_O():
     script = "\n".join(["from colorpart.scalars import MPoly",
                         "for probe in %r:" % (MALFORMED_EXPONENTS,),
