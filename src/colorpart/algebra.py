@@ -1,5 +1,11 @@
 """The colored partition monoid CPar_k: the colored partition algebra
 CPar_k(x) with every parameter evaluated at 1.
+
+Its generators s_0, s_i, p_i, q_i and their relations, and one monoid
+kernel: a cached breadth-first closure of the generators with its right
+and left Cayley graphs, from which generated_closure and the Green's L, R
+and J classes are read.  The kernel composes no diagram: a generator acts
+on a flat block-label code of an element by a local edit.
 """
 
 from functools import lru_cache
@@ -256,46 +262,155 @@ def enumerate_monoid(k, r, cap=MONOID_CAP):
     return elems
 
 
-def monoid_generators(k, r):
-    """s_0, s_i, p_i, q_i; CPar_0 = {identity} needs none."""
+def _generators(k, r):
+    """(diagram, code edit, i) of s_0, s_1..s_{k-1}, p_1..p_k, q_1..q_{k-1}:
+    the one list that monoid_generators and the closure's actions read."""
     if k == 0:
         return []
-    gens = [gen_s0(k, r)]
-    gens += [gen_s(i, k, r) for i in range(1, k)]
-    gens += [gen_p(i, k, r) for i in range(1, k + 1)]
-    gens += [gen_q(i, k, r) for i in range(1, k)]
+    gens = [(gen_s0(k, r), _recolor, 1)]
+    gens += [(gen_s(i, k, r), _swap, i) for i in range(1, k)]
+    gens += [(gen_p(i, k, r), _cut, i) for i in range(1, k + 1)]
+    gens += [(gen_q(i, k, r), _merge, i) for i in range(1, k)]
     return gens
+
+
+def monoid_generators(k, r):
+    """s_0, s_i, p_i, q_i; CPar_0 = {identity} needs none."""
+    return [g for g, _, _ in _generators(k, r)]
+
+
+# -- the closure kernel: generators as edits of a block-label code ------------
+#
+# The code of a (k, k) diagram lists the block label of each vertex in the
+# order t1, b1, ..., tk, bk, with blocks numbered by first appearance (the
+# canonical block order), followed by the color of each block.  An edit
+# acts at position pos, the vertex i of one side (2i - 1 for the bottom
+# row, the right action; 2i - 2 for the top row, the left one), and at
+# pos + 2, the vertex i + 1 of the same side.  Every generator is fixed by
+# flip_keep, so g * d is the same edit of d's top row as d * g is of its
+# bottom row.
+
+
+def _renumber(labels, colors):
+    """The code of a labelling whose block with label x has color
+    colors[x]: labels renumbered by first appearance, then the colors in
+    that order.  A label that no vertex carries drops out with its color."""
+    new = {}
+    for x in labels:
+        if x not in new:
+            new[x] = len(new)
+    return tuple([new[x] for x in labels] + [colors[x] for x in new])
+
+
+def _recolor(code, n, pos, r):
+    """s_0: the block of vertex pos gains color 1."""
+    j = n + code[pos]
+    return code[:j] + ((code[j] + 1) % r,) + code[j + 1:]
+
+
+def _swap(code, n, pos, r):
+    """s_i: vertices pos and pos + 2 trade blocks."""
+    a, b = code[pos], code[pos + 2]
+    if a == b:
+        return code
+    labels = list(code[:n])
+    labels[pos], labels[pos + 2] = b, a
+    return _renumber(labels, code[n:])
+
+
+def _cut(code, n, pos, r):
+    """p_i: vertex pos moves to a new singleton block of color 0; a block
+    it leaves empty closed into a middle-only loop and is dropped."""
+    labels = list(code[:n])
+    labels[pos] = len(code) - n
+    return _renumber(labels, code[n:] + (0,))
+
+
+def _merge(code, n, pos, r):
+    """q_i: the blocks of vertices pos and pos + 2 merge, colors added."""
+    a, b = code[pos], code[pos + 2]
+    if a == b:
+        return code
+    colors = list(code[n:])
+    colors[a] = (colors[a] + colors[b]) % r
+    return _renumber([a if x == b else x for x in code[:n]], colors)
+
+
+def _encode(d):
+    """The code of a (k, k) diagram; its blocks are in canonical order."""
+    labels = [0] * (2 * d.k)
+    for j, (top, bot, _) in enumerate(d.blocks):
+        for v in top:
+            labels[2 * v - 2] = j
+        for v in bot:
+            labels[2 * v - 1] = j
+    return tuple(labels) + tuple(c for _, _, c in d.blocks)
+
+
+def _decode(code, r, k, shapes):
+    """The diagram of a code, by the trusted constructor: the vertices of
+    each block come in increasing order, and the blocks in canonical one.
+    shapes keeps the vertex tuples of each labelling, so that diagrams
+    with one labelling share them."""
+    n = 2 * k
+    labels = code[:n]
+    shape = shapes.get(labels)
+    if shape is None:
+        blocks = [([], []) for _ in range(len(code) - n)]
+        for pos, x in enumerate(labels):
+            blocks[x][pos & 1].append(pos // 2 + 1)
+        shape = shapes[labels] = [(tuple(top), tuple(bot))
+                                  for top, bot in blocks]
+    return ColoredDiagram._canonical(r, k, k, tuple([
+        (top, bot, c) for (top, bot), c in zip(shape, code[n:])]))
 
 
 class _Closure:
     """Breadth-first closure of the generators from the identity, with
     every element interned to its index (Froidure & Pin 1997).
 
-    right[i][j] is the index of elems[i] * gens[j]: the search multiplies
-    on the right, |M| * |gens| products.  left[i][j], the index of
-    gens[j] * elems[i], is built on first use, |M| * |gens| more.
+    The search runs on codes, and a generator acts on a code by one local
+    edit (see above), so no diagram is composed.  right[i][j] is the index
+    of elems[i] * gens[j]: the search edits bottom rows, |M| * |gens|
+    edits.  left[i][j], the index of gens[j] * elems[i], is built on first
+    use, |M| * |gens| more edits of the top rows.  The codes are decoded
+    into elems once, at the end; codes and index stay for the left graph.
     """
 
     def __init__(self, k, r):
-        gens = self.gens = monoid_generators(k, r)
-        elems = self.elems = [ColoredDiagram.identity(r, k)]
-        index = self.index = {elems[0].blocks: 0}  # r, k, l fixed: blocks suffice
-        self.right, self._left = [], None
-        for d in elems:    # elems grows while the loop reads it
+        n = 2 * k
+        start = _encode(ColoredDiagram.identity(r, k))
+        # (edit, position of bottom vertex i); the top vertex i is one before
+        self.edits = []
+        for g, edit, i in _generators(k, r):
+            # an explicit check, so that it holds under python -O as well
+            if {edit(start, n, pos, r) for pos in (2 * i - 1, 2 * i - 2)} \
+                    != {_encode(g)}:
+                raise RuntimeError("the edits for %r do not give it" % g)
+            self.edits.append((edit, 2 * i - 1))
+        codes = self.codes = [start]
+        index = self.index = {start: 0}
+        right = self.right = []
+        for c in codes:    # codes grows while the loop reads it
             row = []
-            for g in gens:
-                x = compose(d, g)[0]
-                j = index.setdefault(x.blocks, len(elems))
-                if j == len(elems):
-                    elems.append(x)
+            for edit, pos in self.edits:
+                x = edit(c, n, pos, r)
+                j = index.get(x)
+                if j is None:
+                    j = index[x] = len(codes)
+                    codes.append(x)
                 row.append(j)
-            self.right.append(row)
+            right.append(row)
+        shapes = {}
+        self.elems = [_decode(c, r, k, shapes) for c in codes]
+        self.n, self.r, self._left = n, r, None
 
     @property
     def left(self):
         if self._left is None:
-            self._left = [[self.index[compose(g, d)[0].blocks]
-                           for g in self.gens] for d in self.elems]
+            index, n, r = self.index, self.n, self.r
+            self._left = [[index[edit(c, n, pos - 1, r)]
+                           for edit, pos in self.edits] for c in self.codes]
         return self._left
 
 

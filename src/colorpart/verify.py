@@ -255,7 +255,7 @@ def check_presentation(cfg):
                             "failures": rep["failures"]})
             ok = ok and rep["ok"]
     closures = {}
-    for k, r in [(2, 3), (3, 2)]:
+    for k, r in [(2, 3), (3, 2), (4, 1)]:
         closed = algebra.generated_closure(k, r, cap=cfg.monoid_cap)
         full = algebra.enumerate_monoid(k, r, cap=cfg.monoid_cap)
         closures["%d,%d" % (k, r)] = len(closed)
@@ -383,7 +383,7 @@ def check_green(cfg):
     """Cayley-graph L/R/J classes equal the tableau-invariant classes."""
     details = []
     ok = True
-    for k, r in [(2, 2), (1, 3), (2, 3), (3, 2)]:
+    for k, r in [(2, 2), (1, 3), (2, 3), (3, 2), (4, 1)]:
         elems = algebra.enumerate_monoid(k, r, cap=cfg.monoid_cap)
         invariants = {d: green_invariants(d) for d in elems}
         for rel in ("L", "R", "J"):

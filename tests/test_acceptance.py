@@ -52,7 +52,7 @@ def test_c02_counting():
 def test_c03_presentation_and_generation():
     rep = timed(verify.check_presentation, 120)
     assert all(not entry["failures"] for entry in rep["relations"])
-    assert rep["closure_sizes"] == {"2,3": 309, "3,2": 2430}
+    assert rep["closure_sizes"] == {"2,3": 309, "3,2": 2430, "4,1": 4140}
 
 
 def test_c04_groupoid_expansion():

@@ -1,9 +1,13 @@
 """Monoid presentation, generation and Green's relations."""
 
+import subprocess
+import sys
+
 import pytest
 
 from colorpart import algebra
-from colorpart.diagrams import ColoredDiagram, count_bell, enumerate_diagrams
+from colorpart.diagrams import (ColoredDiagram, compose, count_bell,
+                                enumerate_diagrams)
 from colorpart.rs import green_invariants
 
 
@@ -24,6 +28,59 @@ def green_classes_by_ideals(k, r, relation):
     for m in elems:
         classes.setdefault(key[m], []).append(m)
     return list(classes.values())
+
+
+class ComposeClosure:
+    """Oracle for algebra._Closure: the same breadth-first closure, each
+    product a full diagram composition.  right[i][j] is the index of
+    elems[i] * gens[j], left[i][j] that of gens[j] * elems[i]."""
+
+    def __init__(self, k, r):
+        gens = algebra.monoid_generators(k, r)
+        elems = self.elems = [ColoredDiagram.identity(r, k)]
+        index = {elems[0].blocks: 0}  # r, k, l fixed: blocks suffice
+        self.right = []
+        for d in elems:    # elems grows while the loop reads it
+            row = []
+            for g in gens:
+                x = compose(d, g)[0]
+                j = index.setdefault(x.blocks, len(elems))
+                if j == len(elems):
+                    elems.append(x)
+                row.append(j)
+            self.right.append(row)
+        self.left = [[index[compose(g, d)[0].blocks] for g in gens]
+                     for d in elems]
+
+
+@pytest.mark.parametrize("k, r", [(k, r) for k in (1, 2, 3) for r in (1, 2, 3)]
+                         + [(4, 1)])
+def test_code_edits_equal_the_composition_oracle(k, r):
+    # every element, every generator, on both sides; a code decodes to its
+    # diagram, so equal codes are equal products
+    n = 2 * k
+    gens = algebra._generators(k, r)
+    shapes = {}
+    for d in enumerate_diagrams(r, k, k):
+        code = algebra._encode(d)
+        assert algebra._decode(code, r, k, shapes) == d
+        for g, edit, i in gens:
+            assert edit(code, n, 2 * i - 1, r) == algebra._encode(
+                compose(d, g)[0]), (d, g)
+            assert edit(code, n, 2 * i - 2, r) == algebra._encode(
+                compose(g, d)[0]), (g, d)
+
+
+@pytest.mark.parametrize("k, r", [(0, 1), (0, 3), (1, 1), (1, 2), (1, 3),
+                                  (1, 4), (2, 1), (2, 2), (2, 3), (3, 1),
+                                  (3, 2), (4, 1)])
+def test_closure_equals_the_composition_closure(k, r):
+    # same elements in the same order, same right and left Cayley graphs
+    kernel, oracle = algebra._Closure(k, r), ComposeClosure(k, r)
+    assert [repr(d) for d in kernel.elems] == [repr(d) for d in oracle.elems]
+    assert kernel.elems == oracle.elems
+    assert kernel.right == oracle.right
+    assert kernel.left == oracle.left
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -117,18 +174,27 @@ def fresh_closures():
 
 
 def test_green_classes_share_one_closure(monkeypatch, fresh_closures):
-    # one right and one left graph: 2 * |CPar_2| * |gens| = 2 * 94 * 5 at r = 2
-    compose = algebra.compose
-    calls = []
+    # one closure build, with one right and one left graph:
+    # 2 * |CPar_2| * |gens| = 2 * 94 * 5 edits at r = 2, plus the build's
+    # check of each generator's two edits on the identity
+    generators = algebra._generators
+    builds, edits = [], []
 
-    def counted(d1, d2):
-        calls.append(1)
-        return compose(d1, d2)
+    def counted(edit):
+        def counted_edit(*args):
+            edits.append(1)
+            return edit(*args)
+        return counted_edit
 
-    monkeypatch.setattr(algebra, "compose", counted)
+    def counted_generators(k, r):
+        builds.append((k, r))
+        return [(g, counted(edit), i) for g, edit, i in generators(k, r)]
+
+    monkeypatch.setattr(algebra, "_generators", counted_generators)
     for relation in ("L", "R", "J"):
         algebra.green_classes(2, 2, relation)
-    assert len(calls) == 2 * 94 * 5
+    assert builds == [(2, 2)]
+    assert len(edits) == 2 * 94 * 5 + 2 * 5
 
 
 def test_size_cap_admits_exactly_cap_elements():
@@ -170,7 +236,37 @@ def test_integrity_checks_raise(monkeypatch, fresh_closures):
     with pytest.raises(RuntimeError):
         algebra.enumerate_monoid(1, 2)
     monkeypatch.undo()
-    gens = algebra.monoid_generators
-    monkeypatch.setattr(algebra, "monoid_generators", lambda k, r: gens(k, r)[1:])
-    with pytest.raises(RuntimeError):
+    # the diagrams and the edits come from one list: without s_0 the
+    # closure misses the colored elements
+    gens = algebra._generators
+    monkeypatch.setattr(algebra, "_generators", lambda k, r: gens(k, r)[1:])
+    assert len(algebra.monoid_generators(2, 2)) == 4
+    with pytest.raises(RuntimeError, match="generators reach"):
         algebra.green_classes(2, 2, "R")
+
+
+def test_an_edit_that_does_not_give_its_generator_raises(monkeypatch,
+                                                         fresh_closures):
+    gens = algebra._generators
+
+    def s0_cut(k, r):
+        (g, _, i), *rest = gens(k, r)
+        return [(g, algebra._cut, i)] + rest
+
+    monkeypatch.setattr(algebra, "_generators", s0_cut)
+    with pytest.raises(RuntimeError, match="do not give it"):
+        algebra.generated_closure(2, 2)
+
+
+def test_the_edit_check_holds_under_O():
+    script = ("from colorpart import algebra as a\n"
+              "gens = a._generators\n"
+              "a._generators = lambda k, r: [(g, a._merge, i)"
+              " for g, _, i in gens(k, r)]\n"
+              "try:\n"
+              "    a.generated_closure(2, 2)\n"
+              "except RuntimeError:\n"
+              "    print('raised')\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "raised\n"

@@ -89,6 +89,39 @@ def test_compose_malformed_json():
     assert "malformed JSON" in res.output
 
 
+ONE = {"r": 2, "k": 1, "l": 1, "blocks": [{"top": [1], "bot": [1], "c": 0}]}
+
+
+def _without(data, field):
+    return {name: v for name, v in data.items() if name != field}
+
+
+@pytest.mark.parametrize("diagram, message", [
+    ([], "diagram must be a JSON object, not list"),
+    (5, "diagram must be a JSON object, not int"),
+    (_without(ONE, "r"), "diagram has no field 'r'"),
+    (_without(ONE, "k"), "diagram has no field 'k'"),
+    (_without(ONE, "l"), "diagram has no field 'l'"),
+    (_without(ONE, "blocks"), "diagram has no field 'blocks'"),
+    (dict(ONE, blocks={}), "field 'blocks' must be a list"),
+    (dict(ONE, blocks=[[1]]), "block 0 must be a JSON object, not list"),
+    (dict(ONE, blocks=[_without(ONE["blocks"][0], "top")]),
+     "block 0 has no field 'top'"),
+    (dict(ONE, blocks=[_without(ONE["blocks"][0], "bot")]),
+     "block 0 has no field 'bot'"),
+    (dict(ONE, blocks=[_without(ONE["blocks"][0], "c")]),
+     "block 0 has no field 'c'"),
+    (dict(ONE, blocks=[dict(ONE["blocks"][0], top=1)]),
+     "block 0: field 'top' must be a list"),
+    (dict(ONE, blocks=[dict(ONE["blocks"][0], bot="1")]),
+     "block 0: field 'bot' must be a list"),
+])
+def test_a_malformed_diagram_names_its_field(diagram, message):
+    res = run("compose", "--d1", json.dumps(diagram), "--d2", json.dumps(ONE))
+    assert_usage_error(res)
+    assert res.output.splitlines()[-1] == "Error: bad diagram: " + message
+
+
 def test_thm_check_bundled_example():
     res = run("thm-check", "--r", "3", "--example", "paper")
     assert res.exit_code == 0
