@@ -303,7 +303,7 @@ def _renumber(labels, colors):
 
 
 def _recolor(code, n, pos, r):
-    """s_0: the block of vertex pos gains color 1."""
+    """s_0: the color of the block of vertex pos goes up by 1 (mod r)."""
     j = n + code[pos]
     return code[:j] + ((code[j] + 1) % r,) + code[j + 1:]
 
@@ -327,13 +327,18 @@ def _cut(code, n, pos, r):
 
 
 def _merge(code, n, pos, r):
-    """q_i: the blocks of vertices pos and pos + 2 merge, colors added."""
+    """q_i: the blocks of vertices pos and pos + 2 merge, colors added.
+    Blocks are numbered in order of first appearance, so the merged block
+    keeps the smaller number and the blocks after the larger move down one;
+    nothing else needs renumbering."""
     a, b = code[pos], code[pos + 2]
     if a == b:
         return code
+    if a > b:
+        a, b = b, a
     colors = list(code[n:])
-    colors[a] = (colors[a] + colors[b]) % r
-    return _renumber([a if x == b else x for x in code[:n]], colors)
+    colors[a] = (colors[a] + colors.pop(b)) % r
+    return (*[a if x == b else x - (x > b) for x in code[:n]], *colors)
 
 
 def _encode(d):
