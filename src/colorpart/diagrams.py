@@ -150,34 +150,36 @@ class ColoredDiagram:
     def from_json(data):
         if isinstance(data, str):
             data = json.loads(data)
-        _fields(data, "diagram", ("r", "k", "l", "blocks"))
-        if not isinstance(data["blocks"], list):
-            raise MalformedDiagram("field 'blocks' must be a list")
-        blocks = []
-        for i, b in enumerate(data["blocks"]):
-            what = "block %d" % i
-            _fields(b, what, ("top", "bot", "c"))
-            for side in ("top", "bot"):
-                if not isinstance(b[side], list):
-                    raise MalformedDiagram("%s: field '%s' must be a list"
-                                           % (what, side))
-            blocks.append((b["top"], b["bot"], b["c"]))
-        numbers = [data["r"], data["k"], data["l"]]
-        for top, bot, c in blocks:
-            numbers += list(top) + list(bot) + [c]
+        _fields(data, "diagram", ("r", "k", "l", "blocks"), ("blocks",))
+        try:
+            blocks = [(b["top"], b["bot"], b["c"]) for b in data["blocks"]]
+            numbers = [data["r"], data["k"], data["l"]]
+            for top, bot, c in blocks:
+                numbers += list(top) + list(bot) + [c]
+        except (KeyError, TypeError):
+            # a block lacks a field or has a mistyped one: name it, at no
+            # cost to a well-formed diagram
+            for i, b in enumerate(data["blocks"]):
+                _fields(b, "block %d" % i, ("top", "bot", "c"), ("top", "bot"))
+            raise
         if any(type(v) is not int for v in numbers):
             raise MalformedDiagram("r, k, l, vertices and colors must be integers")
         return ColoredDiagram(data["r"], data["k"], data["l"], blocks)
 
 
-def _fields(data, what, names):
-    """MalformedDiagram unless data is a JSON object with every field."""
+def _fields(data, what, names, lists):
+    """MalformedDiagram unless data is a JSON object with every field in
+    names, each field in lists a list; the message names the first fault."""
     if not isinstance(data, dict):
         raise MalformedDiagram("%s must be a JSON object, not %s"
                                % (what, type(data).__name__))
     for name in names:
         if name not in data:
             raise MalformedDiagram("%s has no field '%s'" % (what, name))
+    for name in lists:
+        if not isinstance(data[name], list):
+            raise MalformedDiagram("%s: field '%s' must be a list"
+                                   % (what, name))
 
 
 def compose(d1, d2):

@@ -246,20 +246,8 @@ def test_integrity_checks_raise(monkeypatch, fresh_closures):
         algebra.green_classes(2, 2, "R")
 
 
-def test_an_edit_that_does_not_give_its_generator_raises(monkeypatch,
-                                                         fresh_closures):
-    gens = algebra._generators
-
-    def s0_cut(k, r):
-        (g, _, i), *rest = gens(k, r)
-        return [(g, algebra._cut, i)] + rest
-
-    monkeypatch.setattr(algebra, "_generators", s0_cut)
-    with pytest.raises(RuntimeError, match="do not give it"):
-        algebra.generated_closure(2, 2)
-
-
-def test_the_edit_check_holds_under_O():
+def test_an_edit_that_does_not_give_its_generator_raises_under_O():
+    # every generator paired with the merge edit: s_0, the first, fails
     script = ("from colorpart import algebra as a\n"
               "gens = a._generators\n"
               "a._generators = lambda k, r: [(g, a._merge, i)"

@@ -103,7 +103,7 @@ def _without(data, field):
     (_without(ONE, "k"), "diagram has no field 'k'"),
     (_without(ONE, "l"), "diagram has no field 'l'"),
     (_without(ONE, "blocks"), "diagram has no field 'blocks'"),
-    (dict(ONE, blocks={}), "field 'blocks' must be a list"),
+    (dict(ONE, blocks={}), "diagram: field 'blocks' must be a list"),
     (dict(ONE, blocks=[[1]]), "block 0 must be a JSON object, not list"),
     (dict(ONE, blocks=[_without(ONE["blocks"][0], "top")]),
      "block 0 has no field 'top'"),
@@ -113,7 +113,7 @@ def _without(data, field):
      "block 0 has no field 'c'"),
     (dict(ONE, blocks=[dict(ONE["blocks"][0], top=1)]),
      "block 0: field 'top' must be a list"),
-    (dict(ONE, blocks=[dict(ONE["blocks"][0], bot="1")]),
+    (dict(ONE, blocks=[dict(ONE["blocks"][0], bot=None)]),
      "block 0: field 'bot' must be a list"),
 ])
 def test_a_malformed_diagram_names_its_field(diagram, message):
