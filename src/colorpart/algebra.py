@@ -8,7 +8,7 @@ and J classes are read.  The kernel composes no diagram: a generator acts
 on a flat block-label code of an element by a local edit.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .diagrams import ColoredDiagram, compose, count_bell, enumerate_diagrams
 
@@ -380,6 +380,8 @@ class _Closure:
     edits.  left[i][j], the index of gens[j] * elems[i], is built on first
     use, |M| * |gens| more edits of the top rows.  The codes are decoded
     into elems once, at the end; codes and index stay for the left graph.
+    by_repr, the indices in the repr order of their elements, is also
+    sorted on first use.
     """
 
     def __init__(self, k, r):
@@ -408,15 +410,18 @@ class _Closure:
             right.append(row)
         shapes = {}
         self.elems = [_decode(c, r, k, shapes) for c in codes]
-        self.n, self.r, self._left = n, r, None
+        self.n, self.r = n, r
 
-    @property
+    @cached_property
     def left(self):
-        if self._left is None:
-            index, n, r = self.index, self.n, self.r
-            self._left = [[index[edit(c, n, pos - 1, r)]
-                           for edit, pos in self.edits] for c in self.codes]
-        return self._left
+        index, n, r = self.index, self.n, self.r
+        return [[index[edit(c, n, pos - 1, r)] for edit, pos in self.edits]
+                for c in self.codes]
+
+    @cached_property
+    def by_repr(self):
+        elems = self.elems
+        return sorted(range(len(elems)), key=lambda i: repr(elems[i]))
 
 
 # a few closures are kept, so that the classes of one monoid share one
@@ -500,6 +505,6 @@ def green_classes(k, r, relation, cap=MONOID_CAP):
         graph = [a + b for a, b in zip(closure.right, closure.left)]
     key = _strong_components(graph)
     classes = {}
-    for i in sorted(range(n), key=lambda i: repr(elems[i])):
+    for i in closure.by_repr:
         classes.setdefault(key[i], []).append(elems[i])
     return list(classes.values())

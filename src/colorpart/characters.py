@@ -215,10 +215,6 @@ def ginv(r, g):
     return colors, tinv
 
 
-def g_identity(n):
-    return (0,) * n, tuple(range(1, n + 1))
-
-
 @lru_cache(maxsize=None)
 def g_elements(r, n):
     perms = list(permutations(range(1, n + 1)))
@@ -316,11 +312,12 @@ def wreath_char_table(r, n):
 # -- Kronecker coefficients ---------------------------------------------------
 
 
-def kronecker(lam, mu, nu, n):
-    """Symmetric group Kronecker coefficient at size n (padded sizes must
-    already match n)."""
-    if not sum(lam) == sum(mu) == sum(nu) == n:
-        raise ValueError("partition sizes do not all equal %d" % n)
+def kronecker(lam, mu, nu):
+    """Symmetric group Kronecker coefficient of three partitions of one size
+    n: (1/n!) sum over S_n of chi^lam chi^mu chi^nu, by classes."""
+    n = sum(lam)
+    if not n == sum(mu) == sum(nu):
+        raise ValueError("partition sizes %d, %d, %d differ" % (n, sum(mu), sum(nu)))
     total = Fraction(0)
     for rho in partitions(n):
         total += (
@@ -329,10 +326,6 @@ def kronecker(lam, mu, nu, n):
     if total.denominator != 1:
         raise ArithmeticError("Kronecker coefficient is not an integer: %s" % total)
     return int(total)
-
-
-class StabilizationError(RuntimeError):
-    pass
 
 
 def _pad(lam, n):
@@ -344,22 +337,25 @@ def _pad(lam, n):
 
 
 def reduced_kronecker(lam, mu, nu):
-    """Stable limit of kronecker(lam[n], mu[n], nu[n]) for large n."""
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    n0 = sum(lam) + sum(mu) + sum(nu)
-    n0 = max(
-        n0,
-        sum(lam) + (lam[0] if lam else 0),
-        sum(mu) + (mu[0] if mu else 0),
-        sum(nu) + (nu[0] if nu else 0),
-    )
-    prev = None
-    for n in range(n0, n0 + 5):
-        val = kronecker(_pad(lam, n), _pad(mu, n), _pad(nu, n), n)
-        if prev is not None and val == prev:
-            return val
-        prev = val
-    raise StabilizationError("no stabilization within window for %r %r %r" % (lam, mu, nu))
+    """Stable limit of kronecker(lam[n], mu[n], nu[n]), x[n] = (n - |x|, x),
+    as one Kronecker coefficient at the stability bound n below.
+
+    g(lam[n], mu[n], nu[n]) is constant for n >= |mu| + |nu| + lam_1
+    (Briand-Orellana-Rosas, J. Algebra 2011; Vallejo, Electron. J. Combin.
+    1999 has a bound of the same kind), cited from memory and not checked
+    against the papers.  g is symmetric in its arguments, so n is the least
+    of the three such bounds, raised to |x| + x_1 for each x so that every
+    x[n] is a partition.  The tests compare the value with the former
+    search (the first two equal consecutive values from n = |lam| + |mu| +
+    |nu| on) and check its constancy from n on, on every triple up to
+    weight 4.
+    """
+    triple = tuple(lam), tuple(mu), tuple(nu)
+    sizes = [sum(x) for x in triple]
+    firsts = [x[0] if x else 0 for x in triple]
+    n = max(min(sum(sizes) - s + f for s, f in zip(sizes, firsts)),
+            *(s + f for s, f in zip(sizes, firsts)))
+    return kronecker(*(_pad(x, n) for x in triple))
 
 
 # -- K-coefficients over H(r,t) -----------------------------------------------

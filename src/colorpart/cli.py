@@ -160,7 +160,9 @@ def cmd_green(k, r, relation, members):
         classes = algebra.green_classes(k, r, relation, cap=cfg.monoid_cap)
     except algebra.CapExceeded as exc:
         raise click.UsageError("cap exceeded: %s" % exc)
-    classes = sorted(classes, key=lambda c: (-len(c), repr(c)))
+    # classes come in the repr order of their first members, which is the
+    # repr order of the lists, as no member's repr is a prefix of another's
+    classes = sorted(classes, key=len, reverse=True)
     out = {"k": k, "r": r, "relation": relation,
            "classes": len(classes), "sizes": [len(c) for c in classes]}
     if members:

@@ -33,7 +33,7 @@ from .characters import (
     wreath_char_table,
 )
 from .diagrams import ColoredDiagram, compose, count_bell, enumerate_diagrams, flip_invert, set_partitions
-from .scalars import CycNumber, MPoly, zeta_pow
+from .scalars import CycNumber, MPoly, _exact, zeta_pow
 
 
 # -- Specht matrices -----------------------------------------------------------
@@ -370,8 +370,9 @@ def cell_dimension(r, k, lam_bar):
 
 def semisimplicity_certificate(r, k, x):
     """Evaluate every Gram determinant at the parameter point x; semisimple
-    iff all are nonzero.  Also checks sum over cells of (dim W)^2 = B_{2k,r}."""
-    x = tuple(Fraction(v) for v in x)
+    iff all are nonzero.  Also checks sum over cells of (dim W)^2 = B_{2k,r}.
+    x holds ints or Fractions; any other coordinate raises TypeError."""
+    x = tuple(Fraction(_exact(v)) for v in x)
     if len(x) != r:
         raise ValueError("parameter point needs %d coordinates" % r)
     if not any(x):

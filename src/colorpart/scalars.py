@@ -37,12 +37,15 @@ _ONE = 1
 
 
 def _exact(c):
-    """c as an int, or as a Fraction when it is not integral."""
+    """c as an int, or as a Fraction when it is not integral; TypeError
+    unless c is an int or a Fraction, so no float or string gets in."""
     if type(c) is int:
         return c
-    if not isinstance(c, Fraction):
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError("%r is not an int or a Fraction" % (c,))
 
 
 def _normalized(coeffs):
@@ -248,12 +251,6 @@ class CycNumber:
         if any(self.coeffs[1:]):
             raise ValueError("not a rational number: %s" % (self,))
         return self.coeffs[0]
-
-    def as_integer(self):
-        q = self.as_rational()
-        if q.denominator != 1:
-            raise ValueError("not an integer: %s" % (self,))
-        return q.numerator
 
     def __repr__(self):
         terms = []

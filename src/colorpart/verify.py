@@ -400,50 +400,59 @@ def check_green(cfg):
     return {"criterion": "green-relations", "ok": ok, "cases": details}
 
 
+def _formula_sweep(r, w):
+    """theorem_formula_check on every triple of r-multipartitions of weight
+    <= w: (triples checked, failures)."""
+    multis = [m for i in range(w + 1) for m in multipartitions(r, i)]
+    failures = []
+    for triple in product(multis, repeat=3):
+        rep = theorem_formula_check(r, *triple)
+        if not rep["ok"]:
+            failures.append(triple + (rep,))
+    return len(multis) ** 3, failures
+
+
 def check_formula(cfg):
     """Product of reduced Kronecker coefficients equals the LR/K sum, on
-    every triple of weight <= 3 at r = 2."""
+    every triple of weight <= 3 at r = 2 and of weight <= 2 at r = 3."""
     example = theorem_formula_check(3, *FORMULA_EXAMPLE_R3)
     example_ok = example["ok"] and example["lhs"] == 1 and example["rhs"] == 1
-    multis = [m for w in range(4) for m in multipartitions(2, w)]
-    failures = []
-    checked = 0
-    for lam_bar in multis:
-        for mu_bar in multis:
-            for nu_bar in multis:
-                checked += 1
-                rep = theorem_formula_check(2, lam_bar, mu_bar, nu_bar)
-                if not rep["ok"]:
-                    failures.append((lam_bar, mu_bar, nu_bar, rep))
+    checked, failures = _formula_sweep(2, 3)
+    checked_r3, failures_r3 = _formula_sweep(3, 2)
     return {"criterion": "coefficient-identity",
-            "ok": example_ok and not failures,
+            "ok": example_ok and not failures and not failures_r3,
             "example": {"lhs": example["lhs"], "rhs": example["rhs"]},
-            "checked": checked, "failures": failures}
+            "checked": checked, "failures": failures,
+            "checked_r3": checked_r3, "failures_r3": failures_r3}
+
+
+def _xt_sweep(r, size):
+    """xt_multiplicity_oracle against xt_formula for l, m, n <= size and
+    every admissible t: (multiplicities checked, failures)."""
+    checked = 0
+    failures = []
+    for l, m, n in product(range(size + 1), repeat=3):
+        for entry in admissible_set(l, m, n):
+            t = entry["t"]
+            for lam_bar, mu_bar, nu_bar in product(multipartitions(r, l),
+                                                   multipartitions(r, m),
+                                                   multipartitions(r, n)):
+                checked += 1
+                a = xt_multiplicity_oracle(r, lam_bar, mu_bar, nu_bar, t)
+                b = xt_formula(r, lam_bar, mu_bar, nu_bar, t)
+                if a != b:
+                    failures.append((lam_bar, mu_bar, nu_bar, t, a, b))
+    return checked, failures
 
 
 def check_xt_oracle(cfg):
     """Permutation-character multiplicities equal the LR/K formula for
-    l, m, n <= 3 at r = 2."""
-    r = 2
-    checked = 0
-    failures = []
-    for l in range(4):
-        for m in range(4):
-            for n in range(4):
-                for entry in admissible_set(l, m, n):
-                    t = entry["t"]
-                    for lam_bar in multipartitions(r, l):
-                        for mu_bar in multipartitions(r, m):
-                            for nu_bar in multipartitions(r, n):
-                                checked += 1
-                                a = xt_multiplicity_oracle(
-                                    r, lam_bar, mu_bar, nu_bar, t)
-                                b = xt_formula(r, lam_bar, mu_bar, nu_bar, t)
-                                if a != b:
-                                    failures.append(
-                                        (lam_bar, mu_bar, nu_bar, t, a, b))
-    return {"criterion": "xt-oracle", "ok": not failures,
-            "checked": checked, "failures": failures}
+    l, m, n <= 3 at r = 2 and l, m, n <= 2 at r = 3."""
+    checked, failures = _xt_sweep(2, 3)
+    checked_r3, failures_r3 = _xt_sweep(3, 2)
+    return {"criterion": "xt-oracle", "ok": not failures and not failures_r3,
+            "checked": checked, "failures": failures,
+            "checked_r3": checked_r3, "failures_r3": failures_r3}
 
 
 def check_cartan(cfg):

@@ -92,12 +92,16 @@ def test_c09_coefficient_identity():
     assert rep["example"] == {"lhs": 1, "rhs": 1}
     assert rep["checked"] == 18**3
     assert not rep["failures"]
+    assert rep["checked_r3"] == 13**3
+    assert not rep["failures_r3"]
 
 
 def test_c10_xt_multiplicity_oracle():
     rep = timed(verify.check_xt_oracle, 300)
     assert not rep["failures"]
     assert rep["checked"] == 7806
+    assert not rep["failures_r3"]
+    assert rep["checked_r3"] == 2728
 
 
 def test_c11_cartan():

@@ -198,6 +198,31 @@ def test_green_classes_share_one_closure(monkeypatch, fresh_closures):
     assert len(edits) == 2 * 94 * 5 + 2 * 5
 
 
+def test_green_classes_render_each_element_once(monkeypatch, fresh_closures):
+    # the repr order is sorted once per closure, not once per call
+    rendered = []
+    render = ColoredDiagram.__repr__
+
+    def counted(d):
+        rendered.append(1)
+        return render(d)
+
+    monkeypatch.setattr(ColoredDiagram, "__repr__", counted)
+    for relation in ("L", "R", "J", "L"):
+        algebra.green_classes(2, 2, relation)
+    assert len(rendered) == 94
+
+
+@pytest.mark.parametrize("k, r", [(1, 3), (2, 2), (2, 3), (3, 1)])
+def test_size_order_keeps_the_repr_order_of_the_lists(k, r):
+    # cli green sorts by size alone: within a size, the classes are already
+    # in the repr order of the whole member lists
+    for relation in ("L", "R", "J"):
+        classes = algebra.green_classes(k, r, relation)
+        assert sorted(classes, key=len, reverse=True) \
+            == sorted(classes, key=lambda c: (-len(c), repr(c)))
+
+
 def test_size_cap_admits_exactly_cap_elements():
     for k in range(8):
         for r in (1, 2, 3):

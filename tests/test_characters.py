@@ -38,6 +38,7 @@ from colorpart.characters import (
 )
 from colorpart.scalars import CycNumber, zeta_pow
 from colorpart.verify import FORMULA_EXAMPLE_R3
+from helpers import as_integer, g_identity
 
 
 def test_partition_counts():
@@ -114,7 +115,7 @@ def test_wreath_table_orthogonality():
 
 
 def wreath_dim(r, n, lam_bar):
-    return wreath_char(r, n, lam_bar, C.g_identity(n)).as_integer()
+    return as_integer(wreath_char(r, n, lam_bar, g_identity(n)))
 
 
 def test_wreath_dimension_sum():
@@ -223,10 +224,10 @@ def test_k_coefficient_equals_the_element_sum(r, t):
 
 
 def test_kronecker_values():
-    assert kronecker((2, 1), (2, 1), (2, 1), 3) == 1
-    assert kronecker((3,), (2, 1), (2, 1), 3) == 1
-    assert kronecker((3,), (3,), (2, 1), 3) == 0
-    assert kronecker((2, 2), (2, 2), (2, 2), 4) == 1
+    assert kronecker((2, 1), (2, 1), (2, 1)) == 1
+    assert kronecker((3,), (2, 1), (2, 1)) == 1
+    assert kronecker((3,), (3,), (2, 1)) == 0
+    assert kronecker((2, 2), (2, 2), (2, 2)) == 1
 
 
 def test_reduced_kronecker_values():
@@ -236,6 +237,77 @@ def test_reduced_kronecker_values():
     assert reduced_kronecker((1,), (), ()) == 0
     assert reduced_kronecker((), (), ()) == 1
     assert reduced_kronecker((1, 1), (1,), (1,)) == 1
+
+
+# -- the stabilization window, kept as the oracle of the stated bound ----------
+
+
+def _first_size(lam, mu, nu):
+    """n0 = |lam| + |mu| + |nu|, raised to every padding floor |x| + x_1."""
+    return max(sum(lam) + sum(mu) + sum(nu),
+               *(sum(x) + (x[0] if x else 0) for x in (lam, mu, nu)))
+
+
+@lru_cache(maxsize=None)
+def _padded_kronecker(lam, mu, nu, n):
+    return kronecker(C._pad(lam, n), C._pad(mu, n), C._pad(nu, n))
+
+
+def reduced_kronecker_by_window(lam, mu, nu):
+    """The first two equal consecutive values of g(lam[n], mu[n], nu[n])
+    from n = n0 on, within five steps."""
+    n0 = _first_size(lam, mu, nu)
+    values = [_padded_kronecker(lam, mu, nu, n) for n in range(n0, n0 + 5)]
+    for prev, val in zip(values, values[1:]):
+        if val == prev:
+            return val
+    raise AssertionError("no plateau within the window for %r %r %r" % (lam, mu, nu))
+
+
+def _counted_kronecker(monkeypatch):
+    """Patch C.kronecker to record the size n of every call."""
+    sizes = []
+
+    def counted(lam, mu, nu):
+        sizes.append(sum(lam))
+        return kronecker(lam, mu, nu)
+
+    monkeypatch.setattr(C, "kronecker", counted)
+    return sizes
+
+
+def _triples(w):
+    parts = [p for i in range(w + 1) for p in partitions(i)]
+    return list(product(parts, repeat=3))
+
+
+def test_reduced_kronecker_makes_one_kronecker_call(monkeypatch):
+    sizes = _counted_kronecker(monkeypatch)
+    for count, triple in enumerate(_triples(2), start=1):
+        reduced_kronecker(*triple)
+        assert len(sizes) == count, triple
+
+
+def test_reduced_kronecker_equals_the_window_and_stays_constant(monkeypatch):
+    triples = _triples(4)
+    assert len(triples) == 1728
+    sizes = _counted_kronecker(monkeypatch)
+    below = 0
+    for lam, mu, nu in triples:
+        value = reduced_kronecker(lam, mu, nu)
+        assert value == reduced_kronecker_by_window(lam, mu, nu), (lam, mu, nu)
+        # the bound as stated: the least over the three roles of
+        # |mu| + |nu| + lam_1, and at least each padding floor |x| + x_1
+        roles = [(lam, mu, nu), (mu, lam, nu), (nu, lam, mu)]
+        bound = max(min(sum(b) + sum(c) + (a[0] if a else 0) for a, b, c in roles),
+                    *(sum(x) + (x[0] if x else 0) for x in (lam, mu, nu)))
+        n0 = _first_size(lam, mu, nu)
+        assert sizes[-1] == bound <= n0
+        below += bound < n0
+        for n in range(bound, n0 + 5):
+            assert _padded_kronecker(lam, mu, nu, n) == value, (lam, mu, nu, n)
+    # the bound is below the window's start on most triples
+    assert below > len(triples) // 2
 
 
 def test_admissible_set():
@@ -395,8 +467,6 @@ def test_xt_elements_equal_the_sweep_up_to_size_two(r):
 
 
 def test_wreath_char_at_identity_is_dimension():
-    from colorpart.characters import g_identity
-
     for r, n in [(2, 2), (3, 1)]:
         for lam in multipartitions(r, n):
             v = wreath_char(r, n, lam, g_identity(n))
@@ -426,7 +496,7 @@ def test_theorem_formula_check_rejects_r_below_one():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: kronecker((1,), (1,), (2,), 1), "sizes"),
+    (lambda: kronecker((1,), (1,), (2,)), "sizes"),
     (lambda: C._pad((3,), 4), "padding"),
     (lambda: k_coefficient(2, ((1,), ()), ((1,), ()), ((), ())), "weights"),
     (lambda: xt_formula(1, ((1,),), ((1,),), ((),), 1), "admissible"),
@@ -441,7 +511,7 @@ def test_mismatched_sizes_and_inadmissible_t_raise_value_error(call, message):
 def test_kronecker_rejects_a_non_integer(monkeypatch):
     monkeypatch.setattr(C, "z_order", lambda rho: 3)
     with pytest.raises(ArithmeticError, match="not an integer"):
-        kronecker((2,), (2,), (2,), 2)
+        kronecker((2,), (2,), (2,))
 
 
 def _patch_minus_one_table(monkeypatch):
@@ -481,7 +551,7 @@ C.z_order = lambda rho: 3
 std, polys, peel = MR._specht_data((2, 1))
 MR._specht_data = lambda lam: (std, polys, peel[1:])
 checks = [lambda: MR.specht_matrix((2, 1), (1, 2, 3)),
-          lambda: C.kronecker((2,), (2,), (2,), 2),
+          lambda: C.kronecker((2,), (2,), (2,)),
           lambda: insert({(1,): frozenset({(1, 1)})}, 0, (1,), 1),
           lambda: rs_inverse(((((((2,),), ((1,),)),), ((),)),
                               (((((1,),), ((2,),)),), ((),))), 1, 2, 2),

@@ -11,7 +11,6 @@ from colorpart import modules_rep as MR
 from colorpart.characters import (
     class_type,
     g_elements,
-    g_identity,
     ginv,
     gmul,
     multipartitions,
@@ -38,6 +37,7 @@ from colorpart.modules_rep import (
 )
 from colorpart.scalars import CycNumber, MPoly, zeta_pow
 from colorpart.verify import GRAM_K1_R2
+from helpers import as_integer, g_identity
 from nested_mpoly import NestedMPoly, nested_det_bareiss
 
 
@@ -526,6 +526,20 @@ def test_semisimplicity_rejects_bad_points():
         semisimplicity_certificate(2, 1, (0, 0))
 
 
+@pytest.mark.parametrize("point", [(0.1,), ("1/2",), (None,)])
+def test_semisimplicity_refuses_a_point_that_is_not_exact(point):
+    # Fraction(0.1) evaluated at 3602879701896397/36028797018963968, and
+    # Fraction("1/2") parsed the string
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        semisimplicity_certificate(1, 1, point)
+
+
+def test_semisimplicity_takes_fractions():
+    cert = semisimplicity_certificate(1, 1, (Fraction(1, 2),))
+    assert cert["x"] == (Fraction(1, 2),)
+    assert cert["semisimple"]
+
+
 def test_cartan_r1_values():
     # one-color case: diagonal 1, unitriangular with respect to weight
     labels, B = cartan_matrix(1, 2)
@@ -564,7 +578,7 @@ def cartan_entry_by_compose(r, lam_bar, mu_bar):
                 assert not any(e1) and not any(e2)
                 fixed += p2 == d
             total = total + cg * ch * fixed
-    return total.as_integer()
+    return as_integer(total)
 
 
 @pytest.mark.parametrize("r, maxweight", [(1, 2), (2, 2), (3, 1)])
@@ -597,7 +611,7 @@ def cartan_entry_by_basis_map(r, lam_bar, mu_bar):
             fixed = sum(1 for j, i in enumerate(left) if right[i] == j)
             if fixed:
                 total = total + cg * ch * fixed
-    return total.as_integer()
+    return as_integer(total)
 
 
 @pytest.mark.parametrize("r, maxweight", [(1, 3), (2, 2), (3, 2)])

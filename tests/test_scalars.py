@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import colorpart
 from colorpart.cli import main
 from colorpart.scalars import CycNumber, MPoly, _phi_coeffs, zeta_pow
+from helpers import as_integer
 from nested_mpoly import NestedMPoly
 
 
@@ -57,7 +58,7 @@ def test_as_integer_rejects_nonrational():
     z = zeta_pow(3, 1)
     with pytest.raises(ValueError):
         z.as_rational()
-    assert (z + z.conjugate()).as_integer() == -1
+    assert as_integer(z + z.conjugate()) == -1
 
 
 def test_constructor_rejects_a_wrong_length():
@@ -374,6 +375,30 @@ def test_constructor_rejects_a_malformed_exponent_vector(probe):
 def test_constructor_rejects_a_coefficient_that_is_not_exact(coeff):
     with pytest.raises(TypeError, match="coefficient"):
         MPoly(2, {(1, 0): coeff})
+
+
+@pytest.mark.parametrize("entry", [
+    lambda v: CycNumber(1, (v,)),
+    lambda v: CycNumber(3, (1, v)),
+    lambda v: CycNumber.from_rational(2, v),
+    lambda v: MPoly.one(2).eval((v, 1)),
+    lambda v: MPoly.one(2).eval((1, v)),
+], ids=["cyc", "cyc-second-coordinate", "from-rational", "eval", "eval-second"])
+@pytest.mark.parametrize("value", [0.5, 0.1, "1/2", None])
+def test_a_float_or_string_is_refused_at_every_entry(entry, value):
+    # Fraction() would take 0.1 as 3602879701896397/36028797018963968
+    # and parse "1/2"; the exact core takes only ints and Fractions
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        entry(value)
+
+
+def test_ints_and_fractions_still_enter_exactly():
+    assert CycNumber(1, (Fraction(4, 2),)).coeffs == (2,)
+    assert type(CycNumber(1, (Fraction(4, 2),)).coeffs[0]) is int
+    assert CycNumber.from_rational(2, Fraction(1, 2)).coeffs == (Fraction(1, 2),)
+    x, y = MPoly.variable(2, 0), MPoly.variable(2, 1)
+    assert (x * y + 1).eval((Fraction(1, 2), 4)) == CycNumber.from_rational(2, 3)
+    assert (x * y).eval((zeta_pow(2, 1), 1)) == -1
 
 
 def test_malformed_exponent_vectors_are_rejected_under_O():
