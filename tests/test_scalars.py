@@ -392,15 +392,6 @@ def test_a_float_or_string_is_refused_at_every_entry(entry, value):
         entry(value)
 
 
-def test_ints_and_fractions_still_enter_exactly():
-    assert CycNumber(1, (Fraction(4, 2),)).coeffs == (2,)
-    assert type(CycNumber(1, (Fraction(4, 2),)).coeffs[0]) is int
-    assert CycNumber.from_rational(2, Fraction(1, 2)).coeffs == (Fraction(1, 2),)
-    x, y = MPoly.variable(2, 0), MPoly.variable(2, 1)
-    assert (x * y + 1).eval((Fraction(1, 2), 4)) == CycNumber.from_rational(2, 3)
-    assert (x * y).eval((zeta_pow(2, 1), 1)) == -1
-
-
 def test_malformed_exponent_vectors_are_rejected_under_O():
     script = "\n".join(["from colorpart.scalars import MPoly",
                         "for probe in %r:" % (MALFORMED_EXPONENTS,),
