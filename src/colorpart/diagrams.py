@@ -21,10 +21,34 @@ class ArityMismatch(ValueError):
 
 
 def _block_key(block):
+    """An int ordering blocks by their least vertex, the top vertex v (2v)
+    before the bottom vertex v' (2v + 1); top and bottom are sorted and
+    not both empty."""
     top, bot, _ = block
-    # min vertex, tops ranked before bottoms at equal index
-    cands = [(v, 0) for v in top] + [(v, 1) for v in bot]
-    return min(cands)
+    if not bot:
+        return 2 * top[0]
+    if not top or bot[0] < top[0]:
+        return 2 * bot[0] + 1
+    return 2 * top[0]
+
+
+def _diagnose(canon, k, l):
+    """Raise MalformedDiagram for the first fault of the sorted blocks in
+    canon, checked block by block and vertex by vertex."""
+    seen_top, seen_bot = set(), set()
+    for top, bot, _ in canon:
+        if not top and not bot:
+            raise MalformedDiagram("empty block")
+        for v in top:
+            if v in seen_top or not (1 <= v <= k):
+                raise MalformedDiagram("bad top vertex %d" % v)
+            seen_top.add(v)
+        for v in bot:
+            if v in seen_bot or not (1 <= v <= l):
+                raise MalformedDiagram("bad bottom vertex %d" % v)
+            seen_bot.add(v)
+    if len(seen_top) != k or len(seen_bot) != l:
+        raise MalformedDiagram("blocks do not cover all vertices")
 
 
 class ColoredDiagram:
@@ -33,26 +57,27 @@ class ColoredDiagram:
     __slots__ = ("r", "k", "l", "blocks", "_hash")
 
     def __init__(self, r, k, l, blocks):
+        """Every block is nonempty and the blocks partition the top
+        vertices 1..k and the bottom vertices 1..l: each side's vertices,
+        sorted, must equal that range.  Only when they do not are the
+        blocks checked vertex by vertex, to name the first fault."""
         if r < 1:
             raise MalformedDiagram("color modulus must be positive")
-        seen_top, seen_bot = set(), set()
         canon = []
+        tops, bots = [], []
+        full = True
         for top, bot, c in blocks:
             top = tuple(sorted(top))
             bot = tuple(sorted(bot))
             if not top and not bot:
-                raise MalformedDiagram("empty block")
-            for v in top:
-                if v in seen_top or not (1 <= v <= k):
-                    raise MalformedDiagram("bad top vertex %d" % v)
-                seen_top.add(v)
-            for v in bot:
-                if v in seen_bot or not (1 <= v <= l):
-                    raise MalformedDiagram("bad bottom vertex %d" % v)
-                seen_bot.add(v)
+                full = False
+            tops += top
+            bots += bot
             canon.append((top, bot, c % r))
-        if len(seen_top) != k or len(seen_bot) != l:
-            raise MalformedDiagram("blocks do not cover all vertices")
+        tops.sort()
+        bots.sort()
+        if not full or tops != list(range(1, k + 1)) or bots != list(range(1, l + 1)):
+            _diagnose(canon, k, l)
         canon.sort(key=_block_key)
         self.r = r
         self.k = k

@@ -20,30 +20,24 @@ from .scalars import CycNumber, zeta_pow
 class ColorPreservingDiagram:
     """A downward partition diagram with monochromatic vertex colors."""
 
-    __slots__ = ("d", "_hash")
+    __slots__ = ("d", "target", "source", "_hash")
 
     def __init__(self, d):
+        """target and source are the color sequences read along the top
+        and the bottom vertices, read once here."""
         if not d.is_downward():
             raise ValueError("underlying diagram must be downward")
-        self.d = d
-        self._hash = None
-
-    @property
-    def target(self):
-        """Color sequence read along the top vertices."""
-        colors = [0] * self.d.k
-        for top, _, c in self.d.blocks:
+        target = [0] * d.k
+        source = [0] * d.l
+        for top, bot, c in d.blocks:
             for v in top:
-                colors[v - 1] = c
-        return tuple(colors)
-
-    @property
-    def source(self):
-        colors = [0] * self.d.l
-        for _, bot, c in self.d.blocks:
+                target[v - 1] = c
             for v in bot:
-                colors[v - 1] = c
-        return tuple(colors)
+                source[v - 1] = c
+        self.d = d
+        self.target = tuple(target)
+        self.source = tuple(source)
+        self._hash = None
 
     def __eq__(self, other):
         if not isinstance(other, ColorPreservingDiagram):

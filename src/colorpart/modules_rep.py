@@ -33,7 +33,7 @@ from .characters import (
     wreath_char_table,
 )
 from .diagrams import ColoredDiagram, compose, count_bell, enumerate_diagrams, flip_invert, set_partitions
-from .scalars import CycNumber, MPoly, _exact, zeta_pow
+from .scalars import CycNumber, MPoly, _exact, eval_many, zeta_pow
 
 
 # -- Specht matrices -----------------------------------------------------------
@@ -368,33 +368,36 @@ def cell_dimension(r, k, lam_bar):
     return len(enumerate_cross_section(r, k, i)) * build_matrix_rep(r, lam_bar).dim
 
 
+@lru_cache(maxsize=None)
+def _certificate_plan(r, k):
+    """The point-free part of a certificate at (r, k): the cell labels by
+    weight, their Gram determinants, the sum over cells of (dim W)^2 and
+    B_{2k,r}."""
+    labels = tuple(lam_bar for i in range(k + 1) for lam_bar in multipartitions(r, i))
+    dets = tuple(gram_det(r, k, lam_bar) for lam_bar in labels)
+    dim_sq = sum(cell_dimension(r, k, lam_bar) ** 2 for lam_bar in labels)
+    return labels, dets, dim_sq, count_bell(2 * k, r)
+
+
 def semisimplicity_certificate(r, k, x):
     """Evaluate every Gram determinant at the parameter point x; semisimple
     iff all are nonzero.  Also checks sum over cells of (dim W)^2 = B_{2k,r}.
-    x holds ints or Fractions; any other coordinate raises TypeError."""
+    x holds ints or Fractions; any other coordinate raises TypeError.  The
+    determinants and the dimension count come from a plan cached on (r, k),
+    and all of the determinants are evaluated in one eval_many pass."""
     x = tuple(Fraction(_exact(v)) for v in x)
     if len(x) != r:
         raise ValueError("parameter point needs %d coordinates" % r)
     if not any(x):
         raise ValueError("some parameter must be nonzero")
-    dets = {}
-    dim_sq = 0
-    semisimple = True
-    for i in range(k + 1):
-        for lam_bar in multipartitions(r, i):
-            det = gram_det(r, k, lam_bar)
-            val = det.eval(x)
-            dets[lam_bar] = (det, val)
-            if not val:
-                semisimple = False
-            dim_sq += cell_dimension(r, k, lam_bar) ** 2
-    bell = count_bell(2 * k, r)
+    labels, dets, dim_sq, bell = _certificate_plan(r, k)
+    values = eval_many(r, dets, x)
     return {
         "r": r,
         "k": k,
         "x": x,
-        "semisimple": semisimple,
-        "dets": dets,
+        "semisimple": all(values),
+        "dets": dict(zip(labels, zip(dets, values))),
         "dimension_identity": dim_sq == bell,
         "sum_dim_sq": dim_sq,
         "bell": bell,

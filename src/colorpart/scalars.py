@@ -17,9 +17,12 @@ only when it is not integral.  The pair is packed into one int, each
 exponent and the z-degree in a 32-bit field, y_0's the highest, so a
 monomial product is one integer addition and int order is lex order.  A
 product's z-degrees d..2d-2 are rewritten by the same reduction rows as
-CycNumber's.  At a rational point, evaluation sums coordinate times
-monomial value per z-degree and builds one CycNumber at the end; exact
-division forms a CycNumber only for an irrational leading coefficient.
+CycNumber's.  eval_many evaluates several polynomials at one point,
+forming each coordinate's powers once for all of them; at a rational
+point it sums coordinate times monomial value per z-degree and builds one
+CycNumber per polynomial, and MPoly.eval is its one-polynomial case.
+Exact division forms a CycNumber only for an irrational leading
+coefficient.
 `terms` is a read-only {y-exponents: CycNumber} view built on demand.
 The constructor rejects an exponent vector that is not r ints in
 0..2^31 - 1 and a coefficient that is not an int, Fraction or CycNumber;
@@ -482,34 +485,9 @@ class MPoly:
 
     # -- queries ---------------------------------------------------------
     def eval(self, point):
-        """Exact evaluation at a vector of r CycNumbers or rationals.  Each
-        term adds coefficient times monomial value to its z-degree's
-        coordinate, in ints or Fractions; one CycNumber is built at the
-        end.  Where the point has a cyclotomic coordinate the monomial
-        value is a CycNumber, which multiplies the term's coordinate
-        vector.  Each coordinate is raised to each power once, an integral
-        one as an int."""
-        r = self.r
-        if len(point) != r:
-            raise ValueError("evaluation point has wrong length")
-        d, shifts, _ = _layout(r)
-        fields = [(s, [1], v if isinstance(v, CycNumber) else _exact(v))
-                  for s, v in zip(shifts, point)]
-        acc = [0] * d
-        for key, c in self._c.items():
-            m = 1
-            for s, row, v in fields:
-                e = key >> s & _FIELD
-                if e:
-                    while len(row) <= e:
-                        row.append(row[-1] * v)
-                    m = m * row[e]
-            if isinstance(m, CycNumber):
-                for j, a in enumerate((m * zeta_pow(r, key & _FIELD)).coeffs):
-                    acc[j] += c * a
-            else:
-                acc[key & _FIELD] += c * m
-        return CycNumber._trusted(r, tuple(acc))
+        """Exact evaluation at a vector of r CycNumbers or rationals: the
+        one-polynomial case of eval_many."""
+        return eval_many(self.r, (self,), point)[0]
 
     def degree_in(self, i):
         if not 0 <= i < self.r:
@@ -606,3 +584,47 @@ class MPoly:
             else:
                 parts.append(cs)
         return " + ".join(parts)
+
+
+def eval_many(r, polys, point):
+    """The values of the MPolys in polys, all in r variables, at one point
+    of r CycNumbers or rationals, as a tuple of CycNumbers.
+
+    The point is checked once, and the powers of each coordinate are
+    formed once for all of the polynomials, each power when a term first
+    needs it, an integral coordinate's as ints.  A term's coordinate times
+    its monomial value is added to its z-degree's coordinate, in ints or
+    Fractions, and one CycNumber is built per polynomial.  Where the point
+    has a cyclotomic coordinate that product is a CycNumber, which
+    multiplies zeta to the term's z-degree.  A point of the wrong length
+    or a polynomial in other than r variables raises ValueError, a
+    coordinate that is not a CycNumber, int or Fraction TypeError."""
+    if len(point) != r:
+        raise ValueError("evaluation point has wrong length")
+    maps = []
+    for p in polys:
+        if p.r != r:
+            raise ValueError("mixed variable counts")
+        maps.append(p._c)
+    d, shifts, _ = _layout(r)
+    # (shift, powers formed so far, coordinate) per variable
+    fields = [(s, [1], v if isinstance(v, CycNumber) else _exact(v))
+              for s, v in zip(shifts, point)]
+    cyclotomic = any(isinstance(v, CycNumber) for _, _, v in fields)
+    out = []
+    for c in maps:
+        acc = [0] * d
+        for key, a in c.items():
+            for s, row, v in fields:
+                e = key >> s & _FIELD
+                if e:
+                    while len(row) <= e:
+                        row.append(row[-1] * v)
+                    a = a * row[e]
+            if cyclotomic:
+                for j, b in enumerate((a * zeta_pow(r, key & _FIELD)).coeffs):
+                    acc[j] += b
+            else:
+                acc[key & _FIELD] += a
+        out.append(CycNumber._trusted(r, tuple(acc)))
+    return tuple(out)

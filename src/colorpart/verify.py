@@ -16,6 +16,8 @@ from .characters import (
     admissible_set,
     multipartitions,
     g_elements,
+    r_coefficient,
+    reduced_kronecker,
     theorem_formula_check,
     weight,
     xt_formula,
@@ -401,14 +403,23 @@ def check_green(cfg):
 
 
 def _formula_sweep(r, w):
-    """theorem_formula_check on every triple of r-multipartitions of weight
-    <= w: (triples checked, failures)."""
+    """The product of per-color reduced Kronecker coefficients against
+    r_coefficient on every triple of r-multipartitions of weight <= w:
+    (triples checked, failures), each failure the triple and its
+    theorem_formula_check report.  The per-color triples repeat across
+    the sweep, so each factor is read from a table of the distinct
+    partition triples, built once."""
     multis = [m for i in range(w + 1) for m in multipartitions(r, i)]
+    parts = sorted({lam for m in multis for lam in m})
+    kron = {t: reduced_kronecker(*t) for t in product(parts, repeat=3)}
     failures = []
     for triple in product(multis, repeat=3):
-        rep = theorem_formula_check(r, *triple)
-        if not rep["ok"]:
-            failures.append(triple + (rep,))
+        lhs = 1
+        for colors in zip(*triple):
+            lhs *= kron[colors]
+        rhs = r_coefficient(r, *triple)
+        if lhs != rhs:
+            failures.append(triple + ({"lhs": lhs, "rhs": rhs, "ok": False},))
     return len(multis) ** 3, failures
 
 

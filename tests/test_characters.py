@@ -14,6 +14,7 @@ import pytest
 
 import colorpart
 from colorpart import characters as C
+from colorpart import verify as V
 from colorpart.characters import (
     abacus_moves,
     admissible_set,
@@ -341,6 +342,35 @@ def test_formula_small_sweep_r2():
             for nu_bar in multis:
                 rep = theorem_formula_check(2, lam_bar, mu_bar, nu_bar)
                 assert rep["ok"], (lam_bar, mu_bar, nu_bar, rep)
+
+
+@pytest.mark.parametrize("r, w", [(2, 2), (3, 1)])
+def test_formula_sweep_table_matches_theorem_formula_check(monkeypatch, r, w):
+    # r_coefficient is made wrong where the first label has weight 1, so
+    # the sweep reports failures; they must be the triples and reports
+    # of theorem_formula_check, in its order
+    right = C.r_coefficient
+
+    def wrong(r, lam_bar, mu_bar, nu_bar):
+        return right(r, lam_bar, mu_bar, nu_bar) + (C.weight(lam_bar) == 1)
+
+    monkeypatch.setattr(C, "r_coefficient", wrong)
+    monkeypatch.setattr(V, "r_coefficient", wrong)
+    calls = []
+    monkeypatch.setattr(V, "reduced_kronecker",
+                        lambda *t: calls.append(t) or C.reduced_kronecker(*t))
+    multis = [m for i in range(w + 1) for m in multipartitions(r, i)]
+    expect = []
+    for triple in product(multis, repeat=3):
+        rep = theorem_formula_check(r, *triple)
+        if not rep["ok"]:
+            expect.append(triple + (rep,))
+    checked, failures = V._formula_sweep(r, w)
+    assert checked == len(multis) ** 3
+    assert failures == expect and failures
+    # one call per distinct triple of partitions of size <= w
+    parts = {lam for m in multis for lam in m}
+    assert sorted(calls) == sorted(product(parts, repeat=3))
 
 
 def test_xt_oracle_matches_formula_small():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from colorpart import config, verify
 from colorpart.diagrams import (
     ColoredDiagram,
+    MalformedDiagram,
     compose,
     count_bell,
     egf_coefficients,
@@ -116,6 +117,44 @@ def diagrams(draw, r, k, l):
             bot.append(i - k + 1)
     return ColoredDiagram(
         r, k, l, [(top, bot, colors[label]) for label, (top, bot) in blocks.items()])
+
+
+@pytest.mark.parametrize("r, k, l, blocks, message", [
+    (0, 1, 1, [((1,), (1,), 0)], "color modulus must be positive"),
+    (2, 1, 1, [((1,), (1,), 0), ((), (), 1)], "empty block"),
+    (2, 2, 1, [((1,), (1,), 0), ((1, 2), (), 1)], "bad top vertex 1"),
+    (2, 2, 1, [((1,), (1,), 0), ((2, 3), (), 1)], "bad top vertex 3"),
+    (2, 1, 2, [((1,), (1,), 0), ((), (0, 2), 1)], "bad bottom vertex 0"),
+    (2, 1, 2, [((1,), (1, 2), 0), ((), (2,), 1)], "bad bottom vertex 2"),
+    (2, 2, 2, [((1,), (1,), 0), ((), (2,), 1)], "blocks do not cover all vertices"),
+    (2, 1, 1, [], "blocks do not cover all vertices"),
+    # the first fault in block order, top vertices before bottom ones
+    (2, 2, 2, [((5,), (), 0), ((), (), 0)], "bad top vertex 5"),
+    (2, 2, 2, [((), (), 0), ((5,), (), 0)], "empty block"),
+    (2, 2, 2, [((1,), (7,), 0), ((1,), (), 0)], "bad bottom vertex 7"),
+    (2, 2, 2, [((0,), (7,), 0)], "bad top vertex 0"),
+    (2, 2, 2, [((2,), (9,), 0), ((1,), (), 0)], "bad bottom vertex 9"),
+])
+def test_constructor_names_the_first_fault(r, k, l, blocks, message):
+    with pytest.raises(MalformedDiagram, match="^%s$" % message):
+        ColoredDiagram(r, k, l, blocks)
+
+
+def test_constructor_canonicalizes_blocks_like_the_tuple_key():
+    # blocks ordered by their least vertex, tops before bottoms at equal
+    # index, whatever the input order of blocks and vertices
+    def tuple_key(block):
+        top, bot, _ = block
+        return min([(v, 0) for v in top] + [(v, 1) for v in bot])
+
+    rng = random.Random(5)
+    for d in enumerate_diagrams(2, 2, 3):
+        shuffled = [(tuple(rng.sample(t, len(t))), tuple(rng.sample(b, len(b))), c + 2)
+                    for t, b, c in d.blocks]
+        rng.shuffle(shuffled)
+        built = ColoredDiagram(2, 2, 3, shuffled)
+        assert built.blocks == tuple(sorted(d.blocks, key=tuple_key))
+        assert built == d
 
 
 @settings(max_examples=200, deadline=None)

@@ -27,6 +27,19 @@ def test_source_and_target_read_off_colors():
     assert cpd.source == (2, 1)
 
 
+def test_source_and_target_match_a_per_vertex_reading():
+    # the sequences are read once at construction; each equals the color
+    # of the block holding the vertex
+    for d in enumerate_diagrams(2, 2, 3):
+        if not d.is_downward():
+            continue
+        cpd = ColorPreservingDiagram(d)
+        color = {(side, v): c for top, bot, c in d.blocks
+                 for side, verts in (("t", top), ("b", bot)) for v in verts}
+        assert cpd.target == tuple(color["t", v] for v in range(1, 3))
+        assert cpd.source == tuple(color["b", v] for v in range(1, 4))
+
+
 def test_gcompose_interface_mismatch_is_zero():
     a = ColorPreservingDiagram(ColoredDiagram(2, 1, 1, [((1,), (1,), 1)]))
     b = ColorPreservingDiagram(ColoredDiagram(2, 1, 1, [((1,), (1,), 0)]))

@@ -540,6 +540,46 @@ def test_semisimplicity_takes_fractions():
     assert cert["semisimple"]
 
 
+# the (r, k) of the cellular benchmark's certificates and of c12
+CERT_CASES = [(1, 3), (2, 2), (3, 1), (4, 1), (5, 1), (2, 1)]
+
+
+@pytest.mark.parametrize("r, k", CERT_CASES)
+def test_certificate_values_are_each_determinant_at_the_point(r, k):
+    rng = random.Random(r * 10 + k)
+    cells = [lam for i in range(k + 1) for lam in multipartitions(r, i)]
+    for x in [tuple(rng.randint(-3, 6) for _ in range(r)) for _ in range(3)] + [
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(r))
+            for _ in range(3)]:
+        if not any(x):
+            continue
+        cert = semisimplicity_certificate(r, k, x)
+        assert list(cert["dets"]) == cells
+        for lam in cells:
+            det, val = cert["dets"][lam]
+            assert det is gram_det(r, k, lam)
+            assert val == det.eval(x)
+        assert cert["semisimple"] == all(val for _, val in cert["dets"].values())
+        assert cert["x"] == tuple(Fraction(v) for v in x)
+        assert all(type(v) is Fraction for v in cert["x"])
+        dim_sq = sum(cell_dimension(r, k, lam) ** 2 for lam in cells)
+        assert cert["sum_dim_sq"] == dim_sq == cert["bell"] == count_bell(2 * k, r)
+        assert cert["dimension_identity"]
+
+
+def test_certificate_plan_is_cached_per_r_and_k_not_per_point():
+    MR._certificate_plan.cache_clear()
+    try:
+        for x in range(1, 8):
+            semisimplicity_certificate(1, 3, (x,))
+            semisimplicity_certificate(2, 1, (x, Fraction(1, x)))
+        info = MR._certificate_plan.cache_info()
+        assert info.currsize == 2
+        assert info.misses == 2
+    finally:
+        MR._certificate_plan.cache_clear()
+
+
 def test_cartan_r1_values():
     # one-color case: diagonal 1, unitriangular with respect to weight
     labels, B = cartan_matrix(1, 2)

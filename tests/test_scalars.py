@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import colorpart
 from colorpart.cli import main
-from colorpart.scalars import CycNumber, MPoly, _phi_coeffs, zeta_pow
+from colorpart.scalars import CycNumber, MPoly, _phi_coeffs, eval_many, zeta_pow
 from helpers import as_integer
 from nested_mpoly import NestedMPoly
 
@@ -207,6 +207,39 @@ def test_evaluation_matches_the_repeated_product_oracle_r3(a, b, point):
 def test_evaluation_rejects_a_wrong_length_point():
     with pytest.raises(ValueError):
         MPoly.variable(3, 0).eval((1, 2))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_eval_many_matches_the_repeated_product_oracle(r, data):
+    # with the zero polynomial among them, at int, Fraction and CycNumber
+    # points; each value is also what eval gives alone
+    polys = data.draw(st.lists(mpolys(r), max_size=4)) + [MPoly.zero(r)]
+    point = data.draw(points(r))
+    values = eval_many(r, polys, point)
+    assert values == tuple(eval_by_repeated_products(p, point) for p in polys)
+    assert values == tuple(p.eval(point) for p in polys)
+    assert values[-1] == CycNumber.zero(r)
+    assert eval_many(r, (), point) == ()
+
+
+def test_eval_many_shares_the_powers_of_one_point():
+    y0, y1 = MPoly.variable(2, 0), MPoly.variable(2, 1)
+    polys = [y0 * y0 * y1, y1 * y1 * y1 + 1, MPoly.zero(2), MPoly.constant(2, Fraction(1, 3))]
+    assert eval_many(2, polys, (3, Fraction(1, 2))) == (
+        Fraction(9, 2), Fraction(9, 8), 0, Fraction(1, 3))
+
+
+def test_eval_many_rejects_a_wrong_length_point_and_mixed_orders():
+    with pytest.raises(ValueError, match="wrong length"):
+        eval_many(3, [MPoly.variable(3, 0)], (1, 2))
+    with pytest.raises(ValueError, match="wrong length"):
+        eval_many(2, (), (1,))
+    with pytest.raises(ValueError, match="mixed variable counts"):
+        eval_many(2, [MPoly.variable(2, 0), MPoly.variable(3, 0)], (1, 2))
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        eval_many(1, [MPoly.variable(1, 0)], (0.5,))
 
 
 @settings(max_examples=60, deadline=None)
