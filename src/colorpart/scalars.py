@@ -595,10 +595,11 @@ def eval_many(r, polys, point):
     needs it, an integral coordinate's as ints.  A term's coordinate times
     its monomial value is added to its z-degree's coordinate, in ints or
     Fractions, and one CycNumber is built per polynomial.  Where the point
-    has a cyclotomic coordinate that product is a CycNumber, which
-    multiplies zeta to the term's z-degree.  A point of the wrong length
-    or a polynomial in other than r variables raises ValueError, a
-    coordinate that is not a CycNumber, int or Fraction TypeError."""
+    has a cyclotomic coordinate, each term's product is multiplied by zeta
+    to the term's z-degree and added coordinate by coordinate.  A point of
+    the wrong length or a polynomial in other than r variables raises
+    ValueError, a coordinate that is not a CycNumber, int or Fraction
+    TypeError."""
     if len(point) != r:
         raise ValueError("evaluation point has wrong length")
     maps = []
