@@ -14,7 +14,7 @@ the X^t permutation-module oracle (one fixed-point table per (r,l,m,n,t)).
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, permutations, product
-from math import factorial
+from math import factorial, prod
 from types import MappingProxyType
 
 from .scalars import CycNumber, zeta_pow
@@ -481,67 +481,63 @@ def _xt_kinds(l, m, n, t):
     raise ValueError("t = %d is not admissible" % t)
 
 
-def xt_elements(r, l, m, n, t):
-    """All colored tripartite matchings with a parts {j',k''}, b parts
-    {i,k''}, c parts {i,j'} and t parts {i,j',k''}.
-
-    An element is a frozenset of parts (i, j, k, color), 0 marking an absent
-    vertex.  Each l-vertex picks its kind; the c and t l-vertices pick
-    distinct m partners, then the b and t l-vertices and the m-vertices
-    left over pick distinct n partners.
-    """
-    c = _xt_kinds(l, m, n, t)[2]
-    L, M = range(1, l + 1), range(1, m + 1)
-    out = []
-    for kinds in product("bct", repeat=l):
-        if kinds.count("c") != c or kinds.count("t") != t:
+@lru_cache(maxsize=None)
+def _orbit_groupings(r, sides, t):
+    """The number of ways to group the cycles on three sides (sorted tuples
+    of (length, color)) into closed orbits whose three-side lengths sum to
+    t, each orbit of d-cycles placed in r d^(cycles - 1) ways.  The first
+    cycle of the first nonempty side joins one cycle of its length from
+    one or both later sides; equal cycles are equal choices."""
+    a = next((a for a, s in enumerate(sides) if s), None)
+    if a is None:
+        return int(t == 0)
+    (d, color), rest = sides[a][0], sides[a][1:]
+    options = [[(1, None, s)] + [(s.count(cyc), cyc[1], s[:i] + s[i + 1:])
+                                 for i, cyc in enumerate(s)
+                                 if cyc[0] == d and s.index(cyc) == i]
+               for s in sides[a + 1:]]
+    total = 0
+    for picks in product(*options):
+        colors = [c for _, c, _ in picks if c is not None]
+        left = t - d if len(colors) == 2 else t
+        if not colors or (color + sum(colors)) % r or left < 0:
             continue
-        for js in permutations(M, c + t):
-            jof = dict(zip((i for i in L if kinds[i - 1] != "b"), js))
-            done = [(i, jof[i], 0) for i in L if kinds[i - 1] == "c"]
-            pending = [(i, jof.get(i, 0)) for i in L if kinds[i - 1] != "c"]
-            pending += [(0, j) for j in M if j not in js]
-            for ks in permutations(range(1, n + 1)):
-                parts = done + [(i, j, k) for (i, j), k in zip(pending, ks)]
-                for colors in product(range(r), repeat=len(parts)):
-                    out.append(frozenset(
-                        p + (s,) for p, s in zip(parts, colors)))
-    return out
-
-
-def _xt_index_map(g, left):
-    """(image, added color) per vertex of g's side, index 0 standing for an
-    absent vertex: G(r,l) acts from the left, G(r,m) and G(r,n) (the dual
-    slots) from the right."""
-    f, tau = g
-    if left:
-        return (0,) + tau, (0,) + tuple(f[v - 1] for v in tau)
-    return (0,) + pinv(tau), (0,) + f
+        ways = r * d ** len(colors) * prod(mult for mult, _, _ in picks)
+        later = tuple(s for _, _, s in picks)
+        total += ways * _orbit_groupings(r, sides[:a] + (rest,) + later, left)
+    return total
 
 
 @lru_cache(maxsize=None)
 def xt_fixed_points(r, l, m, n, t):
     """Fixed-point counts on X^t of G(r,l) x G(r,m) x G(r,n) times the
-    three class sizes, a read-only map keyed by triples of class types,
-    third type innermost; zero counts are left out.
+    three class sizes, a read-only map keyed by triples of class types
+    (from wreath_char_table), third type innermost; zero counts are left
+    out.  ValueError unless t is admissible.
 
-    The count is a class function, so one representative per class (from
-    wreath_char_table) stands for its class.  x is fixed iff every part
-    maps into x, so each test stops at the first part that leaves x.
+    X^t holds the colored tripartite matchings with t parts {i,j',k''};
+    a group element moves each vertex of a part along its cycle and adds
+    that vertex's color.  Let g fix x and let p be a part of x.  A part
+    has at most one vertex per side and the parts of x are disjoint, so
+    g^j p = p once g^j p keeps one vertex of p: the orbit of p has the
+    length d of the cycle through each of its vertices and runs once
+    through one d-cycle on each side p touches.  The color of g^d p is
+    that of p plus the colors of those cycles, so the orbit closes iff
+    they sum to 0 mod r.  The color of p (r ways) and, for each cycle
+    beyond the first, the vertex that shares a part with a fixed vertex
+    of the first (d ways) then place the orbit: r d^(cycles - 1) ways.
+    So a count is a sum over the groupings of the cycles of g1, g2 and g3
+    into closed orbits of two or three cycles on distinct sides, whose
+    three-cycle orbits (d parts {i,j',k''} each) have lengths summing to
+    t, of the product of the orbits' ways: it depends on the class types
+    alone, and no element of X^t is formed.
     """
-    X = xt_elements(r, l, m, n, t)
-    tables = [wreath_char_table(r, size) for size in (l, m, n)]
-    sides = [[(T, sizes[T], _xt_index_map(g, left)) for T, g in reps.items()]
-             for (reps, sizes, _), left in zip(tables, (True, False, False))]
+    _xt_kinds(l, m, n, t)
+    sides = [[(T, k, tuple(sorted((d, c) for c, lam in enumerate(T) for d in lam)))
+              for T, k in wreath_char_table(r, size)[1].items()] for size in (l, m, n)]
     table = {}
-    for (T1, k1, (i1, c1)), (T2, k2, (i2, c2)), (T3, k3, (i3, c3)) in product(*sides):
-        fixed = 0
-        for x in X:
-            for i, j, k, s in x:
-                if (i1[i], i2[j], i3[k], (s + c1[i] + c2[j] + c3[k]) % r) not in x:
-                    break
-            else:
-                fixed += 1
+    for (T1, k1, s1), (T2, k2, s2), (T3, k3, s3) in product(*sides):
+        fixed = _orbit_groupings(r, (s1, s2, s3), t)
         if fixed:
             table[T1, T2, T3] = fixed * k1 * k2 * k3
     return MappingProxyType(table)

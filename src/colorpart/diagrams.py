@@ -63,6 +63,8 @@ class ColoredDiagram:
         blocks checked vertex by vertex, to name the first fault."""
         if r < 1:
             raise MalformedDiagram("color modulus must be positive")
+        if k < 0 or l < 0:
+            raise MalformedDiagram("arities must be non-negative")
         canon = []
         tops, bots = [], []
         full = True

@@ -385,7 +385,7 @@ def check_green(cfg):
     """Cayley-graph L/R/J classes equal the tableau-invariant classes."""
     details = []
     ok = True
-    for k, r in [(2, 2), (1, 3), (2, 3), (3, 2), (4, 1)]:
+    for k, r in [(2, 2), (1, 3), (2, 3), (3, 2), (4, 1), (3, 3)]:
         elems = algebra.enumerate_monoid(k, r, cap=cfg.monoid_cap)
         invariants = {d: green_invariants(d) for d in elems}
         for rel in ("L", "R", "J"):

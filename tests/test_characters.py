@@ -462,6 +462,69 @@ def xt_multiplicity_by_sweep(r, lam_bar, mu_bar, nu_bar, t):
     return (total * Fraction(1, order)).as_rational()
 
 
+# -- X^t element by element: the oracle for the cycle-type fixed-point count
+
+
+def xt_elements(r, l, m, n, t):
+    """All colored tripartite matchings with a parts {j',k''}, b parts
+    {i,k''}, c parts {i,j'} and t parts {i,j',k''}.
+
+    An element is a frozenset of parts (i, j, k, color), 0 marking an absent
+    vertex.  Each l-vertex picks its kind; the c and t l-vertices pick
+    distinct m partners, then the b and t l-vertices and the m-vertices
+    left over pick distinct n partners.
+    """
+    c = C._xt_kinds(l, m, n, t)[2]
+    L, M = range(1, l + 1), range(1, m + 1)
+    out = []
+    for kinds in product("bct", repeat=l):
+        if kinds.count("c") != c or kinds.count("t") != t:
+            continue
+        for js in permutations(M, c + t):
+            jof = dict(zip((i for i in L if kinds[i - 1] != "b"), js))
+            done = [(i, jof[i], 0) for i in L if kinds[i - 1] == "c"]
+            pending = [(i, jof.get(i, 0)) for i in L if kinds[i - 1] != "c"]
+            pending += [(0, j) for j in M if j not in js]
+            for ks in permutations(range(1, n + 1)):
+                parts = done + [(i, j, k) for (i, j), k in zip(pending, ks)]
+                for colors in product(range(r), repeat=len(parts)):
+                    out.append(frozenset(
+                        p + (s,) for p, s in zip(parts, colors)))
+    return out
+
+
+def _xt_index_map(g, left):
+    """(image, added color) per vertex of g's side, index 0 standing for an
+    absent vertex: G(r,l) acts from the left, G(r,m) and G(r,n) (the dual
+    slots) from the right."""
+    f, tau = g
+    if left:
+        return (0,) + tau, (0,) + tuple(f[v - 1] for v in tau)
+    return (0,) + C.pinv(tau), (0,) + f
+
+
+def xt_fixed_points_by_elements(r, l, m, n, t):
+    """xt_fixed_points with every element of X^t tested against every
+    triple of class representatives: x is fixed iff every part maps into
+    x, so each test stops at the first part that leaves x."""
+    X = xt_elements(r, l, m, n, t)
+    tables = [wreath_char_table(r, size) for size in (l, m, n)]
+    sides = [[(T, sizes[T], _xt_index_map(g, left)) for T, g in reps.items()]
+             for (reps, sizes, _), left in zip(tables, (True, False, False))]
+    table = {}
+    for (T1, k1, (i1, c1)), (T2, k2, (i2, c2)), (T3, k3, (i3, c3)) in product(*sides):
+        fixed = 0
+        for x in X:
+            for i, j, k, s in x:
+                if (i1[i], i2[j], i3[k], (s + c1[i] + c2[j] + c3[k]) % r) not in x:
+                    break
+            else:
+                fixed += 1
+        if fixed:
+            table[T1, T2, T3] = fixed * k1 * k2 * k3
+    return table
+
+
 def _xt_cases(size_max):
     for l, m, n in product(range(size_max + 1), repeat=3):
         for entry in admissible_set(l, m, n):
@@ -490,10 +553,31 @@ def test_xt_oracle_equals_the_element_sweep_up_to_size_one(r):
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_xt_elements_equal_the_sweep_up_to_size_two(r):
     for l, m, n, t in _xt_cases(2):
-        X = C.xt_elements(r, l, m, n, t)
+        X = xt_elements(r, l, m, n, t)
         swept = xt_elements_by_sweep(r, l, m, n, t)
         assert len(X) == len(swept) == len(set(X))
         assert set(X) == {_as_index_parts(x) for x in swept}
+
+
+@pytest.mark.parametrize("r, size", [(1, 3), (2, 3), (3, 2)])
+def test_xt_fixed_points_equal_the_element_enumeration(r, size):
+    # every table c10 reads, with its key order
+    for l, m, n, t in _xt_cases(size):
+        table = C.xt_fixed_points(r, l, m, n, t)
+        assert list(table.items()) == list(
+            xt_fixed_points_by_elements(r, l, m, n, t).items())
+
+
+@pytest.mark.parametrize("r, size", [(1, 5), (2, 5), (3, 4)])
+def test_the_identity_fixes_all_of_xt(r, size):
+    # |X^t| = l! m! n! / (a! b! c! t!) r^(a+b+c+t), from the identity's
+    # cycles alone: no element and no table of G(r, size) is built
+    for l, m, n, t in _xt_cases(size):
+        a, b, c = C._xt_kinds(l, m, n, t)
+        count = (factorial(l) * factorial(m) * factorial(n) * r ** (a + b + c + t)
+                 // (factorial(a) * factorial(b) * factorial(c) * factorial(t)))
+        identity = tuple(((1, 0),) * k for k in (l, m, n))
+        assert C._orbit_groupings(r, identity, t) == count
 
 
 def test_wreath_char_at_identity_is_dimension():
@@ -530,9 +614,9 @@ def test_theorem_formula_check_rejects_r_below_one():
     (lambda: C._pad((3,), 4), "padding"),
     (lambda: k_coefficient(2, ((1,), ()), ((1,), ()), ((), ())), "weights"),
     (lambda: xt_formula(1, ((1,),), ((1,),), ((),), 1), "admissible"),
-    (lambda: C.xt_elements(1, 1, 1, 0, 1), "admissible"),
+    (lambda: C.xt_fixed_points(1, 1, 1, 0, 1), "admissible"),
 ], ids=["kronecker-sizes", "pad-below-first-part", "k-weights",
-        "xt-formula-t", "xt-elements-t"])
+        "xt-formula-t", "xt-fixed-points-t"])
 def test_mismatched_sizes_and_inadmissible_t_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -586,7 +670,8 @@ checks = [lambda: MR.specht_matrix((2, 1), (1, 2, 3)),
           lambda: rs_inverse(((((((2,),), ((1,),)),), ((),)),
                               (((((1,),), ((2,),)),), ((),))), 1, 2, 2),
           lambda: egf_coefficients(Fraction(1, 2), 2),
-          lambda: random_downward(random.Random(0), 2, 2, 1)]
+          lambda: random_downward(random.Random(0), 2, 2, 1),
+          lambda: C.xt_fixed_points(1, 1, 1, 0, 1)]
 print(sys.flags.optimize)
 for check in checks:
     try:
@@ -608,7 +693,8 @@ def test_integrity_checks_raise_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "ArithmeticError", "ArithmeticError",
                                    "ValueError", "ValueError",
-                                   "ArithmeticError", "ValueError"]
+                                   "ArithmeticError", "ValueError",
+                                   "ValueError"]
 
 
 def _asserts(tree):

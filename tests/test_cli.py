@@ -283,6 +283,11 @@ EMPTY2 = "[[],[]]"
         {"top": [True], "bot": [1], "c": 0}]})),
     ("sw", "--diagram", json.dumps({"r": 2.0, "k": 1, "l": 1, "blocks": [
         {"top": [1], "bot": [1], "c": 0}]})),
+    # arities are non-negative
+    ("compose", "--d1", json.dumps({"r": 2, "k": -2, "l": -1, "blocks": []}),
+     "--d2", json.dumps({"r": 2, "k": -1, "l": 0, "blocks": []})),
+    ("rs", "--diagram", json.dumps({"r": 2, "k": -1, "l": -1, "blocks": []})),
+    ("sw", "--diagram", json.dumps({"r": 2, "k": -1, "l": -1, "blocks": []})),
 ])
 def test_malformed_input_is_a_usage_error(args):
     assert_usage_error(run(*args))

@@ -134,6 +134,10 @@ def diagrams(draw, r, k, l):
     (2, 2, 2, [((1,), (7,), 0), ((1,), (), 0)], "bad bottom vertex 7"),
     (2, 2, 2, [((0,), (7,), 0)], "bad top vertex 0"),
     (2, 2, 2, [((2,), (9,), 0), ((1,), (), 0)], "bad bottom vertex 9"),
+    # with no blocks, range(1, k + 1) is empty for every k <= 0
+    (2, -1, 0, [], "arities must be non-negative"),
+    (2, 0, -1, [], "arities must be non-negative"),
+    (2, -2, -1, [], "arities must be non-negative"),
 ])
 def test_constructor_names_the_first_fault(r, k, l, blocks, message):
     with pytest.raises(MalformedDiagram, match="^%s$" % message):
