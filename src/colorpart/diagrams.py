@@ -10,6 +10,7 @@ scalar monomial exponent vector.
 import json
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 
 class MalformedDiagram(ValueError):
@@ -297,16 +298,20 @@ def tensor(d1, d2):
     return ColoredDiagram(d1.r, d1.k + d2.k, d1.l + d2.l, blocks)
 
 
+def _sort_blocks(r, k, l, blocks):
+    """Trusted build from blocks that are canonical but for their order:
+    sorted tuples, colors mod r, every vertex covered once."""
+    return ColoredDiagram._canonical(r, k, l, tuple(sorted(blocks, key=_block_key)))
+
+
 def flip_invert(d):
     """Anti-involution: horizontal flip and color inversion."""
-    return ColoredDiagram(
-        d.r, d.l, d.k, [(bot, top, (-c) % d.r) for top, bot, c in d.blocks]
-    )
+    return _sort_blocks(d.r, d.l, d.k, [(bot, top, -c % d.r) for top, bot, c in d.blocks])
 
 
 def flip_keep(d):
     """Anti-involution: horizontal flip, colors kept."""
-    return ColoredDiagram(d.r, d.l, d.k, [(bot, top, c) for top, bot, c in d.blocks])
+    return _sort_blocks(d.r, d.l, d.k, [(bot, top, c) for top, bot, c in d.blocks])
 
 
 def factor_triangular(d):
@@ -314,34 +319,23 @@ def factor_triangular(d):
 
     d1 is normally ordered upward (k,m), d0 is a colored permutation diagram
     of size m = rank(d) carrying the propagating colors, d2 is normally
-    ordered downward (m,l).
+    ordered downward (m,l).  Their blocks are d's own canonical blocks and
+    singletons (j,), and they cover every vertex, so each factor is built
+    canonically after one sort of its blocks.
     """
     props = d.propagating_blocks()
     m = len(props)
-    by_top = sorted(range(m), key=lambda a: props[a][0][0])
-    by_bot = sorted(range(m), key=lambda a: props[a][1][0])
-    pos_in_bot = {a: j + 1 for j, a in enumerate(by_bot)}
-
-    d1_blocks = []
+    # tops, and bottoms, are disjoint: tuple order is first-vertex order
+    pos_in_bot = {b: j for j, b in enumerate(sorted(props, key=itemgetter(1)), 1)}
+    d1_blocks = [b for b in d.blocks if not b[1]]
+    d2_blocks = [b for b in d.blocks if not b[0]]
     d0_blocks = []
-    d2_blocks = []
-    for j, a in enumerate(by_top, start=1):
-        top, bot, c = props[a]
+    for j, (top, bot, c) in enumerate(sorted(props), start=1):
         d1_blocks.append((top, (j,), 0))
-        d0_blocks.append(((j,), (pos_in_bot[a],), c))
-    for j, a in enumerate(by_bot, start=1):
-        _, bot, _ = props[a]
-        d2_blocks.append(((j,), bot, 0))
-    for top, bot, c in d.blocks:
-        if top and not bot:
-            d1_blocks.append((top, (), c))
-        elif bot and not top:
-            d2_blocks.append(((), bot, c))
-
-    d1 = ColoredDiagram(d.r, d.k, m, d1_blocks)
-    d0 = ColoredDiagram(d.r, m, m, d0_blocks)
-    d2 = ColoredDiagram(d.r, m, d.l, d2_blocks)
-    return d1, d0, d2
+        d0_blocks.append(((j,), (pos_in_bot[top, bot, c],), c))
+    d2_blocks += [((j,), bot, 0) for (_, bot, _), j in pos_in_bot.items()]
+    return (_sort_blocks(d.r, d.k, m, d1_blocks), _sort_blocks(d.r, m, m, d0_blocks),
+            _sort_blocks(d.r, m, d.l, d2_blocks))
 
 
 # -- enumeration and counting ------------------------------------------------
@@ -361,17 +355,17 @@ def set_partitions(items):
 
 
 def enumerate_diagrams(r, k, l):
-    """All colored (k,l)-partition diagrams."""
+    """All colored (k,l)-partition diagrams.  Each set partition's blocks
+    are sorted once, holding their index in the partition in the color
+    slot, and then colored in every way."""
     verts = [("t", i) for i in range(1, k + 1)] + [("b", j) for j in range(1, l + 1)]
     for part in set_partitions(verts):
-        n = len(part)
-        for colors in product(range(r), repeat=n):
-            blocks = []
-            for block, c in zip(part, colors):
-                top = [v for tag, v in block if tag == "t"]
-                bot = [v for tag, v in block if tag == "b"]
-                blocks.append((top, bot, c))
-            yield ColoredDiagram(r, k, l, blocks)
+        blocks = sorted(((tuple(sorted(v for tag, v in block if tag == "t")),
+                          tuple(sorted(v for tag, v in block if tag == "b")), i)
+                         for i, block in enumerate(part)), key=_block_key)
+        for colors in product(range(r), repeat=len(part)):
+            yield ColoredDiagram._canonical(
+                r, k, l, tuple((top, bot, colors[i]) for top, bot, i in blocks))
 
 
 @lru_cache(maxsize=None)

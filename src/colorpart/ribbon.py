@@ -18,14 +18,16 @@ from the cells just placed and restored, so no step rebuilds a shape from
 every value.
 
 Tableaux are dicts value -> frozenset of cells; values are ints or set
-blocks (tuples), compared by maximum entry order.
+blocks (tuples), compared by their maximum entry, taken once per value in
+each insertion.
 """
 
 from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
 
 from .characters import abacus_moves
-from .rs import colored_array, _key as _block_key
+from .rs import _split
 
 
 def _key(v):
@@ -161,13 +163,13 @@ def insert(T, c, v, r):
         if ku < kv:
             cur[u] = cs
         else:
-            bigger.append(u)
-    bigger.sort(key=_key)
+            bigger.append((ku, u))
+    bigger.sort(key=itemgetter(0))
     shape = rt_shape(cur)
     displaced = place = firstr(shape, c, r)
     cur[v] = place
     shape = addable_ribbons(shape, r)[0][place][1]
-    for u in bigger:
+    for _, u in bigger:
         h_orig = T[u]
         if not (displaced & h_orig):
             place = h_orig
@@ -214,19 +216,15 @@ def sw_diagram(d):
     """Ribbon Schensted map for a colored partition diagram.
 
     The propagating array is inserted in maximum entry order; S and T are
-    the special-type tableaux of the bottom/top nonpropagating blocks.
+    the special-type tableaux of the bottom/top nonpropagating blocks, in
+    maximum entry order.  Each block's maximum is taken once, by rs._split.
     Returns ((P, S), (Q, T)).
     """
     r = d.r
-    P, Q = sw_group(colored_array(d), r)
-    bot_np = sorted(
-        ((c, b) for t, b, c in d.blocks if b and not t), key=lambda x: _block_key(x[1])
-    )
-    top_np = sorted(
-        ((c, t) for t, b, c in d.blocks if t and not b), key=lambda x: _block_key(x[1])
-    )
-    S = special_type(bot_np, r)
-    T = special_type(top_np, r)
+    cols, bots, tops = _split(d)
+    P, Q = sw_group([col[1:] for col in cols], r)
+    S = special_type([b[1:] for b in bots], r)
+    T = special_type([t[1:] for t in tops], r)
     return (P, S), (Q, T)
 
 

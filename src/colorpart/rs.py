@@ -4,9 +4,10 @@ A colored diagram is encoded by its colored set-partition array: the
 propagating parts sorted by the maximum entry of the top constituent, each
 column holding (color, top block, bottom block).  Splitting the columns by
 color and running classical RS per color (entries compared by their maximum
-element) gives r-tuples (P, Q) of set-partition tableaux; the nonpropagating
-bottom/top blocks, grouped by color into single rows sorted by maximum,
-give S and T.  d <-> ((P, S), (Q, T)) is a bijection.
+element, taken once per value as it enters insertion) gives r-tuples
+(P, Q) of set-partition tableaux; the nonpropagating bottom/top blocks,
+grouped by color into single rows sorted by maximum, give S and T.
+d <-> ((P, S), (Q, T)) is a bijection.
 """
 
 from .diagrams import ColoredDiagram
@@ -16,64 +17,75 @@ def _key(block):
     return max(block)
 
 
+def _split(d):
+    """One pass over d's blocks, each block's maximum taken once: the
+    propagating columns (max top, color, top, bot) and the bottom-only and
+    top-only blocks (max, color, verts), each list sorted by maximum."""
+    cols, bots, tops = [], [], []
+    for top, bot, c in d.blocks:
+        if not top:
+            bots.append((max(bot), c, bot))
+        elif not bot:
+            tops.append((max(top), c, top))
+        else:
+            cols.append((max(top), c, top, bot))
+    cols.sort()
+    bots.sort()
+    tops.sort()
+    return cols, bots, tops
+
+
 def colored_array(d):
     """Columns (color, top, bot) of the propagating parts, sorted by the
     maximum entry of the top constituent."""
-    cols = [(c, top, bot) for top, bot, c in d.propagating_blocks()]
-    cols.sort(key=lambda col: _key(col[1]))
-    return cols
+    return [col[1:] for col in _split(d)[0]]
 
 
 def _insert(rows, x):
-    """Classical row insertion by maximum entry order; returns the position
-    (i, j) of the new cell."""
-    i = 0
-    while True:
-        if i == len(rows):
-            rows.append([x])
-            return i, 0
-        row = rows[i]
+    """Classical row insertion of the pair x = (key, entry), compared by
+    key; returns the position (i, j) of the new cell."""
+    key = x[0]
+    for i, row in enumerate(rows):
         # leftmost entry strictly bigger than x gets bumped
-        pos = None
         for j, y in enumerate(row):
-            if _key(y) > _key(x):
-                pos = j
+            if y[0] > key:
+                row[j], x = x, y
+                key = x[0]
                 break
-        if pos is None:
+        else:
             row.append(x)
             return i, len(row) - 1
-        row[pos], x = x, row[pos]
-        i += 1
-
-
-def _freeze(rows):
-    return tuple(tuple(row) for row in rows)
+    rows.append([x])
+    return len(rows) - 1, 0
 
 
 def rs_pair(columns):
     """Classical RS with recording for a two-line array of set blocks.
 
     columns: list of (top, bot); bottoms are inserted in the given order,
-    tops are recorded.  Returns (P, Q) as tuples of row tuples.
+    each keyed by its maximum once, and tops are recorded.  Returns (P, Q)
+    as tuples of row tuples.
     """
     p_rows, q_rows = [], []
     for top, bot in columns:
-        i, j = _insert(p_rows, bot)
+        i, j = _insert(p_rows, (max(bot), bot))
         while len(q_rows) <= i:
             q_rows.append([])
         if len(q_rows[i]) != j:
             raise RuntimeError("insertion cell (%d, %d) is not the end of "
                                "recording row %d" % (i, j, i))
         q_rows[i].append(top)
-    return _freeze(p_rows), _freeze(q_rows)
+    return (tuple(tuple(x for _, x in row) for row in p_rows),
+            tuple(map(tuple, q_rows)))
 
 
 def _nonprop_rows(blocks, r):
-    """Group single-sided blocks by color into rows sorted by maximum."""
+    """Group single-sided blocks (max, color, verts), sorted by maximum, by
+    color into rows."""
     out = [[] for _ in range(r)]
-    for verts, c in blocks:
+    for _, c, verts in blocks:
         out[c].append(verts)
-    return tuple(tuple(sorted(row, key=_key)) for row in out)
+    return tuple(map(tuple, out))
 
 
 def rs_forward(d):
@@ -83,17 +95,12 @@ def rs_forward(d):
     are r-tuples of single rows (possibly empty) of set blocks.
     """
     r = d.r
+    cols, bots, tops = _split(d)
     by_color = [[] for _ in range(r)]
-    for c, top, bot in colored_array(d):
+    for _, c, top, bot in cols:
         by_color[c].append((top, bot))
-    P, Q = [], []
-    for cols in by_color:
-        p, q = rs_pair(cols)
-        P.append(p)
-        Q.append(q)
-    S = _nonprop_rows([(b, c) for t, b, c in d.blocks if b and not t], r)
-    T = _nonprop_rows([(t, c) for t, b, c in d.blocks if t and not b], r)
-    return (tuple(P), S), (tuple(Q), T)
+    P, Q = zip(*(rs_pair(cols) if cols else ((), ()) for cols in by_color))
+    return (P, _nonprop_rows(bots, r)), (Q, _nonprop_rows(tops, r))
 
 
 def _reverse_insert(rows, i, j):

@@ -1,5 +1,10 @@
 """Small helpers the tests share and the library does not need."""
 
+from colorpart.characters import g_elements
+from colorpart.diagrams import ColoredDiagram, enumerate_diagrams
+from colorpart.modules_rep import _perm_diagram
+from colorpart.ribbon import addable_ribbons, bumpout, firstr, nextr, rt_shape, special_type
+
 
 def as_integer(c):
     """A rational CycNumber as an int; ValueError if it is not an integer."""
@@ -12,3 +17,143 @@ def as_integer(c):
 def g_identity(n):
     """The identity of G(r,n) as (colors, permutation)."""
     return (0,) * n, tuple(range(1, n + 1))
+
+
+def random_square_diagram(rng, r, k):
+    """A seeded colored (k,k)-diagram: shuffled vertices dealt round-robin
+    into a random number of blocks, each with a random color."""
+    verts = [("t", v) for v in range(1, k + 1)] + [("b", v) for v in range(1, k + 1)]
+    rng.shuffle(verts)
+    n_blocks = rng.randint(1, len(verts)) if verts else 0
+    return ColoredDiagram(r, k, k, [
+        (tuple(v for tag, v in block if tag == "t"),
+         tuple(v for tag, v in block if tag == "b"), rng.randrange(r))
+        for block in (verts[i::n_blocks] for i in range(n_blocks))])
+
+
+def sweep_diagrams():
+    """Every diagram of the rs and ribbon sweeps (criteria c06 and c07):
+    CPar_k for k <= 3 at r = 1, 2 and k <= 2 at r = 3, then G(r, n) as
+    permutation diagrams for n <= 4, r <= 3."""
+    for r, k_max in [(1, 3), (2, 3), (3, 2)]:
+        for k in range(k_max + 1):
+            yield from enumerate_diagrams(r, k, k)
+    for n in range(5):
+        for r in range(1, 4):
+            for g in g_elements(r, n):
+                yield _perm_diagram(r, n, g)
+
+
+# -- insertion oracles: the maximum of an entry taken at every comparison -------
+#
+# The row and ribbon insertions as they were before each value's maximum
+# was taken once; the kernels in colorpart.rs and colorpart.ribbon must give
+# the same output, dict order included.
+
+
+def _max_entry(v):
+    return v if isinstance(v, int) else max(v)
+
+
+def colored_array_by_max(d):
+    cols = [(c, top, bot) for top, bot, c in d.propagating_blocks()]
+    cols.sort(key=lambda col: max(col[1]))
+    return cols
+
+
+def _row_insert_by_max(rows, x):
+    i = 0
+    while True:
+        if i == len(rows):
+            rows.append([x])
+            return i, 0
+        row = rows[i]
+        pos = None
+        for j, y in enumerate(row):
+            if max(y) > max(x):
+                pos = j
+                break
+        if pos is None:
+            row.append(x)
+            return i, len(row) - 1
+        row[pos], x = x, row[pos]
+        i += 1
+
+
+def rs_pair_by_max(columns):
+    p_rows, q_rows = [], []
+    for top, bot in columns:
+        i, j = _row_insert_by_max(p_rows, bot)
+        while len(q_rows) <= i:
+            q_rows.append([])
+        if len(q_rows[i]) != j:
+            raise RuntimeError("insertion cell is not the end of its recording row")
+        q_rows[i].append(top)
+    return tuple(map(tuple, p_rows)), tuple(map(tuple, q_rows))
+
+
+def _nonprop_rows_by_max(blocks, r):
+    out = [[] for _ in range(r)]
+    for verts, c in blocks:
+        out[c].append(verts)
+    return tuple(tuple(sorted(row, key=max)) for row in out)
+
+
+def rs_forward_by_max(d):
+    r = d.r
+    by_color = [[] for _ in range(r)]
+    for c, top, bot in colored_array_by_max(d):
+        by_color[c].append((top, bot))
+    P, Q = [], []
+    for cols in by_color:
+        p, q = rs_pair_by_max(cols)
+        P.append(p)
+        Q.append(q)
+    S = _nonprop_rows_by_max([(b, c) for t, b, c in d.blocks if b and not t], r)
+    T = _nonprop_rows_by_max([(t, c) for t, b, c in d.blocks if t and not b], r)
+    return (tuple(P), S), (tuple(Q), T)
+
+
+def insert_by_max(T, c, v, r):
+    """ribbon.insert with _max_entry taken at every comparison."""
+    kv = _max_entry(v)
+    cur, bigger = {}, []
+    for u, cs in T.items():
+        if _max_entry(u) == kv:
+            raise ValueError("the tableau already holds a value of maximum %r" % kv)
+        if _max_entry(u) < kv:
+            cur[u] = cs
+        else:
+            bigger.append(u)
+    bigger.sort(key=_max_entry)
+    shape = rt_shape(cur)
+    displaced = place = firstr(shape, c, r)
+    cur[v] = place
+    shape = addable_ribbons(shape, r)[0][place][1]
+    for u in bigger:
+        h_orig = T[u]
+        if not (displaced & h_orig):
+            place = h_orig
+        elif displaced == h_orig:
+            place = nextr(shape, h_orig, r)
+        else:
+            place = bumpout(displaced, h_orig)
+        step = addable_ribbons(shape, r)[0].get(place)
+        if step is None:
+            raise RuntimeError("%r is not an addable %d-ribbon" % (place, r))
+        cur[u] = place
+        shape = step[1]
+        displaced = (displaced | place) - h_orig
+    return cur, displaced
+
+
+def sw_diagram_by_max(d):
+    r = d.r
+    P, Q = {}, {}
+    for c, label, v in colored_array_by_max(d):
+        P, Q[label] = insert_by_max(P, c, v, r)
+    bot_np = sorted(((c, b) for t, b, c in d.blocks if b and not t),
+                    key=lambda x: max(x[1]))
+    top_np = sorted(((c, t) for t, b, c in d.blocks if t and not b),
+                    key=lambda x: max(x[1]))
+    return (P, special_type(bot_np, r)), (Q, special_type(top_np, r))

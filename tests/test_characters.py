@@ -679,11 +679,30 @@ for check in checks:
         print("passed")
     except (ArithmeticError, ValueError) as exc:
         print(type(exc).__name__)
+
+# round trips of the trusted builds and the key-once insertions over CPar_2
+# at r = 2: how many of the 94 diagrams pass each
+from colorpart.diagrams import ColoredDiagram, compose, enumerate_diagrams, factor_triangular
+from colorpart.ribbon import sw_diagram, sw_image_key
+from colorpart.rs import rs_forward
+
+def factors_ok(d):
+    d1, d0, d2 = factor_triangular(d)
+    p, e1 = compose(d1, d0)
+    return (compose(p, d2) == (d, (0, 0)) and e1 == (0, 0)
+            and d1.is_normally_ordered_up() and d2.is_normally_ordered_down()
+            and all(f.blocks == ColoredDiagram(2, f.k, f.l, f.blocks).blocks
+                    for f in (d1, d0, d2)))
+
+cpar = list(enumerate_diagrams(2, 2, 2))
+print(len(cpar), sum(map(factors_ok, cpar)),
+      sum(rs_inverse(rs_forward(d), 2, 2, 2) == d for d in cpar),
+      len({sw_image_key(sw_diagram(d)) for d in cpar}))
 """
 
 
 def test_integrity_checks_raise_under_python_O():
-    # asserts vanish under -O; these checks must not
+    # asserts vanish under -O; these checks, and the round trips, must not
     src = os.path.dirname(os.path.dirname(colorpart.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -694,7 +713,7 @@ def test_integrity_checks_raise_under_python_O():
     assert proc.stdout.split() == ["1", "ArithmeticError", "ArithmeticError",
                                    "ValueError", "ValueError",
                                    "ArithmeticError", "ValueError",
-                                   "ValueError"]
+                                   "ValueError", "94", "94", "94", "94"]
 
 
 def _asserts(tree):

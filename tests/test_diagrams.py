@@ -18,6 +18,7 @@ from colorpart.diagrams import (
     factor_triangular,
     flip_invert,
     flip_keep,
+    set_partitions,
     stirling2,
     tensor,
 )
@@ -325,6 +326,61 @@ def test_triangular_factorization_roundtrip():
             p, e1 = compose(d1, d0)
             back, e2 = compose(p, d2)
             assert back == d and not any(e1) and not any(e2)
+
+
+# -- trusted builds: each must be what the validating constructor builds --------
+#
+# A trusted build whose blocks are not canonical would break == and hash
+# without any error.
+
+
+def assert_canonical(d):
+    built = ColoredDiagram(d.r, d.k, d.l, d.blocks)
+    assert d == built and d.blocks == built.blocks and hash(d) == hash(built)
+
+
+def trusted_builds(d):
+    """The diagrams every trusted-build function returns for d."""
+    return [*factor_triangular(d), flip_keep(d), flip_invert(d)]
+
+
+def enumerate_by_constructor(r, k, l):
+    """enumerate_diagrams as it was: every diagram through the validating
+    constructor, in the same order."""
+    verts = [("t", i) for i in range(1, k + 1)] + [("b", j) for j in range(1, l + 1)]
+    for part in set_partitions(verts):
+        for colors in itertools.product(range(r), repeat=len(part)):
+            yield ColoredDiagram(r, k, l, [
+                ([v for tag, v in block if tag == "t"],
+                 [v for tag, v in block if tag == "b"], c)
+                for block, c in zip(part, colors)])
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_trusted_builds_equal_the_validating_constructor(r):
+    for k in range(4):
+        for d in enumerate_diagrams(r, k, k):
+            assert_canonical(d)
+            for e in trusted_builds(d):
+                assert_canonical(e)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_enumeration_matches_the_validating_enumeration_in_order(r):
+    for k, l in itertools.product(range(4), repeat=2):
+        got = list(enumerate_diagrams(r, k, l))
+        want = list(enumerate_by_constructor(r, k, l))
+        assert got == want
+        assert [d.blocks for d in got] == [d.blocks for d in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_trusted_builds_equal_the_validating_constructor_on_large_diagrams(data):
+    r = data.draw(st.integers(1, 5))
+    k, l = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+    for e in trusted_builds(data.draw(diagrams(r, k, l))):
+        assert_canonical(e)
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,9 +6,9 @@ import pytest
 
 from colorpart import ribbon as RB
 from colorpart.characters import abacus_moves, g_elements
-from colorpart.diagrams import ColoredDiagram, count_bell, enumerate_diagrams
+from colorpart.diagrams import count_bell, enumerate_diagrams
 from colorpart.modules_rep import _perm_diagram
-from colorpart.rs import colored_array, _key as _block_key
+from colorpart.rs import colored_array, _key as _max_entry
 from colorpart.ribbon import (
     _cells,
     addable_ribbons,
@@ -35,6 +35,8 @@ from colorpart.verify import (
     SW_S_ROWS,
     SW_T_ROWS,
 )
+
+from helpers import insert_by_max, random_square_diagram, sw_diagram_by_max, sweep_diagrams
 
 SHAPES = [(), (1,), (3, 1), (4, 4, 2), (5, 3, 3, 1)]
 
@@ -132,21 +134,11 @@ def sw_diagram_by_cells(d):
         Q[label] = frozenset(cells - prev)
         prev = cells
     bot_np = sorted(((c, b) for t, b, c in d.blocks if b and not t),
-                    key=lambda x: _block_key(x[1]))
+                    key=lambda x: _max_entry(x[1]))
     top_np = sorted(((c, t) for t, b, c in d.blocks if t and not b),
-                    key=lambda x: _block_key(x[1]))
+                    key=lambda x: _max_entry(x[1]))
     return ((P, special_type_by_cells(bot_np, r)),
             (Q, special_type_by_cells(top_np, r)))
-
-
-def random_diagram(rng, r, k):
-    verts = [("t", v) for v in range(1, k + 1)] + [("b", v) for v in range(1, k + 1)]
-    rng.shuffle(verts)
-    n_blocks = rng.randint(1, len(verts)) if verts else 0
-    return ColoredDiagram(r, k, k, [
-        (tuple(v for tag, v in block if tag == "t"),
-         tuple(v for tag, v in block if tag == "b"), rng.randrange(r))
-        for block in (verts[i::n_blocks] for i in range(n_blocks))])
 
 
 # -- the cached tables against the cell-set path --------------------------------
@@ -303,8 +295,44 @@ def test_sw_diagram_matches_the_cell_set_oracle(r, k):
 def test_sw_diagram_matches_the_cell_set_oracle_on_random_diagrams():
     rng = random.Random(6)
     for _ in range(500):
-        d = random_diagram(rng, rng.randint(1, 5), rng.randint(0, 6))
+        d = random_square_diagram(rng, rng.randint(1, 5), rng.randint(0, 6))
         assert sw_image_key(sw_diagram(d)) == sw_image_key(sw_diagram_by_cells(d))
+
+
+# -- each maximum taken once, against the max-per-comparison oracle --------------
+
+
+def _items(tableaux):
+    return [list(T.items()) for T in tableaux]
+
+
+def test_sw_diagram_matches_the_max_per_comparison_oracle():
+    # equal tableaux with their values in the same order
+    rng = random.Random(12)
+    randoms = [random_square_diagram(rng, rng.randint(1, 5), rng.randint(0, 11))
+               for _ in range(300)]
+    for d in [*sweep_diagrams(), BIJECTION_DIAGRAM, *randoms]:
+        (P, S), (Q, T) = sw_diagram(d)
+        (P0, S0), (Q0, T0) = sw_diagram_by_max(d)
+        assert _items((P, S, Q, T)) == _items((P0, S0, Q0, T0))
+
+
+def test_insert_matches_the_oracle_on_ints_blocks_and_any_tableau_order():
+    # insert is public: values may be ints or unsorted blocks, and the
+    # tableau's dict may list them in any order
+    rng = random.Random(4)
+    for _ in range(300):
+        r = rng.randint(1, 4)
+        T = {}
+        for m in rng.sample(range(1, 25), rng.randint(1, 8)):
+            block = rng.sample(range(1, m), min(m - 1, 2)) + [m]
+            rng.shuffle(block)
+            v = m if rng.random() < 0.5 else tuple(block)
+            T = dict(rng.sample(list(T.items()), len(T)))
+            c = rng.randrange(r)
+            got, want = insert(T, c, v, r), insert_by_max(T, c, v, r)
+            assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1]
+            T = got[0]
 
 
 # -- integrity checks: explicit raises, kept under python -O --------------------

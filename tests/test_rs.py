@@ -1,5 +1,7 @@
 """Row-insertion bijection for colored diagrams and its Green invariants."""
 
+import random
+
 import pytest
 
 from colorpart import rs as RS
@@ -20,6 +22,8 @@ from colorpart.verify import (
     RS_S,
     RS_T,
 )
+
+from helpers import random_square_diagram, rs_forward_by_max, rs_pair_by_max, sweep_diagrams
 
 
 def test_colored_array_of_worked_example():
@@ -82,6 +86,27 @@ def test_green_invariants_shape():
     assert inv["J"] == 6  # six propagating parts
     assert inv["L"] == (content(RS_P), RS_S)
     assert inv["R"] == (content(RS_Q), RS_T)
+
+
+# -- each maximum taken once, against the max-per-comparison oracle --------------
+
+
+def test_rs_forward_matches_the_max_per_comparison_oracle():
+    rng = random.Random(11)
+    randoms = [random_square_diagram(rng, rng.randint(1, 5), rng.randint(0, 11))
+               for _ in range(400)]
+    for d in [*sweep_diagrams(), BIJECTION_DIAGRAM, *randoms]:
+        assert rs_forward(d) == rs_forward_by_max(d)
+
+
+def test_rs_pair_matches_the_oracle_on_blocks_from_outside_a_diagram():
+    # rs_pair is public: its blocks may be unsorted and may share a maximum
+    rng = random.Random(3)
+    for _ in range(400):
+        cols = [(tuple(rng.sample(range(1, 12), rng.randint(1, 3))),
+                 tuple(rng.sample(range(1, 12), rng.randint(1, 3))))
+                for _ in range(rng.randint(0, 9))]
+        assert rs_pair(cols) == rs_pair_by_max(cols)
 
 
 # -- integrity checks: explicit raises, kept under python -O --------------------
