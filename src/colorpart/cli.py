@@ -4,6 +4,7 @@ Exit codes: 0 on success, 1 when a requested verification fails, 2 on
 usage errors (unknown subcommand, malformed JSON, exceeded cap).
 """
 
+import inspect
 import json
 
 import click
@@ -188,6 +189,20 @@ def cmd_sw(diagram):
     emit({"P": rt_rows(P), "Q": rt_rows(Q), "S": rt_rows(S), "T": rt_rows(T)})
 
 
+def check_psi_size(k_max, r_max, cap):
+    """Refuse a psi-check whose samples may expand past the cap before any
+    sampling: a sample at r colors on m <= k_max bottom vertices expands
+    into up to r^m terms, so r_max^k_max and k_max are each held to the
+    cap.  For r_max >= 2, r_max^k_max >= 2^k_max and >= r_max, so a k_max
+    of at least the cap's bit length, or an r_max past the cap, is refused
+    before the power is formed."""
+    if k_max > cap or r_max > 1 and (r_max > cap or k_max >= cap.bit_length()
+                                     or r_max ** k_max > cap):
+        raise click.UsageError("cap exceeded: psi-check needs k_max and "
+                               "r_max^k_max at most cap %d, got k_max = %d, "
+                               "r_max = %d" % (cap, k_max, r_max))
+
+
 @main.command("psi-check")
 @click.option("--samples", type=POSITIVE, help="default: as in verify")
 @click.option("--k-max", type=POSITIVE, help="default: as in verify")
@@ -198,8 +213,11 @@ def cmd_psi_check(ctx, seed, **sizes):
     """Multiplicativity of the groupoid expansion on random pairs."""
     cfg = run_config(seed=seed)
     # an unset size takes psi_hom_check's default, the one c04 runs
-    rep = psi_hom_check(seed=cfg.seed,
-                        **{k: v for k, v in sizes.items() if v is not None})
+    sizes = {k: v for k, v in sizes.items() if v is not None}
+    defaults = inspect.signature(psi_hom_check).parameters
+    check_psi_size(sizes.get("k_max", defaults["k_max"].default),
+                   sizes.get("r_max", defaults["r_max"].default), cfg.monoid_cap)
+    rep = psi_hom_check(seed=cfg.seed, **sizes)
     emit(rep)
     if not rep["ok"]:
         ctx.exit(1)

@@ -14,7 +14,7 @@ import random
 from itertools import combinations, permutations, product
 
 from .diagrams import ColoredDiagram, compose, enumerate_diagrams, set_partitions
-from .scalars import CycNumber, zeta_pow
+from .scalars import zeta_pow
 
 
 class ColorPreservingDiagram:
@@ -39,6 +39,14 @@ class ColorPreservingDiagram:
         self.source = tuple(source)
         self._hash = None
 
+    @classmethod
+    def _trusted(cls, d, target, source):
+        """Trusted constructor: d is downward and target and source are
+        already its top and bottom color sequences."""
+        x = object.__new__(cls)
+        x.d, x.target, x.source, x._hash = d, target, source, None
+        return x
+
     def __eq__(self, other):
         if not isinstance(other, ColorPreservingDiagram):
             return NotImplemented
@@ -53,6 +61,37 @@ class ColorPreservingDiagram:
         return "CPD(%r)" % (self.d,)
 
 
+def _shape(d):
+    """The uncolored shape of d: its blocks, all colored 0."""
+    return ColoredDiagram._canonical(d.r, d.k, d.l, tuple((t, b, 0) for t, b, _ in d.blocks))
+
+
+def _shape_product(shape1, shape2):
+    """Compose two uncolored downward shapes once, for recoloring: (r, k,
+    l, blocks), each block as (top, bottom, whether its color is read off
+    the target, the vertex index it is read at).  A block with a top
+    vertex takes that vertex's target color, any other its first bottom
+    vertex's source color."""
+    shape, exps = compose(shape1, shape2)
+    if any(exps):
+        raise RuntimeError("downward composition removed a middle component")
+    return shape.r, shape.k, shape.l, tuple(
+        (top, bot, True, top[0] - 1) if top else (top, bot, False, bot[0] - 1)
+        for top, bot, _ in shape.blocks)
+
+
+def _recolored(product, target, source):
+    """The color-preserving diagram of a shape product whose top vertices
+    carry target and whose bottom vertices carry source.  Recoloring keeps
+    the canonical block order, and a composite of color-preserving
+    diagrams over a matching interface is color-preserving with these
+    sequences."""
+    r, k, l, blocks = product
+    d = ColoredDiagram._canonical(r, k, l, tuple(
+        (top, bot, target[i] if up else source[i]) for top, bot, up, i in blocks))
+    return ColorPreservingDiagram._trusted(d, target, source)
+
+
 def gcompose(d1, d2):
     """Compose morphisms: d1: f_k -> f_l after d2: f_m -> f_k.
 
@@ -64,17 +103,7 @@ def gcompose(d1, d2):
             raise ValueError("arities not composable")
         return None
     # compose the uncolored shapes, then recolor blocks from the endpoints
-    a = ColoredDiagram(d1.d.r, d1.d.k, d1.d.l, [(t, b, 0) for t, b, _ in d1.d.blocks])
-    b = ColoredDiagram(d2.d.r, d2.d.k, d2.d.l, [(t, b, 0) for t, b, _ in d2.d.blocks])
-    shape, exps = compose(a, b)
-    if any(exps):
-        raise RuntimeError("downward composition removed a middle component")
-    tgt, src = d1.target, d2.source
-    blocks = []
-    for top, bot, _ in shape.blocks:
-        c = tgt[top[0] - 1] if top else src[bot[0] - 1]
-        blocks.append((top, bot, c))
-    return ColorPreservingDiagram(ColoredDiagram(shape.r, shape.k, shape.l, blocks))
+    return _recolored(_shape_product(_shape(d1.d), _shape(d2.d)), d1.target, d2.source)
 
 
 def psi(d):
@@ -82,43 +111,53 @@ def psi(d):
 
     Returns {ColorPreservingDiagram: CycNumber}; one term per coloring
     (j_1..j_s) of the s blocks, with coefficient zeta^(sum i_s j_s) where
-    i_s are the block colors of d.
+    i_s are the block colors of d.  Recoloring keeps d's canonical block
+    order, and the target and source of each term are read through the
+    vertex-to-block maps of d, built once.
     """
     if not d.is_downward():
         raise ValueError("psi needs a downward diagram")
-    r = d.r
+    r, k, l = d.r, d.k, d.l
+    top_block = [0] * k
+    bot_block = [0] * l
+    for n, (top, bot, _) in enumerate(d.blocks):
+        for v in top:
+            top_block[v - 1] = n
+        for v in bot:
+            bot_block[v - 1] = n
+    colors = [c for _, _, c in d.blocks]
     terms = {}
-    s = len(d.blocks)
-    stack = [(0, 0, [])]
-    while stack:
-        idx, phase, js = stack.pop()
-        if idx == s:
-            blocks = [
-                (t, b, j) for (t, b, _), j in zip(d.blocks, js)
-            ]
-            cpd = ColorPreservingDiagram(ColoredDiagram(r, d.k, d.l, blocks))
-            coeff = zeta_pow(r, phase)
-            terms[cpd] = terms.get(cpd, CycNumber.zero(r)) + coeff
-            continue
-        i_s = d.blocks[idx][2]
-        for j in range(r):
-            stack.append((idx + 1, phase + i_s * j, js + [j]))
-    return {k: v for k, v in terms.items() if v}
+    for js in product(range(r), repeat=len(d.blocks)):
+        blocks = tuple((t, b, j) for (t, b, _), j in zip(d.blocks, js))
+        cpd = ColorPreservingDiagram._trusted(
+            ColoredDiagram._canonical(r, k, l, blocks),
+            tuple(js[n] for n in top_block), tuple(js[n] for n in bot_block))
+        terms[cpd] = zeta_pow(r, sum(i * j for i, j in zip(colors, js)) % r)
+    return terms
 
 
 def gsum_compose(A, B):
-    """Bilinear extension of gcompose to formal sums."""
+    """Bilinear extension of gcompose to formal sums.  Each term's shape is
+    taken once, each distinct pair of shapes is composed once, and every
+    matching pair of terms recolors that product."""
     by_target = {}
     for cpd, c in B.items():
-        by_target.setdefault(cpd.target, []).append((cpd, c))
+        by_target.setdefault(cpd.target, []).append((_shape(cpd.d), cpd.source, c))
+    products = {}
     out = {}
     for cpd1, c1 in A.items():
-        for cpd2, c2 in by_target.get(cpd1.source, []):
-            prod = gcompose(cpd1, cpd2)
+        matches = by_target.get(cpd1.source)
+        if not matches:
+            continue
+        shape1 = _shape(cpd1.d)
+        for shape2, source, c2 in matches:
+            pair = shape1, shape2
+            prod = products.get(pair)
             if prod is None:
-                continue
+                prod = products[pair] = _shape_product(shape1, shape2)
+            term = _recolored(prod, cpd1.target, source)
             c = c1 * c2
-            out[prod] = out.get(prod, c * 0) + c
+            out[term] = out.get(term, c * 0) + c
     return {k: v for k, v in out.items() if v}
 
 

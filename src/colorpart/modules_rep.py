@@ -33,7 +33,7 @@ from .characters import (
     wreath_char_table,
 )
 from .diagrams import ColoredDiagram, compose, count_bell, enumerate_diagrams, flip_invert, set_partitions
-from .scalars import CycNumber, MPoly, _exact, eval_many, zeta_pow
+from .scalars import CycNumber, MPoly, _compile, _exact, eval_compiled, zeta_pow
 
 
 # -- Specht matrices -----------------------------------------------------------
@@ -371,27 +371,28 @@ def cell_dimension(r, k, lam_bar):
 @lru_cache(maxsize=None)
 def _certificate_plan(r, k):
     """The point-free part of a certificate at (r, k): the cell labels by
-    weight, their Gram determinants, the sum over cells of (dim W)^2 and
-    B_{2k,r}."""
+    weight, their Gram determinants and those determinants compiled for
+    evaluation, the sum over cells of (dim W)^2 and B_{2k,r}."""
     labels = tuple(lam_bar for i in range(k + 1) for lam_bar in multipartitions(r, i))
     dets = tuple(gram_det(r, k, lam_bar) for lam_bar in labels)
     dim_sq = sum(cell_dimension(r, k, lam_bar) ** 2 for lam_bar in labels)
-    return labels, dets, dim_sq, count_bell(2 * k, r)
+    return labels, dets, _compile(r, dets), dim_sq, count_bell(2 * k, r)
 
 
 def semisimplicity_certificate(r, k, x):
     """Evaluate every Gram determinant at the parameter point x; semisimple
     iff all are nonzero.  Also checks sum over cells of (dim W)^2 = B_{2k,r}.
     x holds ints or Fractions; any other coordinate raises TypeError.  The
-    determinants and the dimension count come from a plan cached on (r, k),
-    and all of the determinants are evaluated in one eval_many pass."""
+    determinants, compiled once for evaluation, and the dimension count
+    come from a plan cached on (r, k), and all of the determinants are
+    evaluated in one eval_compiled pass."""
     x = tuple(Fraction(_exact(v)) for v in x)
     if len(x) != r:
         raise ValueError("parameter point needs %d coordinates" % r)
     if not any(x):
         raise ValueError("some parameter must be nonzero")
-    labels, dets, dim_sq, bell = _certificate_plan(r, k)
-    values = eval_many(r, dets, x)
+    labels, dets, compiled, dim_sq, bell = _certificate_plan(r, k)
+    values = eval_compiled(r, compiled, x)
     return {
         "r": r,
         "k": k,

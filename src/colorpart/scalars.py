@@ -17,10 +17,12 @@ only when it is not integral.  The pair is packed into one int, each
 exponent and the z-degree in a 32-bit field, y_0's the highest, so a
 monomial product is one integer addition and int order is lex order.  A
 product's z-degrees d..2d-2 are rewritten by the same reduction rows as
-CycNumber's.  eval_many evaluates several polynomials at one point,
-forming each coordinate's powers once for all of them; at a rational
-point it sums coordinate times monomial value per z-degree and builds one
-CycNumber per polynomial, and MPoly.eval is its one-polynomial case.
+CycNumber's.  Evaluation is split in two: _compile unpacks each key once
+into its z-degree and its (variable, exponent) pairs, with no point, and
+eval_compiled forms each coordinate's powers once for all of the compiled
+polynomials; at a rational point it sums coordinate times monomial value
+per z-degree and builds one CycNumber per polynomial.  eval_many is the
+two in turn, and MPoly.eval is its one-polynomial case.
 Exact division forms a CycNumber only for an irrational leading
 coefficient.
 `terms` is a read-only {y-exponents: CycNumber} view built on demand.
@@ -586,46 +588,88 @@ class MPoly:
         return " + ".join(parts)
 
 
-def eval_many(r, polys, point):
-    """The values of the MPolys in polys, all in r variables, at one point
-    of r CycNumbers or rationals, as a tuple of CycNumbers.
-
-    The point is checked once, and the powers of each coordinate are
-    formed once for all of the polynomials, each power when a term first
-    needs it, an integral coordinate's as ints.  A term's coordinate times
-    its monomial value is added to its z-degree's coordinate, in ints or
-    Fractions, and one CycNumber is built per polynomial.  Where the point
-    has a cyclotomic coordinate, each term's product is multiplied by zeta
-    to the term's z-degree and added coordinate by coordinate.  A point of
-    the wrong length or a polynomial in other than r variables raises
-    ValueError, a coordinate that is not a CycNumber, int or Fraction
-    TypeError."""
-    if len(point) != r:
-        raise ValueError("evaluation point has wrong length")
-    maps = []
+def _compile(r, polys):
+    """The point-free part of evaluating the MPolys in polys, all in r
+    variables: (terms, top).  terms holds, per polynomial, its terms as
+    (z-degree, coordinate, ((variable, exponent), ...)), the zero exponents
+    left out, so every packed key is unpacked here once; top[i] is the
+    largest exponent of y_i over all of them.  A polynomial in other than
+    r variables raises ValueError."""
+    _, shifts, _ = _layout(r)
+    top = [0] * r
+    compiled = []
     for p in polys:
         if p.r != r:
             raise ValueError("mixed variable counts")
-        maps.append(p._c)
-    d, shifts, _ = _layout(r)
-    # (shift, powers formed so far, coordinate) per variable
-    fields = [(s, [1], v if isinstance(v, CycNumber) else _exact(v))
-              for s, v in zip(shifts, point)]
-    cyclotomic = any(isinstance(v, CycNumber) for _, _, v in fields)
-    out = []
-    for c in maps:
-        acc = [0] * d
-        for key, a in c.items():
-            for s, row, v in fields:
+        terms = []
+        for key, a in p._c.items():
+            factors = []
+            for i, s in enumerate(shifts):
                 e = key >> s & _FIELD
                 if e:
-                    while len(row) <= e:
-                        row.append(row[-1] * v)
-                    a = a * row[e]
-            if cyclotomic:
-                for j, b in enumerate((a * zeta_pow(r, key & _FIELD)).coeffs):
+                    factors.append((i, e))
+                    if e > top[i]:
+                        top[i] = e
+            terms.append((key & _FIELD, a, tuple(factors)))
+        compiled.append(tuple(terms))
+    return tuple(compiled), tuple(top)
+
+
+def eval_compiled(r, compiled, point):
+    """The values at one point of r CycNumbers or rationals of the
+    polynomials that _compile(r, polys) compiled, as a tuple of
+    CycNumbers.
+
+    Each coordinate's powers are formed once, up to the largest exponent
+    of its variable, an integral coordinate's as ints.  At a rational
+    point a term's coordinate times its monomial value is added to its
+    z-degree's coordinate, in ints or Fractions; where the point has a
+    cyclotomic coordinate the product is multiplied by zeta to the term's
+    z-degree and added coordinate by coordinate.  One CycNumber is built
+    per polynomial.  A point of the wrong length raises ValueError, a
+    coordinate that is not a CycNumber, int or Fraction TypeError."""
+    if len(point) != r:
+        raise ValueError("evaluation point has wrong length")
+    polys, top = compiled
+    d = _layout(r)[0]
+    cyclotomic = False
+    pows = []
+    for v, t in zip(point, top):
+        if isinstance(v, CycNumber):
+            cyclotomic = True
+        else:
+            v = _exact(v)
+        row = [1]
+        for _ in range(t):
+            row.append(row[-1] * v)
+        pows.append(row)
+    out = []
+    if cyclotomic:
+        zetas = [zeta_pow(r, z) for z in range(d)]
+        for terms in polys:
+            acc = [0] * d
+            for z, a, factors in terms:
+                for i, e in factors:
+                    a *= pows[i][e]
+                for j, b in enumerate((a * zetas[z]).coeffs):
                     acc[j] += b
-            else:
-                acc[key & _FIELD] += a
-        out.append(CycNumber._trusted(r, tuple(acc)))
+            out.append(CycNumber._trusted(r, tuple(acc)))
+    else:
+        for terms in polys:
+            acc = [0] * d
+            for z, a, factors in terms:
+                for i, e in factors:
+                    a *= pows[i][e]
+                acc[z] += a
+            out.append(CycNumber._trusted(r, tuple(acc)))
     return tuple(out)
+
+
+def eval_many(r, polys, point):
+    """The values of the MPolys in polys, all in r variables, at one point
+    of r CycNumbers or rationals, as a tuple of CycNumbers: _compile, then
+    eval_compiled.  A caller that evaluates the same polynomials at many
+    points compiles them once.  A point of the wrong length or a
+    polynomial in other than r variables raises ValueError, a coordinate
+    that is not a CycNumber, int or Fraction TypeError."""
+    return eval_compiled(r, _compile(r, polys), point)

@@ -1,9 +1,11 @@
 """Small helpers the tests share and the library does not need."""
 
 from colorpart.characters import g_elements
-from colorpart.diagrams import ColoredDiagram, enumerate_diagrams
+from colorpart.diagrams import ColoredDiagram, compose, enumerate_diagrams
+from colorpart.groupoid import ColorPreservingDiagram
 from colorpart.modules_rep import _perm_diagram
 from colorpart.ribbon import addable_ribbons, bumpout, firstr, nextr, rt_shape, special_type
+from colorpart.scalars import CycNumber, zeta_pow
 
 
 def as_integer(c):
@@ -12,6 +14,22 @@ def as_integer(c):
     if q.denominator != 1:
         raise ValueError("not an integer: %s" % (c,))
     return q.numerator
+
+
+def eval_by_repeated_products(p, point):
+    """The original evaluation, kept as the oracle: every coordinate as a
+    CycNumber, each monomial by repeated multiplication, read through the
+    `terms` view rather than the packed keys."""
+    pt = [v if isinstance(v, CycNumber) else CycNumber.from_rational(p.r, v)
+          for v in point]
+    total = CycNumber.zero(p.r)
+    for e, c in p.terms.items():
+        val = c
+        for v, a in zip(pt, e):
+            for _ in range(a):
+                val = val * v
+        total = total + val
+    return total
 
 
 def g_identity(n):
@@ -157,3 +175,63 @@ def sw_diagram_by_max(d):
     top_np = sorted(((c, t) for t, b, c in d.blocks if t and not b),
                     key=lambda x: max(x[1]))
     return (P, special_type(bot_np, r)), (Q, special_type(top_np, r))
+
+
+# -- groupoid oracles: every diagram through the validating constructors -------
+#
+# psi, gcompose and gsum_compose as they were before psi built its terms
+# through the trusted constructors and gsum_compose composed each pair of
+# shapes once; colorpart.groupoid must give equal dicts.
+
+
+def gcompose_by_validation(d1, d2):
+    if d1.source != d2.target:
+        if len(d1.source) != len(d2.target):
+            raise ValueError("arities not composable")
+        return None
+    a = ColoredDiagram(d1.d.r, d1.d.k, d1.d.l, [(t, b, 0) for t, b, _ in d1.d.blocks])
+    b = ColoredDiagram(d2.d.r, d2.d.k, d2.d.l, [(t, b, 0) for t, b, _ in d2.d.blocks])
+    shape, exps = compose(a, b)
+    if any(exps):
+        raise RuntimeError("downward composition removed a middle component")
+    tgt, src = d1.target, d2.source
+    blocks = []
+    for top, bot, _ in shape.blocks:
+        c = tgt[top[0] - 1] if top else src[bot[0] - 1]
+        blocks.append((top, bot, c))
+    return ColorPreservingDiagram(ColoredDiagram(shape.r, shape.k, shape.l, blocks))
+
+
+def psi_by_validation(d):
+    if not d.is_downward():
+        raise ValueError("psi needs a downward diagram")
+    r = d.r
+    terms = {}
+    s = len(d.blocks)
+    stack = [(0, 0, [])]
+    while stack:
+        idx, phase, js = stack.pop()
+        if idx == s:
+            blocks = [(t, b, j) for (t, b, _), j in zip(d.blocks, js)]
+            cpd = ColorPreservingDiagram(ColoredDiagram(r, d.k, d.l, blocks))
+            terms[cpd] = terms.get(cpd, CycNumber.zero(r)) + zeta_pow(r, phase)
+            continue
+        i_s = d.blocks[idx][2]
+        for j in range(r):
+            stack.append((idx + 1, phase + i_s * j, js + [j]))
+    return {k: v for k, v in terms.items() if v}
+
+
+def gsum_compose_by_validation(A, B):
+    by_target = {}
+    for cpd, c in B.items():
+        by_target.setdefault(cpd.target, []).append((cpd, c))
+    out = {}
+    for cpd1, c1 in A.items():
+        for cpd2, c2 in by_target.get(cpd1.source, []):
+            prod = gcompose_by_validation(cpd1, cpd2)
+            if prod is None:
+                continue
+            c = c1 * c2
+            out[prod] = out.get(prod, c * 0) + c
+    return {k: v for k, v in out.items() if v}

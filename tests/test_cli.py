@@ -254,6 +254,35 @@ def test_cells_admit_k_up_to_the_cap():
     assert_usage_error(run(*args, env={"COLORPART_MONOID_CAP": "14"}))
 
 
+@pytest.mark.parametrize("sizes, cap", [
+    # the defaults: 3^4 = 81 terms
+    ((), 81),
+    # r_max = 1 expands into one term: k_max itself is held to the cap
+    (("--r-max", "1", "--k-max", "5"), 5),
+    # 2^6 = 64: at cap 63 the bit length alone refuses k_max = 6
+    (("--r-max", "2", "--k-max", "6"), 64),
+])
+def test_psi_check_admits_sizes_up_to_the_cap(sizes, cap):
+    args = ("psi-check", "--samples", "2") + sizes
+    assert run(*args, env={"COLORPART_MONOID_CAP": str(cap)}).exit_code == 0
+    res = run(*args, env={"COLORPART_MONOID_CAP": str(cap - 1)})
+    assert_usage_error(res)
+    assert "cap exceeded" in res.output
+
+
+@pytest.mark.parametrize("sizes", [
+    ("--k-max", "40"),
+    ("--k-max", "14", "--r-max", "3"),
+    ("--k-max", str(10**40), "--r-max", "2"),
+    ("--k-max", str(10**40), "--r-max", "1"),
+    ("--k-max", "2", "--r-max", str(10**40)),
+])
+def test_psi_check_refuses_a_large_size_before_sampling(sizes):
+    res = run("psi-check", *sizes)
+    assert_usage_error(res)
+    assert "cap exceeded" in res.output
+
+
 def test_output_is_deterministic():
     a = run("psi-check", "--samples", "10", "--seed", "3").output
     b = run("psi-check", "--samples", "10", "--seed", "3").output

@@ -18,6 +18,7 @@ from colorpart.groupoid import (
 )
 from colorpart.scalars import CycNumber
 from colorpart.verify import PSI_INPUT, psi_expected_terms
+from helpers import gcompose_by_validation, gsum_compose_by_validation, psi_by_validation
 
 
 def test_source_and_target_read_off_colors():
@@ -45,6 +46,9 @@ def test_gcompose_interface_mismatch_is_zero():
     b = ColorPreservingDiagram(ColoredDiagram(2, 1, 1, [((1,), (1,), 0)]))
     assert gcompose(a, b) is None
     assert gcompose(a, a) is not None
+    wide = ColorPreservingDiagram(ColoredDiagram(2, 2, 2, [((1,), (1,), 0), ((2,), (2,), 0)]))
+    with pytest.raises(ValueError, match="arities not composable"):
+        gcompose(a, wide)
 
 
 def _compose_with_loop(d1, d2):
@@ -110,3 +114,53 @@ def test_hom_dimension_total_is_downward_count():
     rep = hom_dimension_check(1, 2, 2)
     n = sum(1 for d in enumerate_diagrams(2, 1, 2) if d.is_downward())
     assert rep["path"] == rep["groupoid"] == n
+
+
+def _sample_pairs(samples, k_max, r_max, seed):
+    """The composable pairs psi_hom_check draws, in its order."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        r = rng.randint(1, r_max)
+        m = rng.randint(0, k_max)
+        k = rng.randint(0, m)
+        l = rng.randint(0, k)
+        d1 = random_downward(rng, r, l, k)
+        yield d1, random_downward(rng, r, k, m)
+
+
+def _assert_validated(terms):
+    """Every term, built by the trusted constructors, is what the
+    validating constructors make of its blocks."""
+    for cpd in terms:
+        d = cpd.d
+        valid = ColoredDiagram(d.r, d.k, d.l, d.blocks)
+        assert valid.blocks == d.blocks
+        again = ColorPreservingDiagram(valid)
+        assert (again.target, again.source) == (cpd.target, cpd.source)
+
+
+@pytest.mark.parametrize("samples, r_max, seed", [
+    # c04's default sample at three seeds, then more colors
+    (1000, 3, 0), (1000, 3, 1), (1000, 3, 2), (200, 4, 0), (60, 6, 0)])
+def test_expansion_and_sum_composition_equal_the_validating_oracle(samples, r_max, seed):
+    for d1, d2 in _sample_pairs(samples, 4, r_max, seed):
+        prod, _ = compose(d1, d2)
+        for d in (d1, d2, prod):
+            terms = psi(d)
+            assert terms == psi_by_validation(d)
+            _assert_validated(terms)
+        A, B = psi(d1), psi(d2)
+        composed = gsum_compose(A, B)
+        assert composed == gsum_compose_by_validation(A, B)
+        _assert_validated(composed)
+
+
+def test_gcompose_equals_the_validating_oracle():
+    for d1, d2 in _sample_pairs(200, 3, 3, 4):
+        A, B = psi(d1), psi(d2)
+        for a in A:
+            for b in B:
+                prod = gcompose(a, b)
+                assert prod == gcompose_by_validation(a, b)
+                if prod is not None:
+                    _assert_validated([prod])

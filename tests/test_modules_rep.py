@@ -37,7 +37,7 @@ from colorpart.modules_rep import (
 )
 from colorpart.scalars import CycNumber, MPoly, zeta_pow
 from colorpart.verify import GRAM_K1_R2
-from helpers import as_integer, g_identity
+from helpers import as_integer, eval_by_repeated_products, g_identity
 from nested_mpoly import NestedMPoly, nested_det_bareiss
 
 
@@ -544,21 +544,34 @@ def test_semisimplicity_takes_fractions():
 CERT_CASES = [(1, 3), (2, 2), (3, 1), (4, 1), (5, 1), (2, 1)]
 
 
+def _cert_points(rng, r):
+    """Int points, with negative coordinates, Fraction points and points
+    with a zero coordinate, each with some coordinate nonzero."""
+    ints = [tuple(rng.randint(-3, 6) for _ in range(r)) for _ in range(3)]
+    negative = [tuple(-rng.randint(1, 4) for _ in range(r))]
+    fractions = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                       for _ in range(r)) for _ in range(3)]
+    zeros = [tuple(0 if j != i else rng.choice([-2, Fraction(3, 2), 5])
+                   for j in range(r)) for i in range(r)]
+    zeros += [(0,) * (r - 1) + (1,), (1,) + (0,) * (r - 1)]
+    return [x for x in ints + negative + fractions + zeros if any(x)]
+
+
 @pytest.mark.parametrize("r, k", CERT_CASES)
 def test_certificate_values_are_each_determinant_at_the_point(r, k):
+    # the values against the repeated-product oracle, which reads each
+    # determinant through its terms view and shares no code with the
+    # compiled evaluation that both the certificate and MPoly.eval run
     rng = random.Random(r * 10 + k)
     cells = [lam for i in range(k + 1) for lam in multipartitions(r, i)]
-    for x in [tuple(rng.randint(-3, 6) for _ in range(r)) for _ in range(3)] + [
-            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(r))
-            for _ in range(3)]:
-        if not any(x):
-            continue
+    for x in _cert_points(rng, r):
         cert = semisimplicity_certificate(r, k, x)
         assert list(cert["dets"]) == cells
         for lam in cells:
             det, val = cert["dets"][lam]
             assert det is gram_det(r, k, lam)
-            assert val == det.eval(x)
+            assert type(val) is CycNumber
+            assert val == eval_by_repeated_products(det, x)
         assert cert["semisimple"] == all(val for _, val in cert["dets"].values())
         assert cert["x"] == tuple(Fraction(v) for v in x)
         assert all(type(v) is Fraction for v in cert["x"])

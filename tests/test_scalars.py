@@ -12,8 +12,16 @@ from hypothesis import given, settings, strategies as st
 
 import colorpart
 from colorpart.cli import main
-from colorpart.scalars import CycNumber, MPoly, _phi_coeffs, eval_many, zeta_pow
-from helpers import as_integer
+from colorpart.scalars import (
+    CycNumber,
+    MPoly,
+    _compile,
+    _phi_coeffs,
+    eval_compiled,
+    eval_many,
+    zeta_pow,
+)
+from helpers import as_integer, eval_by_repeated_products
 from nested_mpoly import NestedMPoly
 
 
@@ -139,21 +147,6 @@ def divexact_by_subtraction(p, q):
     return quot
 
 
-def eval_by_repeated_products(p, point):
-    """The original evaluation, kept as the oracle: every coordinate as a
-    CycNumber, each monomial by repeated multiplication."""
-    pt = [v if isinstance(v, CycNumber) else CycNumber.from_rational(p.r, v)
-          for v in point]
-    total = CycNumber.zero(p.r)
-    for e, c in p.terms.items():
-        val = c
-        for v, a in zip(pt, e):
-            for _ in range(a):
-                val = val * v
-        total = total + val
-    return total
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -214,14 +207,31 @@ def test_evaluation_rejects_a_wrong_length_point():
 @given(data=st.data())
 def test_eval_many_matches_the_repeated_product_oracle(r, data):
     # with the zero polynomial among them, at int, Fraction and CycNumber
-    # points; each value is also what eval gives alone
+    # points; each value is also what eval gives alone, and one
+    # compilation evaluated at a second point gives that point's values
     polys = data.draw(st.lists(mpolys(r), max_size=4)) + [MPoly.zero(r)]
-    point = data.draw(points(r))
+    point, other = data.draw(points(r)), data.draw(points(r))
     values = eval_many(r, polys, point)
     assert values == tuple(eval_by_repeated_products(p, point) for p in polys)
     assert values == tuple(p.eval(point) for p in polys)
     assert values[-1] == CycNumber.zero(r)
     assert eval_many(r, (), point) == ()
+    compiled = _compile(r, polys)
+    assert eval_compiled(r, compiled, point) == values
+    assert eval_compiled(r, compiled, other) == tuple(
+        eval_by_repeated_products(p, other) for p in polys)
+
+
+def test_compile_unpacks_each_term_once():
+    # (z-degree, coordinate, ((variable, exponent), ...)) with the zero
+    # exponents left out, and the largest exponent of each variable
+    p = MPoly(3, {(2, 0, 1): CycNumber(3, (5, Fraction(1, 2))), (0, 0, 0): 7})
+    q = MPoly(3, {(0, 3, 0): -1})
+    terms, top = _compile(3, [p, q, MPoly.zero(3)])
+    assert sorted(terms[0]) == [(0, 5, ((0, 2), (2, 1))), (0, 7, ()),
+                                (1, Fraction(1, 2), ((0, 2), (2, 1)))]
+    assert terms[1:] == (((0, -1, ((1, 3),)),), ())
+    assert top == (2, 3, 1)
 
 
 def test_eval_many_shares_the_powers_of_one_point():
