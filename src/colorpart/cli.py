@@ -6,6 +6,7 @@ usage errors (unknown subcommand, malformed JSON, exceeded cap).
 
 import inspect
 import json
+import sys
 
 import click
 
@@ -23,14 +24,23 @@ from .ribbon import rt_rows, sw_diagram
 from .rs import rs_forward
 
 
-def emit(obj):
-    click.echo(json.dumps(obj, default=_default, sort_keys=True))
-
-
 def _default(obj):
     if isinstance(obj, (set, frozenset)):
         return sorted(obj, key=repr)
     raise TypeError("not JSON serializable: %r" % (obj,))
+
+
+_ENCODER = json.JSONEncoder(default=_default, sort_keys=True)
+
+
+def emit(obj):
+    """Write obj to stdout as one sorted-key ASCII JSON line and flush it.
+    click.echo is not used: it caches each sys.stdout it resolves in a
+    weak-key map whose value is the stream itself, so every stream an
+    in-process caller swaps in (one per CliRunner.invoke) stays alive."""
+    out = sys.stdout
+    out.write(_ENCODER.encode(obj) + "\n")
+    out.flush()
 
 
 # Sizes are checked here, at the parse boundary, so the library never sees
@@ -203,6 +213,11 @@ def check_psi_size(k_max, r_max, cap):
                                "r_max = %d" % (cap, k_max, r_max))
 
 
+# an unset psi-check size takes psi_hom_check's default, the one c04 runs
+_PSI_DEFAULTS = {name: p.default for name, p
+                 in inspect.signature(psi_hom_check).parameters.items()}
+
+
 @main.command("psi-check")
 @click.option("--samples", type=POSITIVE, help="default: as in verify")
 @click.option("--k-max", type=POSITIVE, help="default: as in verify")
@@ -212,11 +227,8 @@ def check_psi_size(k_max, r_max, cap):
 def cmd_psi_check(ctx, seed, **sizes):
     """Multiplicativity of the groupoid expansion on random pairs."""
     cfg = run_config(seed=seed)
-    # an unset size takes psi_hom_check's default, the one c04 runs
-    sizes = {k: v for k, v in sizes.items() if v is not None}
-    defaults = inspect.signature(psi_hom_check).parameters
-    check_psi_size(sizes.get("k_max", defaults["k_max"].default),
-                   sizes.get("r_max", defaults["r_max"].default), cfg.monoid_cap)
+    sizes = {k: _PSI_DEFAULTS[k] if v is None else v for k, v in sizes.items()}
+    check_psi_size(sizes["k_max"], sizes["r_max"], cfg.monoid_cap)
     rep = psi_hom_check(seed=cfg.seed, **sizes)
     emit(rep)
     if not rep["ok"]:

@@ -383,10 +383,11 @@ def semisimplicity_certificate(r, k, x):
     """Evaluate every Gram determinant at the parameter point x; semisimple
     iff all are nonzero.  Also checks sum over cells of (dim W)^2 = B_{2k,r}.
     x holds ints or Fractions; any other coordinate raises TypeError.  The
-    determinants, compiled once for evaluation, and the dimension count
-    come from a plan cached on (r, k), and all of the determinants are
-    evaluated in one eval_compiled pass."""
-    x = tuple(Fraction(_exact(v)) for v in x)
+    certificate's "x" holds them in normal form: an int when integral, a
+    Fraction otherwise.  The determinants, compiled once for evaluation,
+    and the dimension count come from a plan cached on (r, k), and all of
+    the determinants are evaluated in one eval_compiled pass."""
+    x = tuple(map(_exact, x))
     if len(x) != r:
         raise ValueError("parameter point needs %d coordinates" % r)
     if not any(x):

@@ -1,11 +1,18 @@
 """Command line interface: JSON output and exit codes."""
 
+import gc
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import colorpart
 from colorpart.cli import main
 from colorpart.diagrams import count_bell
 from colorpart.verify import COMPOSE_D1, COMPOSE_D2, COMPOSE_PRODUCT
@@ -281,6 +288,54 @@ def test_psi_check_refuses_a_large_size_before_sampling(sizes):
     res = run("psi-check", *sizes)
     assert_usage_error(res)
     assert "cap exceeded" in res.output
+
+
+def _live_text_streams():
+    gc.collect()
+    return sum(isinstance(o, io.TextIOWrapper) for o in gc.get_objects())
+
+
+DIAGRAM = json.dumps(ONE)
+LEAK_PROBES = [
+    ("count", "--k", "3", "--r", "2"),
+    ("compose", "--d1", DIAGRAM, "--d2", DIAGRAM),
+    ("rs", "--diagram", DIAGRAM),
+    ("sw", "--diagram", DIAGRAM),
+    ("reduced-kronecker", "--lam", "[1]", "--mu", "[1]", "--nu", "[]"),
+]
+
+
+def test_in_process_calls_retain_no_stream():
+    # each CliRunner.invoke swaps in a new sys.stdout; a writer that caches
+    # the streams it resolves would keep one alive per call
+    for args in LEAK_PROBES:
+        assert run(*args).exit_code == 0
+    before = _live_text_streams()
+    for args in LEAK_PROBES:
+        for _ in range(200):
+            run(*args)
+    assert _live_text_streams() - before <= 5
+
+
+def _cli(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(colorpart.__file__).parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "colorpart.cli", *args],
+                          env=env, capture_output=True, check=True,
+                          timeout=120).stdout
+
+
+def test_stdout_is_one_flushed_sorted_key_line():
+    # in a child process, so no CliRunner stands between the writer and
+    # the pipe: the bytes must reach it before the interpreter exits
+    assert _cli("count", "--k", "3", "--r", "2") == b'{"B": "22"}\n'
+    expected = {"diagram": COMPOSE_PRODUCT.to_json(),
+                "exponents": [0, 0, 1, 2, 0]}
+    out = _cli("compose", "--d1", json.dumps(COMPOSE_D1.to_json()),
+               "--d2", json.dumps(COMPOSE_D2.to_json()))
+    assert out == (json.dumps(expected, sort_keys=True) + "\n").encode()
 
 
 def test_output_is_deterministic():

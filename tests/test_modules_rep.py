@@ -538,6 +538,10 @@ def test_semisimplicity_takes_fractions():
     cert = semisimplicity_certificate(1, 1, (Fraction(1, 2),))
     assert cert["x"] == (Fraction(1, 2),)
     assert cert["semisimple"]
+    # an integral Fraction comes back as an int, as scalars keeps it
+    x = semisimplicity_certificate(2, 1, (Fraction(4, 2), Fraction(1, 2)))["x"]
+    assert x == (2, Fraction(1, 2))
+    assert [type(v) for v in x] == [int, Fraction]
 
 
 # the (r, k) of the cellular benchmark's certificates and of c12
@@ -573,8 +577,10 @@ def test_certificate_values_are_each_determinant_at_the_point(r, k):
             assert type(val) is CycNumber
             assert val == eval_by_repeated_products(det, x)
         assert cert["semisimple"] == all(val for _, val in cert["dets"].values())
-        assert cert["x"] == tuple(Fraction(v) for v in x)
-        assert all(type(v) is Fraction for v in cert["x"])
+        # normal form: an int when integral, a Fraction otherwise
+        assert cert["x"] == tuple(x)
+        assert [type(v) for v in cert["x"]] == [
+            int if Fraction(v).denominator == 1 else Fraction for v in x]
         dim_sq = sum(cell_dimension(r, k, lam) ** 2 for lam in cells)
         assert cert["sum_dim_sq"] == dim_sq == cert["bell"] == count_bell(2 * k, r)
         assert cert["dimension_identity"]
