@@ -8,7 +8,10 @@ the action, the symbolic Gram matrices, and the semisimplicity certificate.
 Wreath irreducibles are induced modules from Specht matrices (standard
 polytabloid basis, straightened by peeling the standard tabloids in
 dominance order, small n only).  A Gram entry is y^e rho(g)_ab, a matrix
-entry of a group element in that standard basis.
+entry of a group element in that standard basis.  Its product
+flip_invert(d) d' is never composed: g and y^e are read off the join of
+the top halves of d and d' at the middle vertices, one union-find per
+pair of uncolored halves.
 
 Cartan entries are computed by class sums: the downward (m,l) diagram
 basis carries a G(r,m) x G(r,l) bi-action by place permutation, and
@@ -32,7 +35,8 @@ from .characters import (
     weight,
     wreath_char_table,
 )
-from .diagrams import ColoredDiagram, compose, count_bell, enumerate_diagrams, flip_invert, set_partitions
+from .diagrams import (ColoredDiagram, _sort_blocks, compose, count_bell, enumerate_diagrams,
+                       set_partitions)
 from .scalars import CycNumber, MPoly, _compile, _exact, eval_compiled, zeta_pow
 
 
@@ -209,68 +213,91 @@ def build_matrix_rep(r, lam_bar):
     return MatrixRep(r, lam_bar)
 
 
-# -- cross-sections and factorization ------------------------------------------
+# -- cross-sections ------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def enumerate_cross_section(r, k, i):
-    """All elements of S(k,i): normally ordered rank-i (k,k)-diagrams with
-    trivially colored propagating parts anchored at 1'..i', arbitrarily
-    colored nonpropagating top parts, trivial bottom singletons."""
-    if not 0 <= i <= k:
-        raise ValueError("need 0 <= i <= k")
+    """All elements of S(k,i), as a tuple: normally ordered rank-i
+    (k,k)-diagrams with trivially colored propagating parts anchored at
+    1'..i', arbitrarily colored nonpropagating top parts, trivial bottom
+    singletons.  Each is built canonically once its blocks are sorted."""
+    if r < 1 or not 0 <= i <= k:
+        raise ValueError("need r >= 1 and 0 <= i <= k")
     out = []
     for part in set_partitions(range(1, k + 1)):
         if len(part) < i:
             continue
-        part = [tuple(b) for b in part]
+        part = [tuple(sorted(b)) for b in part]
         for chosen in combinations(range(len(part)), i):
-            props = sorted((part[c] for c in chosen), key=min)
+            props = sorted(part[c] for c in chosen)
             others = [part[c] for c in range(len(part)) if c not in chosen]
             base = [(props[j], (j + 1,), 0) for j in range(i)]
             base += [((), (j,), 0) for j in range(i + 1, k + 1)]
             for colors in product(range(r), repeat=len(others)):
-                blocks = base + [
-                    (b, (), c) for b, c in zip(others, colors)
-                ]
-                out.append(ColoredDiagram(r, k, k, blocks))
-    return out
-
-
-class NotInLForm(RuntimeError):
-    pass
-
-
-def factor_cross_section(d, i):
-    """Factor a rank-i (k,k)-diagram with cross-section bottom structure as
-    (d2, g): d2 in S(k,i), g in G(r,i); raises NotInLForm otherwise."""
-    r, k = d.r, d.k
-    if d.rank() != i:
-        raise NotInLForm("rank is not %d" % i)
-    props = []
-    for top, bot, c in d.blocks:
-        if top and bot:
-            if len(bot) != 1 or bot[0] > i:
-                raise NotInLForm("propagating bottom is not a singleton in 1..i")
-            props.append((top, bot[0], c))
-        elif bot:
-            if len(bot) != 1 or bot[0] <= i or c:
-                raise NotInLForm("nonpropagating bottom not a trivial singleton")
-    props.sort(key=lambda x: min(x[0]))
-    tau = [0] * i
-    f = [0] * i
-    blocks = []
-    for p, (top, m, c) in enumerate(props, start=1):
-        blocks.append((top, (p,), 0))
-        tau[m - 1] = p
-        f[p - 1] = c
-    blocks += [((), (j,), 0) for j in range(i + 1, k + 1)]
-    blocks += [(top, (), c) for top, bot, c in d.blocks if top and not bot]
-    d2 = ColoredDiagram(r, k, k, blocks)
-    g = (tuple(f), tuple(tau))
-    return d2, g
+                out.append(_sort_blocks(r, k, k, base + [
+                    (b, (), c) for b, c in zip(others, colors)]))
+    return tuple(out)
 
 
 # -- Gram matrices and semisimplicity -------------------------------------------
+
+
+def _top_half(d):
+    """((label, anchors), colors) of a cross-section element: label[v-1]
+    numbers the top block of vertex v, and per top block, in block order,
+    anchors holds its bottom vertex j in 1..i (0 if none) and colors its
+    color, which does not change the block order."""
+    label = [0] * d.k
+    anchors, colors = [], []
+    for top, bot, c in d.blocks:
+        if top:
+            for v in top:
+                label[v - 1] = len(anchors)
+            anchors.append(bot[0] if bot else 0)
+            colors.append(c)
+    return (tuple(label), tuple(anchors)), tuple(colors)
+
+
+def _join(half, half2):
+    """Join two uncolored top halves at the middle vertices 1..k, as
+    flip_invert(d) d' does; None when the rank drops, as a component holds
+    two anchors of one side or one anchor alone.  Otherwise (tau, comps):
+    the component of the anchors a and b sets tau[b-1] = a, and comps is
+    each component as (blocks of half, blocks of half2), those of the
+    anchors a = 1..i first and the anchor-free ones, the loops, last."""
+    (label, anchors), (label2, anchors2) = half, half2
+    n = len(anchors)
+    parent = list(range(n + len(anchors2)))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for u, v in zip(label, label2):
+        u, v = find(u), find(n + v)
+        if u != v:
+            parent[v] = u
+    comps = {}
+    for j in range(len(parent)):
+        side = j >= n
+        comps.setdefault(find(j), ([], []))[side].append(j - n if side else j)
+    pairs, loops = [], []
+    for blocks, blocks2 in comps.values():
+        ends = [anchors[j] for j in blocks if anchors[j]]
+        ends2 = [anchors2[j] for j in blocks2 if anchors2[j]]
+        if not ends and not ends2:
+            loops.append((blocks, blocks2))
+        elif len(ends) != 1 or len(ends2) != 1:
+            return None
+        else:
+            pairs.append((ends[0], ends2[0], (blocks, blocks2)))
+    pairs.sort()
+    tau = [0] * len(pairs)
+    for a, b, _ in pairs:
+        tau[b - 1] = a
+    return tuple(tau), [comp for _, _, comp in pairs] + loops
 
 
 def gram_matrix(r, k, lam_bar):
@@ -286,45 +313,59 @@ def gram_matrix(r, k, lam_bar):
     of the determinant are those of the cell form.  The matrix is
     symmetric only where the Specht dimension is 1; at r = 1 the form
     itself is (1 x Q) times it, Q the Gram matrix of the standard
-    polytabloids."""
+    polytabloids.
+
+    No diagram is composed: the product only glues the top halves of d
+    and d' at the middle vertices.  The elements are grouped by uncolored
+    top half, and each pair of halves is joined once (_join).  The rank
+    stays i iff every component holding an anchor holds exactly one of
+    each side; such a component pairs a with b, so tau(b) = a, and
+    f(a) is the colors of its d' blocks minus those of its d blocks,
+    mod r.  Each anchor-free component is a closed loop of that color and
+    adds one to y^e."""
     lam_bar = tuple(tuple(lam) for lam in lam_bar)
     i = weight(lam_bar)
     if i > k:
         raise ValueError("weight exceeds k")
     cs = enumerate_cross_section(r, k, i)
     rep = build_matrix_rep(r, lam_bar)
-    zeros = [MPoly.zero(r)] * rep.dim
-    rho = {}
-    rows = []
-    for d in cs:
-        di = flip_invert(d)
-        blocks = []
-        for dp in cs:
-            prod, exps = compose(di, dp)
-            if prod.rank() != i:
-                blocks.append(None)
+    groups = {}
+    for n, d in enumerate(cs):
+        half, colors = _top_half(d)
+        groups.setdefault(half, []).append((n, colors))
+    perm = list(range(1, i + 1))
+    # grid[n][n2] is the block of rows (cs[n], .) and columns (cs[n2], .),
+    # shared by every pair with the same (y^e, g)
+    zeros = [[MPoly.zero(r)] * rep.dim] * rep.dim
+    grid = [[zeros] * len(cs) for _ in cs]
+    entries = {}
+    for half, members in groups.items():
+        for half2, members2 in groups.items():
+            join = _join(half, half2)
+            if join is None:
                 continue
-            d2, g = factor_cross_section(prod, i)
-            # the product must be e_i-padded: d2 is the identity element
-            if not all(
-                top == bot
-                or (not top and len(bot) == 1 and c == 0)
-                or (not bot and len(top) == 1 and c == 0)
-                for top, bot, c in d2.blocks
-            ):
-                raise RuntimeError("rank-i product not in e_i form: %r" % (prod,))
-            if g not in rho:
-                rho[g] = rep.matrix(g)
-            blocks.append((exps, rho[g]))
-        for a in range(rep.dim):
-            row = []
-            for blk in blocks:
-                if blk is None:
-                    row.extend(zeros)
-                else:
-                    exps, m = blk
-                    row.extend(MPoly.monomial(r, exps, x) for x in m[a])
-            rows.append(row)
+            tau, comps = join
+            if sorted(tau) != perm:
+                raise RuntimeError("rank-i product not in e_i form: tau = %r" % (tau,))
+            # the colors of each side summed per component
+            sums2 = [(n2, [sum(colors2[j] for j in b2) for _, b2 in comps])
+                     for n2, colors2 in members2]
+            for n, colors in members:
+                sums = [sum(colors[j] for j in b) for b, _ in comps]
+                row = grid[n]
+                for n2, s2 in sums2:
+                    f = tuple((u2 - u) % r for u, u2 in zip(sums[:i], s2))
+                    exps = [0] * r
+                    for u, u2 in zip(sums[i:], s2[i:]):
+                        exps[(u2 - u) % r] += 1
+                    key = (tuple(exps), f, tau)
+                    blk = entries.get(key)
+                    if blk is None:
+                        blk = entries[key] = [[MPoly.monomial(r, key[0], x) for x in m_row]
+                                              for m_row in rep.matrix((f, tau))]
+                    row[n2] = blk
+    rows = [[x for blk in grid_row for x in blk[a]]
+            for grid_row in grid for a in range(rep.dim)]
     if len(rows) != cell_dimension(r, k, lam_bar):
         raise RuntimeError("Gram matrix has %d rows, not the cell dimension" % len(rows))
     return rows
@@ -332,27 +373,55 @@ def gram_matrix(r, k, lam_bar):
 
 def det_bareiss(M, r):
     """Fraction-free determinant of a square MPoly matrix.  Each step
-    divides exactly by the previous pivot, unless that pivot is 1."""
+    divides exactly by the previous pivot, unless that pivot is 1.
+
+    The pivot of each step is the nonzero entry of the trailing submatrix
+    with the fewest stored coordinates, the first monomial found if there
+    is one; its row and its column are swapped into place, each swap
+    flipping the sign.  A product with a zero factor is not formed."""
     n = len(M)
     if n == 0:
         return MPoly.one(r)
     M = [list(row) for row in M]
+    zero = MPoly.zero(r)
     one = prev = MPoly.one(r)
     sign = 1
     for t in range(n - 1):
-        if not M[t][t]:
-            p = next((s for s in range(t + 1, n) if M[s][t]), None)
-            if p is None:
-                return MPoly.zero(r)
+        best = None
+        for s in range(t, n):
+            for j, x in enumerate(M[s][t:], t):
+                if x and (best is None or len(x._c) < best[0]):
+                    best = len(x._c), s, j
+                    if best[0] == 1:
+                        break
+            if best and best[0] == 1:
+                break
+        if best is None:
+            return zero
+        _, p, q = best
+        if p != t:
             M[t], M[p] = M[p], M[t]
             sign = -sign
+        if q != t:
+            for row in M[t:]:
+                row[t], row[q] = row[q], row[t]
+            sign = -sign
+        pivot, top = M[t][t], M[t]
         unit = prev == one
         for s in range(t + 1, n):
+            row = M[s]
+            c = row[t]
             for j in range(t + 1, n):
-                v = M[t][t] * M[s][j] - M[s][t] * M[t][j]
-                M[s][j] = v if unit else v.divexact(prev)
-            M[s][t] = MPoly.zero(r)
-        prev = M[t][t]
+                b, e = row[j], top[j]
+                if c and e:
+                    v = pivot * b - c * e if b else -(c * e)
+                elif b:
+                    v = pivot * b
+                else:
+                    continue
+                row[j] = v if unit or not v else v.divexact(prev)
+            row[t] = zero
+        prev = pivot
     det = M[n - 1][n - 1]
     return -det if sign < 0 else det
 

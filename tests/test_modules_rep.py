@@ -1,9 +1,13 @@
 """Cell modules, Gram matrices, semisimplicity and the Cartan matrix."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from hashlib import sha256
 from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 
@@ -18,7 +22,8 @@ from colorpart.characters import (
     weight,
     wreath_char_table,
 )
-from colorpart.diagrams import ColoredDiagram, compose, count_bell, enumerate_diagrams
+from colorpart.diagrams import (ColoredDiagram, compose, count_bell, enumerate_diagrams,
+                                flip_invert, set_partitions)
 from colorpart.modules_rep import (
     _specht_data,
     build_matrix_rep,
@@ -28,7 +33,6 @@ from colorpart.modules_rep import (
     cell_dimension,
     det_bareiss,
     enumerate_cross_section,
-    factor_cross_section,
     gram_det,
     gram_matrix,
     semisimplicity_certificate,
@@ -281,6 +285,39 @@ def test_phi_table_matches_the_convolution_oracle(r, n):
         assert {z: rep.matrix(z)[0][0] for z in phi} == phi
 
 
+def cross_section_by_validation(r, k, i):
+    """The original cross-section, kept as the oracle: every element built
+    through the validating constructor."""
+    out = []
+    for part in set_partitions(range(1, k + 1)):
+        if len(part) < i:
+            continue
+        part = [tuple(b) for b in part]
+        for chosen in combinations(range(len(part)), i):
+            props = sorted((part[c] for c in chosen), key=min)
+            others = [part[c] for c in range(len(part)) if c not in chosen]
+            base = [(props[j], (j + 1,), 0) for j in range(i)]
+            base += [((), (j,), 0) for j in range(i + 1, k + 1)]
+            for colors in product(range(r), repeat=len(others)):
+                out.append(ColoredDiagram(r, k, k, base + [
+                    (b, (), c) for b, c in zip(others, colors)]))
+    return out
+
+
+@pytest.mark.parametrize("r, k", [(r, k) for r in (1, 2, 3) for k in range(5)])
+def test_cross_section_equals_the_validating_build(r, k):
+    for i in range(k + 1):
+        cs = enumerate_cross_section(r, k, i)
+        assert type(cs) is tuple
+        assert list(cs) == cross_section_by_validation(r, k, i)
+
+
+def test_cross_section_rejects_bad_sizes():
+    for r, k, i in [(0, 1, 0), (2, 1, 2), (2, 2, -1)]:
+        with pytest.raises(ValueError):
+            enumerate_cross_section(r, k, i)
+
+
 def test_cross_section_counts():
     assert len(enumerate_cross_section(2, 1, 0)) == 2
     assert len(enumerate_cross_section(2, 1, 1)) == 1
@@ -301,6 +338,40 @@ def group_diagram(r, k, i, g):
     blocks += [((v,), (), 0) for v in range(i + 1, k + 1)]
     blocks += [((), (v,), 0) for v in range(i + 1, k + 1)]
     return ColoredDiagram(r, k, k, blocks)
+
+
+class NotInLForm(RuntimeError):
+    pass
+
+
+def factor_cross_section(d, i):
+    """Factor a rank-i (k,k)-diagram with cross-section bottom structure as
+    (d2, g): d2 in S(k,i), g in G(r,i); raises NotInLForm otherwise."""
+    r, k = d.r, d.k
+    if d.rank() != i:
+        raise NotInLForm("rank is not %d" % i)
+    props = []
+    for top, bot, c in d.blocks:
+        if top and bot:
+            if len(bot) != 1 or bot[0] > i:
+                raise NotInLForm("propagating bottom is not a singleton in 1..i")
+            props.append((top, bot[0], c))
+        elif bot:
+            if len(bot) != 1 or bot[0] <= i or c:
+                raise NotInLForm("nonpropagating bottom not a trivial singleton")
+    props.sort(key=lambda x: min(x[0]))
+    tau = [0] * i
+    f = [0] * i
+    blocks = []
+    for p, (top, m, c) in enumerate(props, start=1):
+        blocks.append((top, (p,), 0))
+        tau[m - 1] = p
+        f[p - 1] = c
+    blocks += [((), (j,), 0) for j in range(i + 1, k + 1)]
+    blocks += [(top, (), c) for top, bot, c in d.blocks if top and not bot]
+    d2 = ColoredDiagram(r, k, k, blocks)
+    g = (tuple(f), tuple(tau))
+    return d2, g
 
 
 def recompose_cross_section(d2, g, i):
@@ -389,6 +460,53 @@ def test_gram_matrices_are_symmetric():
                         assert M[a][b] == M[b][a]
 
 
+def gram_matrix_by_compose(r, k, lam_bar):
+    """The original Gram build, kept as the oracle: each pair (d, d') of
+    the cross-section composes flip_invert(d) d', factors the product
+    through the cross-section and reads y^e rho(g)_ab."""
+    lam_bar = tuple(tuple(lam) for lam in lam_bar)
+    i = weight(lam_bar)
+    cs = enumerate_cross_section(r, k, i)
+    rep = build_matrix_rep(r, lam_bar)
+    rho = {}
+    rows = []
+    for d in cs:
+        di = flip_invert(d)
+        blocks = []
+        for dp in cs:
+            prod, exps = compose(di, dp)
+            if prod.rank() != i:
+                blocks.append(None)
+                continue
+            d2, g = factor_cross_section(prod, i)
+            # the product is e_i-padded: d2 is the identity on 1..i with
+            # trivial singletons past i
+            assert all(top == bot or (not top and len(bot) == 1 and c == 0)
+                       or (not bot and len(top) == 1 and c == 0)
+                       for top, bot, c in d2.blocks), prod
+            if g not in rho:
+                rho[g] = rep.matrix(g)
+            blocks.append((exps, rho[g]))
+        for a in range(rep.dim):
+            row = []
+            for blk in blocks:
+                if blk is None:
+                    row.extend([MPoly.zero(r)] * rep.dim)
+                else:
+                    exps, m = blk
+                    row.extend(MPoly.monomial(r, exps, x) for x in m[a])
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("r, k", [(r, k) for r in (1, 2, 3) for k in range(4)]
+                         + [(1, 4), (4, 2), (5, 1), (2, 4)])
+def test_gram_matrix_equals_the_compose_oracle(r, k):
+    for i in range(k + 1):
+        for lam_bar in multipartitions(r, i):
+            assert gram_matrix(r, k, lam_bar) == gram_matrix_by_compose(r, k, lam_bar)
+
+
 def test_bareiss_determinant_against_cofactors():
     y0, y1 = MPoly.variable(2, 0), MPoly.variable(2, 1)
     M = [
@@ -398,6 +516,91 @@ def test_bareiss_determinant_against_cofactors():
     ]
     expected = y0 * (y0 * y0 - y1 * y1) - y0  # expand along the last row
     assert det_bareiss(M, 2) == expected
+
+
+def det_by_permutations(M, r):
+    """The Leibniz sum over all permutations, kept as the oracle for small
+    matrices."""
+    from itertools import permutations
+
+    total = MPoly.zero(r)
+    for perm in permutations(range(len(M))):
+        inversions = sum(1 for a in range(len(perm)) for b in range(a)
+                         if perm[b] > perm[a])
+        term = MPoly.one(r)
+        for row, col in enumerate(perm):
+            term = term * M[row][col]
+        total = total + (-term if inversions % 2 else term)
+    return total
+
+
+def _bareiss_cases():
+    y0, y1 = MPoly.variable(2, 0), MPoly.variable(2, 1)
+    one, zero = MPoly.one(2), MPoly.zero(2)
+    return {
+        # the only monomial below the first row sits in column 0: a row swap
+        "row swap": [[y0 + y1, y0 + one], [y1, y0 + y1 + one]],
+        # the only monomial of row 0 is off the diagonal: a column swap
+        "column swap": [[y0 + y1, y1], [y0 + one, y0 + y1 + one]],
+        # the only monomial is at (1, 1): both swaps at once
+        "both swaps": [[y0 + y1, y0 + one], [y0 + 2 * one, y1 * y1]],
+        # at each step the sparsest entry is off the diagonal
+        "off-diagonal pivots": [[y0 + y1, y0 + one, y1],
+                                [y1 + 2 * one, zero, y0 + y1],
+                                [y0 * y1 + one, y0 - y1, y0 + y1 + one]],
+        # row 1 has a zero in the first pivot column, so its products are
+        # the pivot's alone
+        "zero pivot column entry": [[y0, y1 + one, zero],
+                                    [zero, y0 + y1, y1],
+                                    [y1, zero, y0 + one]],
+        # the second row is y0 times the first
+        "singular": [[y0 + one, y1, y0 + y1], [y0 * y0 + y0, y0 * y1, y0 * y0 + y0 * y1],
+                     [y1, one, y0]],
+        # rank 1: the trailing submatrix after one step is all zero
+        "zero block": [[y0, y1, one], [y0 * y1, y1 * y1, y1],
+                       [y0 * y0 + y0, y0 * y1 + y1, y0 + one]],
+        "1x1": [[y0 + y1 + one]],
+        "0x0": [],
+    }
+
+
+@pytest.mark.parametrize("name", list(_bareiss_cases()))
+def test_bareiss_pivoting_against_the_leibniz_sum(name):
+    M = _bareiss_cases()[name]
+    det = det_bareiss(M, 2)
+    assert det == det_by_permutations(M, 2)
+    assert NestedMPoly.of(det) == nested_det_bareiss(M, 2)
+    if name in ("singular", "zero block"):
+        assert not det
+    if name == "0x0":
+        assert det == MPoly.one(2)
+
+
+@pytest.mark.parametrize("name", ["row swap", "both swaps", "off-diagonal pivots"])
+def test_a_transposition_negates_the_determinant(name):
+    M = _bareiss_cases()[name]
+    det = det_bareiss(M, 2)
+    assert det
+    rows = [M[1], M[0]] + M[2:]
+    cols = [[row[1], row[0]] + row[2:] for row in M]
+    assert det_bareiss(rows, 2) == -det
+    assert det_bareiss(cols, 2) == -det
+
+
+def test_bareiss_on_random_sparse_matrices():
+    # seeded matrices of sizes 1..5 over Q(zeta_3), about a third of the
+    # entries zero, against the Leibniz sum
+    rng = random.Random(7)
+    r = 3
+    pool = [MPoly.zero(r)] * 3 + [
+        MPoly.monomial(r, exps, zeta_pow(r, j) * c)
+        for exps in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 2)]
+        for j in range(r) for c in (1, -2)]
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        M = [[sum(rng.sample(pool, rng.randint(1, 2)), MPoly.zero(r)) for _ in range(n)]
+             for _ in range(n)]
+        assert det_bareiss(M, r) == det_by_permutations(M, r)
 
 
 RANK0_R3_K2 = ((), (), ())
@@ -688,12 +891,33 @@ def test_cartan_specific_entries():
 
 
 def test_gram_matrix_rejects_a_product_outside_e_i_form(monkeypatch):
-    # at r=2, k=1, rank 0 a top block coloured 1 is not e_0-padded
-    colored = next(d for d in enumerate_cross_section(2, 1, 0)
-                   if any(c for _, _, c in d.blocks))
-    monkeypatch.setattr(MR, "factor_cross_section", lambda d, i: (colored, ((), ())))
+    # a join whose anchors do not pair off: tau sends both 1' and 2' to 1
+    join = MR._join
+
+    def unpaired(half, half2):
+        out = join(half, half2)
+        return out and ((1,) * len(out[0]), out[1])
+
+    monkeypatch.setattr(MR, "_join", unpaired)
     with pytest.raises(RuntimeError, match="e_i form"):
-        gram_matrix(2, 1, ((), ()))
+        gram_matrix(2, 2, ((1,), (1,)))
+
+
+def test_gram_matrix_rejects_a_product_outside_e_i_form_under_O():
+    script = ("from colorpart import modules_rep as MR\n"
+              "join = MR._join\n"
+              "MR._join = lambda h, h2: (lambda out: out and ((1,) * len(out[0]), out[1]))"
+              "(join(h, h2))\n"
+              "try:\n"
+              "    MR.gram_matrix(2, 2, ((1,), (1,)))\n"
+              "except RuntimeError as exc:\n"
+              "    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(MR.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "e_i form" in proc.stdout
 
 
 def test_gram_matrix_rejects_a_wrong_size(monkeypatch):
