@@ -12,6 +12,7 @@ import click
 
 from . import algebra, config, verify
 from .characters import r_coefficient, reduced_kronecker, theorem_formula_check
+from .cliparse import TableGroup
 from .diagrams import ColoredDiagram, compose, count_bell
 from .groupoid import psi_hom_check
 from .modules_rep import (
@@ -118,7 +119,7 @@ def check_monoid_size(k, r):
         raise click.UsageError("cap exceeded: %s" % exc)
 
 
-@click.group()
+@click.group(cls=TableGroup)
 def main():
     """Exact computations for colored partition diagram categories."""
 
@@ -149,13 +150,12 @@ def cmd_count(k, r):
 @click.option("--k", required=True, type=click.IntRange(min=1),
               help="k >= 1: the generator s0 needs a strand")
 @click.option("--r", required=True, type=COLORS)
-@click.pass_context
-def cmd_present_check(ctx, k, r):
+def cmd_present_check(k, r):
     """Check every instance of the defining monoid relations."""
     rep = algebra.check_presentation(k, r)
     emit(rep)
     if not rep["ok"]:
-        ctx.exit(1)
+        sys.exit(1)
 
 
 @main.command("green")
@@ -223,8 +223,7 @@ _PSI_DEFAULTS = {name: p.default for name, p
 @click.option("--k-max", type=POSITIVE, help="default: as in verify")
 @click.option("--r-max", type=POSITIVE, help="default: as in verify")
 @click.option("--seed", type=int, default=None)
-@click.pass_context
-def cmd_psi_check(ctx, seed, **sizes):
+def cmd_psi_check(seed, **sizes):
     """Multiplicativity of the groupoid expansion on random pairs."""
     cfg = run_config(seed=seed)
     sizes = {k: _PSI_DEFAULTS[k] if v is None else v for k, v in sizes.items()}
@@ -232,7 +231,7 @@ def cmd_psi_check(ctx, seed, **sizes):
     rep = psi_hom_check(seed=cfg.seed, **sizes)
     emit(rep)
     if not rep["ok"]:
-        ctx.exit(1)
+        sys.exit(1)
 
 
 @main.command("gram")
@@ -327,8 +326,7 @@ def cmd_r_coeff(r, lam_bar, mu_bar, nu_bar):
 @click.option("--lam-bar", default=None)
 @click.option("--mu-bar", default=None)
 @click.option("--nu-bar", default=None)
-@click.pass_context
-def cmd_thm_check(ctx, r, example, lam_bar, mu_bar, nu_bar):
+def cmd_thm_check(r, example, lam_bar, mu_bar, nu_bar):
     """Check the product of reduced Kronecker coefficients against the
     LR/K structure constant."""
     if example:
@@ -345,15 +343,14 @@ def cmd_thm_check(ctx, r, example, lam_bar, mu_bar, nu_bar):
     rep = theorem_formula_check(r, *triple)
     emit({"lhs": rep["lhs"], "rhs": rep["rhs"], "equal": rep["ok"]})
     if not rep["ok"]:
-        ctx.exit(1)
+        sys.exit(1)
 
 
 @main.command("verify")
 @click.option("--suite", default="all",
               help="'all' or comma separated criterion names")
 @click.option("--seed", type=int, default=None)
-@click.pass_context
-def cmd_verify(ctx, suite, seed):
+def cmd_verify(suite, seed):
     """Run the acceptance suite; reports per-criterion pass/fail."""
     cfg = run_config(seed=seed)
     only = None if suite == "all" else {s.strip() for s in suite.split(",")}
@@ -365,7 +362,7 @@ def cmd_verify(ctx, suite, seed):
         raise click.UsageError("cap exceeded: %s" % exc)
     emit(report)
     if not report["ok"]:
-        ctx.exit(1)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,16 @@
 """Command line interface: JSON output and exit codes."""
 
 import gc
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
@@ -431,3 +434,117 @@ def test_fuzzed_input_never_gives_a_traceback(args):
     assert first.exception is None or isinstance(first.exception, SystemExit)
     assert "Traceback" not in first.output
     assert first.stdout == again.stdout
+
+
+# click's own parse of the same registry: the oracle for TableGroup's
+CLICK_MAIN = click.Group(main.name, commands=dict(main.commands),
+                         help=main.help)
+
+VALID = {
+    "compose": ("--d1", DIAGRAM, "--d2", DIAGRAM),
+    "count": ("--k", "3", "--r", "2"),
+    "present-check": ("--k", "1", "--r", "2"),
+    "green": ("--k", "1", "--r", "2", "--relation", "J", "--members"),
+    "rs": ("--diagram", DIAGRAM),
+    "sw": ("--diagram", DIAGRAM),
+    "psi-check": ("--samples", "2", "--k-max", "2", "--r-max", "2",
+                  "--seed", "1"),
+    "gram": ("--r", "2", "--k", "1", "--shape", EMPTY2),
+    "semisimple": ("--r", "2", "--k", "1", "--x", "2,1"),
+    "cartan": ("--r", "1", "--maxweight", "1"),
+    "reduced-kronecker": ("--lam", "[1]", "--mu", "[1]", "--nu", "[]"),
+    "r-coeff": ("--r", "2", "--lam-bar", "[[1],[]]", "--mu-bar", "[[1],[]]",
+                "--nu-bar", EMPTY2),
+    "thm-check": ("--r", "3", "--example", "paper"),
+    "verify": ("--suite", "counting", "--seed", "1"),
+}
+
+
+def _joined(args):
+    """The same options written as --opt=value."""
+    out, it = [], iter(args)
+    for arg in it:
+        out.append(arg if arg == "--members" else arg + "=" + next(it))
+    return tuple(out)
+
+
+PARSE_CASES = (
+    [(name,) + args for name, args in VALID.items()]
+    + [(name,) + _joined(args) for name, args in VALID.items()]
+    + [(name, "--help") for name in VALID]
+    + [
+        (), ("--help",), ("--help", "count"), ("--help=1",), ("--bogus",),
+        ("-x",), ("--",), ("--", "count", "--k", "1", "--r", "1"),
+        ("--", "--help"), ("--", "--foo"), ("--", "-"), ("--", "--"),
+        ("frobnicate",), ("cont",), ("-",), ("",), ("-k=3",),
+        # repeated options: the last value wins, even over a bad one
+        ("count", "--k", "1", "--k", "3", "--r", "2"),
+        ("count", "--k", "x", "--k=3", "--r", "2"),
+        # unknown options and extra arguments
+        ("count", "--kk", "3", "--r", "2"), ("count", "-k", "3"),
+        ("count", "-k=3"), ("count", "-x"), ("count", "--=x"),
+        ("count", "-="), ("count", "--k=3", "--r", "2", "extra"),
+        ("count", "extra", "--k", "3", "--r", "2"),
+        ("count", "--k", "3", "--r", "2", "a", "b"),
+        ("count", "--", "--k", "3"), ("count", "--k", "3", "--", "--r", "2"),
+        # missing options and values
+        ("count",), ("count", "--k", "3"), ("green", "--k", "1", "--r", "2"),
+        ("count", "--k"), ("count", "--r", "2", "--k"),
+        ("count", "--k", "--r", "2"),
+        # values that do not convert, reported in command-line order
+        ("count", "--k", "x", "--r", "2"), ("count", "--k", "", "--r", "2"),
+        ("count", "--k=", "--r", "2"), ("count", "--k", "-1", "--r", "2"),
+        ("count", "--r", "0", "--k", "-1"), ("count", "--k=-1", "--r", "0"),
+        ("count", "--r", "x"), ("psi-check", "--seed", "x"),
+        ("green", "--k", "1", "--r", "2", "--relation", "X"),
+        ("green", "--k", "1", "--r", "2", "--relation", "J", "--members=1"),
+        ("thm-check", "--r", "2", "--example", "book"),
+        # --help wins over a bad value, not over a bad option
+        ("count", "--k", "x", "--help"), ("count", "--bogus", "--help"),
+        ("count", "--help=1"), ("count", "--k", "--help"),
+        # usage errors raised by the commands themselves
+        ("rs", "--diagram", "{"), ("thm-check", "--r", "2", "--example", "paper"),
+        ("verify", "--suite", "nope"),
+    ])
+
+
+def _reply(res):
+    # verify reports how long each criterion took
+    return (res.exit_code, re.sub(r'"seconds": [0-9.e-]+', "", res.stdout),
+            res.stderr)
+
+
+@pytest.mark.parametrize("args", PARSE_CASES)
+def test_parse_matches_click(args):
+    assert _reply(run(*args)) == _reply(CliRunner().invoke(CLICK_MAIN, args))
+
+
+def test_every_command_has_a_valid_parse_case():
+    assert set(VALID) == set(main.commands)
+
+
+TOKENS = ["count", "green", "--k", "--k=1", "--r", "--r=2", "--relation",
+          "J", "Q", "--members", "--members=1", "--help", "--help=1", "--kk",
+          "-k", "--", "-", "", "2", "0", "-1", "x"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=7))
+def test_fuzzed_command_lines_parse_as_in_click(args):
+    assert _reply(run(*args)) == _reply(CliRunner().invoke(CLICK_MAIN, args))
+
+
+@pytest.mark.parametrize("args, module, name", [
+    (("present-check", "--k", "1", "--r", "1"), "algebra",
+     "check_presentation"),
+    (("psi-check", "--samples", "1"), "cli", "psi_hom_check"),
+    (("thm-check", "--r", "3", "--example", "paper"), "cli",
+     "theorem_formula_check"),
+    (("verify", "--suite", "counting"), "verify", "run_all"),
+])
+def test_a_failed_verification_exits_1(monkeypatch, args, module, name):
+    monkeypatch.setattr(importlib.import_module("colorpart." + module), name,
+                        lambda *a, **kw: {"ok": False, "lhs": 0, "rhs": 1})
+    res = run(*args)
+    assert res.exit_code == 1 and res.stderr == ""
+    assert _reply(res) == _reply(CliRunner().invoke(CLICK_MAIN, args))

@@ -8,15 +8,24 @@ import importlib.util
 import re
 from pathlib import Path
 
+from click.testing import CliRunner
+
+from colorpart import cli
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # xt_act left characters when the X^t oracle moved to class sums
 RETIRED = {"characters.xt_act"}
 
 
-def test_every_traced_name_resolves_on_its_module():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_name_resolves_on_its_module():
+    tracer = _tracer_module()
     unresolved = set()
     for layer, metrics in tracer.FUNCTIONS.items():
         module = importlib.import_module("colorpart." + layer)
@@ -39,3 +48,17 @@ def test_every_module_function_the_tracer_wraps_resolves():
                   if not callable(getattr(importlib.import_module(
                       "colorpart." + module), name, None))}
     assert unresolved == set()
+
+
+def test_a_traced_request_counts_the_group_and_its_callback():
+    # the traced benchmark pass sets main.main and rewraps each callback:
+    # the group must run through both
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        res = CliRunner().invoke(cli.main, ["count", "--k", "3", "--r", "2"])
+    finally:
+        tracer.uninstall()
+    assert res.exit_code == 0, res.output
+    assert tracer.stats["cli.main"].calls == 1
+    assert tracer.stats["cli.cmd_count"].calls == 1
