@@ -70,170 +70,81 @@ def mword(factors):
     return out
 
 
-def _w(l, k, r):
-    """w_l = s_l ... s_1 s_0 s_1 ... s_l."""
-    word = [gen_s(j, k, r) for j in range(l, 0, -1)]
-    word.append(gen_s0(k, r))
-    word += [gen_s(j, k, r) for j in range(1, l + 1)]
-    return mword(word)
-
-
 def presentation_relations(k, r):
-    """Yield (relation id, instance description, lhs diagram, rhs diagram)."""
-    s0 = gen_s0(k, r)
-    ident = ColoredDiagram.identity(r, k)
-    s = {i: gen_s(i, k, r) for i in range(1, k)}
-    p = {i: gen_p(i, k, r) for i in range(1, k + 1)}
-    q = {i: gen_q(i, k, r) for i in range(1, k)}
-
-    def M(*fs):
-        return mword(list(fs))
-
-    # (1) s0^r = 1
-    yield 1, "s0^r", M(*([s0] * r)), ident
-    # (2) s0 s1 s0 s1 = s1 s0 s1 s0
-    if 1 in s:
-        yield 2, "s0s1s0s1=s1s0s1s0", M(s0, s[1], s0, s[1]), M(s[1], s0, s[1], s0)
-    # (3) s0 si = si s0, i != 1
-    for i in s:
-        if i != 1:
-            yield 3, "s0 s%d" % i, M(s0, s[i]), M(s[i], s0)
-    # (4) si^2 = 1
-    for i in s:
-        yield 4, "s%d^2" % i, M(s[i], s[i]), ident
-    # (5) braid
-    for i in s:
-        if i + 1 in s:
-            yield (
-                5,
-                "braid s%d s%d" % (i, i + 1),
-                M(s[i], s[i + 1], s[i]),
-                M(s[i + 1], s[i], s[i + 1]),
-            )
-    # (6) si sj = sj si, |i-j| > 1
-    for i in s:
-        for j in s:
-            if j - i > 1:
-                yield 6, "s%d s%d" % (i, j), M(s[i], s[j]), M(s[j], s[i])
-    # (7) pi^2 = pi
-    for i in p:
-        yield 7, "p%d^2" % i, M(p[i], p[i]), p[i]
-    # (8) pi pj = pj pi
-    for i in p:
-        for j in p:
-            if i < j:
-                yield 8, "p%d p%d" % (i, j), M(p[i], p[j]), M(p[j], p[i])
-    # (9) s0 pi = pi s0, i != 1
-    for i in p:
-        if i != 1:
-            yield 9, "s0 p%d" % i, M(s0, p[i]), M(p[i], s0)
-    # (10) si pj = pj si, |i-j| > 1 (strand j away from strands i,i+1)
-    for i in s:
-        for j in p:
-            if abs(i - j) > 1:
-                yield 10, "s%d p%d" % (i, j), M(s[i], p[j]), M(p[j], s[i])
-    # (11) si pi = p(i+1) si
-    for i in s:
-        yield 11, "s%d p%d" % (i, i), M(s[i], p[i]), M(p[i + 1], s[i])
-    # (12) pi s(i-1)...s1 s0 s1...s(i-1) pi = pi
-    for i in p:
-        if i - 1 <= k - 1:
-            mid = _w(i - 1, k, r)
-            yield 12, "p%d w%d p%d" % (i, i - 1, i), M(p[i], mid, p[i]), p[i]
-    # (13) pi p(i+1) = pi p(i+1) si
-    for i in p:
-        if i + 1 in p and i in s:
-            yield (
-                13,
-                "p%d p%d s%d" % (i, i + 1, i),
-                M(p[i], p[i + 1]),
-                M(p[i], p[i + 1], s[i]),
-            )
-    # (14) qi^2 = qi
-    for i in q:
-        yield 14, "q%d^2" % i, M(q[i], q[i]), q[i]
-    # (15) qi qj = qj qi (all pairs; adjacent merges coincide)
-    for i in q:
-        for j in q:
-            if j > i:
-                yield 15, "q%d q%d" % (i, j), M(q[i], q[j]), M(q[j], q[i])
-    # (16) s0 qi = qi s0, i != 1 (strand 1 must avoid the merged pair)
-    for i in q:
-        if i != 1:
-            yield 16, "s0 q%d" % i, M(s0, q[i]), M(q[i], s0)
-    # (17) si qj = qj si, |i-j| > 1
-    for i in s:
-        for j in q:
-            if abs(i - j) > 1:
-                yield 17, "s%d q%d" % (i, j), M(s[i], q[j]), M(q[j], s[i])
-    # (18) si sj qi = qj si sj, |i-j| = 1
-    for i in q:
-        for j in q:
-            if abs(i - j) == 1:
-                yield (
-                    18,
-                    "s%d s%d q%d" % (i, j, i),
-                    M(s[i], s[j], q[i]),
-                    M(q[j], s[i], s[j]),
-                )
-    # (19) si qi = qi si = qi
-    for i in q:
-        yield 19, "s%d q%d" % (i, i), M(s[i], q[i]), q[i]
-        yield 19, "q%d s%d" % (i, i), M(q[i], s[i]), q[i]
-    # (20) qi pj = pj qi, |i-j| > 1 (j not in {i, i+1} suffices; stated |i-j|>1)
-    for i in q:
-        for j in p:
-            if abs(i - j) > 1:
-                yield 20, "q%d p%d" % (i, j), M(q[i], p[j]), M(p[j], q[i])
-    # (21) qi pj qi = qi, j = i, i+1
-    for i in q:
-        for j in (i, i + 1):
-            yield 21, "q%d p%d q%d" % (i, j, i), M(q[i], p[j], q[i]), q[i]
-    # (22) pj qi pj = pj, j = i, i+1
-    for i in q:
-        for j in (i, i + 1):
-            yield 22, "p%d q%d p%d" % (j, i, j), M(p[j], q[i], p[j]), p[j]
-    # derived relations (23)-(28), with w_l = s_l...s_1 s_0 s_1...s_l
-    w = {l: _w(l, k, r) for l in range(0, k)}
-    # (23) w_l^r = 1
-    for l in w:
-        yield 23, "w%d^r" % l, mword([w[l]] * r) if r > 1 else w[l], ident
-    # (24) si w_l = w_l si for l not in {i-1, i}
-    for i in s:
-        for l in w:
-            if l not in (i - 1, i):
-                yield 24, "s%d w%d" % (i, l), M(s[i], w[l]), M(w[l], s[i])
-    # (25) w_(i-1) si = si w_i
-    for i in s:
-        if i - 1 in w and i in w:
-            yield 25, "w%d s%d" % (i - 1, i), M(w[i - 1], s[i]), M(s[i], w[i])
-    # (26) pm w_l = w_l pm for l != m-1
-    for mm in p:
-        for l in w:
-            if l != mm - 1:
-                yield 26, "p%d w%d" % (mm, l), M(p[mm], w[l]), M(w[l], p[mm])
-    # (27) qn w_l = w_l qn
-    for nn in q:
-        for l in w:
-            yield 27, "q%d w%d" % (nn, l), M(q[nn], w[l]), M(w[l], q[nn])
-    # (28) pi w_(i-1) qi pi = pi w_i, 1 <= i <= k-1
-    for i in range(1, k):
-        yield (
-            28,
-            "p%d w%d q%d p%d" % (i, i - 1, i, i),
-            M(p[i], w[i - 1], q[i], p[i]),
-            M(p[i], w[i]),
-        )
+    """Yield (relation id, lhs word, rhs word) for every instance of the
+    relations (1)-(28).  A word is a tuple of generator names: s0, s<i>,
+    p<i>, q<i>, and w<l> for w_l = s_l ... s_1 s_0 s_1 ... s_l; the empty
+    word is the identity."""
+    s, p, q, w = [lambda i, c=c: c + str(i) for c in "spqw"]
+    S, P, W = range(1, k), range(1, k + 1), range(k)   # s_i and q_i, p_i, w_l
+    yield 1, ("s0",) * r, ()
+    if k > 1:
+        yield 2, ("s0", "s1", "s0", "s1"), ("s1", "s0", "s1", "s0")
+    yield from ((3, ("s0", s(i)), (s(i), "s0")) for i in S if i != 1)
+    yield from ((4, (s(i), s(i)), ()) for i in S)
+    yield from ((5, (s(i), s(i + 1), s(i)), (s(i + 1), s(i), s(i + 1)))
+                for i in S if i + 1 in S)
+    yield from ((6, (s(i), s(j)), (s(j), s(i))) for i in S for j in S if j - i > 1)
+    yield from ((7, (p(i), p(i)), (p(i),)) for i in P)
+    yield from ((8, (p(i), p(j)), (p(j), p(i))) for i in P for j in P if i < j)
+    yield from ((9, ("s0", p(i)), (p(i), "s0")) for i in P if i != 1)
+    yield from ((10, (s(i), p(j)), (p(j), s(i)))
+                for i in S for j in P if abs(i - j) > 1)
+    yield from ((11, (s(i), p(i)), (p(i + 1), s(i))) for i in S)
+    # p_i w_(i-1)^j p_i = p_i for every color j of the middle loop it closes
+    yield from ((12, (p(i), *[w(i - 1)] * j, p(i)), (p(i),))
+                for i in P for j in range(1, max(r, 2)))
+    yield from ((13, (p(i), p(i + 1)), (p(i), p(i + 1), s(i))) for i in S)
+    yield from ((14, (q(i), q(i)), (q(i),)) for i in S)
+    # adjacent merges coincide, so every pair commutes
+    yield from ((15, (q(i), q(j)), (q(j), q(i))) for i in S for j in S if j > i)
+    # i != 1 as stated; s0 q1 = q1 s0 is the instance of (27) at l = 0
+    yield from ((16, ("s0", q(i)), (q(i), "s0")) for i in S if i != 1)
+    yield from ((17, (s(i), q(j)), (q(j), s(i)))
+                for i in S for j in S if abs(i - j) > 1)
+    yield from ((18, (s(i), s(j), q(i)), (q(j), s(i), s(j)))
+                for i in S for j in S if abs(i - j) == 1)
+    for i in S:
+        yield 19, (s(i), q(i)), (q(i),)
+        yield 19, (q(i), s(i)), (q(i),)
+    yield from ((20, (q(i), p(j)), (p(j), q(i)))
+                for i in S for j in P if abs(i - j) > 1)
+    yield from ((21, (q(i), p(j), q(i)), (q(i),)) for i in S for j in (i, i + 1))
+    yield from ((22, (p(j), q(i), p(j)), (p(j),)) for i in S for j in (i, i + 1))
+    # (23)-(28), relations of the w_l, checked as stated: they are not known
+    # to follow from (1)-(22), and Todd-Coxeter runs suggest (27) does not
+    yield from ((23, (w(l),) * r, ()) for l in W)
+    yield from ((24, (s(i), w(l)), (w(l), s(i)))
+                for i in S for l in W if l not in (i - 1, i))
+    yield from ((25, (w(i - 1), s(i)), (s(i), w(i))) for i in S)
+    yield from ((26, (p(m), w(l)), (w(l), p(m))) for m in P for l in W if l != m - 1)
+    yield from ((27, (q(n), w(l)), (w(l), q(n))) for n in S for l in W)
+    yield from ((28, (p(i), w(i - 1), q(i), p(i)), (p(i), w(i))) for i in S)
 
 
 def check_presentation(k, r):
-    """Evaluate every relation instance; return a report dict."""
+    """Evaluate both words of every relation instance by mword over the
+    generators' diagrams, with w_l = s_l w_(l-1) s_l built once; return a
+    report dict."""
+    if k < 1:
+        raise ValueError("the presentation needs k >= 1")
+    named = {name: g for name, g, _, _ in _generators(k, r)}
+    named["w0"] = named["s0"]
+    for l in range(1, k):
+        s = named["s%d" % l]
+        named["w%d" % l] = mword([s, named["w%d" % (l - 1)], s])
+    ident = ColoredDiagram.identity(r, k)
+
+    def value(word):
+        return mword([named[x] for x in word]) if word else ident
+
     failures = []
     total = 0
-    for rel_id, desc, lhs, rhs in presentation_relations(k, r):
+    for rel_id, lhs, rhs in presentation_relations(k, r):
         total += 1
-        if lhs != rhs:
-            failures.append({"relation": rel_id, "instance": desc})
+        if value(lhs) != value(rhs):
+            failures.append({"relation": rel_id, "instance": "%s = %s" % (
+                " ".join(lhs) or "1", " ".join(rhs) or "1")})
     return {"k": k, "r": r, "checked": total, "failures": failures,
             "ok": not failures}
 
@@ -263,20 +174,21 @@ def enumerate_monoid(k, r, cap=MONOID_CAP):
 
 
 def _generators(k, r):
-    """(diagram, code edit, i) of s_0, s_1..s_{k-1}, p_1..p_k, q_1..q_{k-1}:
-    the one list that monoid_generators and the closure's actions read."""
+    """(name, diagram, code edit, i) of s0, s1..s{k-1}, p1..pk, q1..q{k-1}:
+    the one list that monoid_generators, check_presentation and the
+    closure's actions read."""
     if k == 0:
         return []
-    gens = [(gen_s0(k, r), _recolor, 1)]
-    gens += [(gen_s(i, k, r), _swap, i) for i in range(1, k)]
-    gens += [(gen_p(i, k, r), _cut, i) for i in range(1, k + 1)]
-    gens += [(gen_q(i, k, r), _merge, i) for i in range(1, k)]
+    gens = [("s0", gen_s0(k, r), _recolor, 1)]
+    gens += [("s%d" % i, gen_s(i, k, r), _swap, i) for i in range(1, k)]
+    gens += [("p%d" % i, gen_p(i, k, r), _cut, i) for i in range(1, k + 1)]
+    gens += [("q%d" % i, gen_q(i, k, r), _merge, i) for i in range(1, k)]
     return gens
 
 
 def monoid_generators(k, r):
     """s_0, s_i, p_i, q_i; CPar_0 = {identity} needs none."""
-    return [g for g, _, _ in _generators(k, r)]
+    return [g for _, g, _, _ in _generators(k, r)]
 
 
 # -- the closure kernel: generators as edits of a block-label code ------------
@@ -389,7 +301,7 @@ class _Closure:
         start = _encode(ColoredDiagram.identity(r, k))
         # (edit, position of bottom vertex i); the top vertex i is one before
         self.edits = []
-        for g, edit, i in _generators(k, r):
+        for _, g, edit, i in _generators(k, r):
             # an explicit check, so that it holds under python -O as well
             if {edit(start, n, pos, r) for pos in (2 * i - 1, 2 * i - 2)} \
                     != {_encode(g)}:

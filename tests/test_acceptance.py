@@ -52,6 +52,12 @@ def test_c02_counting():
 def test_c03_presentation_and_generation():
     rep = timed(verify.check_presentation, 120)
     assert all(not entry["failures"] for entry in rep["relations"])
+    # at r >= 3, (12) adds k (r - 2) instances p_i w_(i-1)^j p_i, j >= 2
+    assert {(e["k"], e["r"]): e["checked"] for e in rep["relations"]} == {
+        (1, 1): 4, (1, 2): 4, (1, 3): 5, (1, 4): 6,
+        (2, 1): 26, (2, 2): 26, (2, 3): 28, (2, 4): 30,
+        (3, 1): 62, (3, 2): 62, (3, 3): 65, (3, 4): 68,
+        (4, 1): 113, (4, 2): 113, (4, 3): 117, (4, 4): 121}
     assert rep["closure_sizes"] == {"2,3": 309, "3,2": 2430, "4,1": 4140}
 
 

@@ -65,7 +65,7 @@ def test_code_edits_equal_the_composition_oracle(k, r):
     for d in enumerate_diagrams(r, k, k):
         code = algebra._encode(d)
         assert algebra._decode(code, r, k, shapes) == d
-        for g, edit, i in gens:
+        for _, g, edit, i in gens:
             assert edit(code, n, 2 * i - 1, r) == algebra._encode(
                 compose(d, g)[0]), (d, g)
             assert edit(code, n, 2 * i - 2, r) == algebra._encode(
@@ -84,12 +84,31 @@ def test_closure_equals_the_composition_closure(k, r):
     assert kernel.left == oracle.left
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("k, r", [(k, r) for k in (1, 2, 3) for r in (1, 2, 3)]
+                         + [(1, 4), (1, 5), (2, 4), (4, 2)])
 def test_presentation_relations_hold(k, r):
     rep = algebra.check_presentation(k, r)
     assert rep["ok"], rep["failures"][:5]
     assert rep["checked"] > 0
+
+
+def test_a_false_relation_is_reported_in_words(monkeypatch):
+    monkeypatch.setattr(algebra, "presentation_relations",
+                        lambda k, r: iter([(1, ("s0",), ()),
+                                           (12, ("p1", "w0", "w0", "p1"),
+                                            ("p1",))]))
+    assert algebra.check_presentation(1, 2) == {
+        "k": 1, "r": 2, "checked": 2, "ok": False,
+        "failures": [{"relation": 1, "instance": "s0 = 1"}]}
+
+
+def test_every_loop_color_is_removed_by_relation_12():
+    # p_i w_(i-1)^j p_i = p_i for 1 <= j <= r - 1: the middle loop of
+    # color j is removed, whatever j is
+    words = [(lhs, rhs) for rel, lhs, rhs in algebra.presentation_relations(2, 4)
+             if rel == 12]
+    assert words == [(("p%d" % i,) + ("w%d" % (i - 1),) * j + ("p%d" % i,),
+                      ("p%d" % i,)) for i in (1, 2) for j in (1, 2, 3)]
 
 
 def test_generators_generate():
@@ -155,6 +174,8 @@ def test_green_classes_equal_the_ideal_oracle(k, r, relation):
 def test_cpar0_is_one_element(r):
     ident = ColoredDiagram.identity(r, 0)
     assert algebra.monoid_generators(0, r) == []
+    with pytest.raises(ValueError):
+        algebra.check_presentation(0, r)
     assert algebra.generated_closure(0, r) == {ident}
     for relation in ("L", "R", "J"):
         assert algebra.green_classes(0, r, relation) == [[ident]]
@@ -189,7 +210,8 @@ def test_green_classes_share_one_closure(monkeypatch, fresh_closures):
 
     def counted_generators(k, r):
         builds.append((k, r))
-        return [(g, counted(edit), i) for g, edit, i in generators(k, r)]
+        return [(name, g, counted(edit), i)
+                for name, g, edit, i in generators(k, r)]
 
     monkeypatch.setattr(algebra, "_generators", counted_generators)
     for relation in ("L", "R", "J"):
@@ -275,8 +297,8 @@ def test_an_edit_that_does_not_give_its_generator_raises_under_O():
     # every generator paired with the merge edit: s_0, the first, fails
     script = ("from colorpart import algebra as a\n"
               "gens = a._generators\n"
-              "a._generators = lambda k, r: [(g, a._merge, i)"
-              " for g, _, i in gens(k, r)]\n"
+              "a._generators = lambda k, r: [(name, g, a._merge, i)"
+              " for name, g, _, i in gens(k, r)]\n"
               "try:\n"
               "    a.generated_closure(2, 2)\n"
               "except RuntimeError as exc:\n"

@@ -247,6 +247,46 @@ def test_tensor_sizes_and_colors():
     assert set(t.blocks) == {((1,), (1,), 2), ((2,), (), 1)}
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_interchange_law_with_scalars(data):
+    # (d1 (x) d2) o (d3 (x) d4) = (d1 o d3) (x) (d2 o d4), the removed
+    # components of the two sides added color by color
+    r = data.draw(st.integers(1, 3))
+    k1, l1, m1, k2, l2, m2 = (data.draw(st.integers(0, 3)) for _ in range(6))
+    d1, d3 = data.draw(diagrams(r, k1, l1)), data.draw(diagrams(r, l1, m1))
+    d2, d4 = data.draw(diagrams(r, k2, l2)), data.draw(diagrams(r, l2, m2))
+    (a, e), (b, f) = compose(d1, d3), compose(d2, d4)
+    assert compose(tensor(d1, d2), tensor(d3, d4)) == (
+        tensor(a, b), tuple(x + y for x, y in zip(e, f)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tensor_is_associative_with_the_empty_diagram_as_unit(data):
+    r = data.draw(st.integers(1, 4))
+    a, b, c = (data.draw(diagrams(r, data.draw(st.integers(0, 3)),
+                                  data.draw(st.integers(0, 3))))
+               for _ in range(3))
+    assert tensor(tensor(a, b), c) == tensor(a, tensor(b, c))
+    unit = ColoredDiagram.identity(r, 0)
+    assert tensor(unit, a) == a == tensor(a, unit)
+
+
+@given(st.integers(1, 6), st.integers(-6, 6), st.integers(-6, 6))
+def test_zig_zag_is_the_identity_exactly_when_the_colors_cancel(r, c, d):
+    # a cup (0 -> 2) of color c and a cap (2 -> 0) of color d straighten
+    # into one strand of color c + d, with no component removed
+    one = ColoredDiagram.identity(r, 1)
+    cup = ColoredDiagram(r, 0, 2, [((), (1, 2), c)])
+    cap = ColoredDiagram(r, 2, 0, [((1, 2), (), d)])
+    strand = ColoredDiagram(r, 1, 1, [((1,), (1,), c + d)])
+    for top, bot in [(tensor(one, cup), tensor(cap, one)),
+                     (tensor(cup, one), tensor(one, cap))]:
+        assert compose(top, bot) == (strand, (0,) * r)
+        assert (strand == one) == ((c + d) % r == 0)
+
+
 def test_enumeration_matches_bell_numbers():
     for r in (1, 2, 3):
         for k in range(3):
