@@ -330,6 +330,10 @@ def cmd_thm_check(r, example, lam_bar, mu_bar, nu_bar):
     """Check the product of reduced Kronecker coefficients against the
     LR/K structure constant."""
     if example:
+        bars = [name for name, v in zip(("--lam-bar", "--mu-bar", "--nu-bar"),
+                                        (lam_bar, mu_bar, nu_bar)) if v is not None]
+        if bars:
+            raise click.UsageError("--example conflicts with %s" % ", ".join(bars))
         if r != 3:
             raise click.UsageError("the bundled example needs --r 3")
         triple = verify.FORMULA_EXAMPLE_R3

@@ -2,160 +2,115 @@
 
 Objects are color sequences f_k: (c_1, ..., c_k).  A morphism f_k -> f_l is
 nonzero only for k >= l and is spanned by downward (l,k)-partition diagrams
-(l top vertices, k bottom vertices, exactly l propagating parts) in which
-every vertex of a block carries one common color; top colors read off the
-target sequence, bottom colors the source sequence.
+(l top vertices, k bottom vertices, exactly l propagating parts), each
+vertex read in its block's color: the top colors are the target sequence,
+the bottom colors the source sequence.  A morphism is the downward
+ColoredDiagram itself.
 
 psi maps a downward colored diagram to a cyclotomic-coefficient sum of
-color-preserving diagrams, one term per coloring of its blocks.
+such morphisms, one term per coloring of its blocks.
 """
 
 import random
 from itertools import combinations, permutations, product
+from operator import mul
 
 from .diagrams import ColoredDiagram, compose, enumerate_diagrams, set_partitions
 from .scalars import zeta_pow
 
 
-class ColorPreservingDiagram:
-    """A downward partition diagram with monochromatic vertex colors."""
-
-    __slots__ = ("d", "target", "source", "_hash")
-
-    def __init__(self, d):
-        """target and source are the color sequences read along the top
-        and the bottom vertices, read once here."""
-        if not d.is_downward():
-            raise ValueError("underlying diagram must be downward")
-        target = [0] * d.k
-        source = [0] * d.l
-        for top, bot, c in d.blocks:
-            for v in top:
-                target[v - 1] = c
-            for v in bot:
-                source[v - 1] = c
-        self.d = d
-        self.target = tuple(target)
-        self.source = tuple(source)
-        self._hash = None
-
-    @classmethod
-    def _trusted(cls, d, target, source):
-        """Trusted constructor: d is downward and target and source are
-        already its top and bottom color sequences."""
-        x = object.__new__(cls)
-        x.d, x.target, x.source, x._hash = d, target, source, None
-        return x
-
-    def __eq__(self, other):
-        if not isinstance(other, ColorPreservingDiagram):
-            return NotImplemented
-        return self.d == other.d
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("cpd", self.d))
-        return self._hash
-
-    def __repr__(self):
-        return "CPD(%r)" % (self.d,)
+def colors(d):
+    """(target, source): the color of each top and each bottom vertex of
+    d, read as its block's color.  ValueError unless d is downward."""
+    if not d.is_downward():
+        raise ValueError("a groupoid morphism must be a downward diagram")
+    target = [0] * d.k
+    source = [0] * d.l
+    for top, bot, c in d.blocks:
+        for v in top:
+            target[v - 1] = c
+        for v in bot:
+            source[v - 1] = c
+    return tuple(target), tuple(source)
 
 
-def _shape(d):
-    """The uncolored shape of d: its blocks, all colored 0."""
-    return ColoredDiagram._canonical(d.r, d.k, d.l, tuple((t, b, 0) for t, b, _ in d.blocks))
+def _uncolored(d):
+    """The key of d's shape: (r, k, l, its blocks as (top, bottom))."""
+    return d.r, d.k, d.l, tuple((top, bot) for top, bot, _ in d.blocks)
 
 
-def _shape_product(shape1, shape2):
-    """Compose two uncolored downward shapes once, for recoloring: (r, k,
-    l, blocks), each block as (top, bottom, whether its color is read off
-    the target, the vertex index it is read at).  A block with a top
-    vertex takes that vertex's target color, any other its first bottom
-    vertex's source color."""
-    shape, exps = compose(shape1, shape2)
+def _product(d1, d2):
+    """The shape of d1 composed over d2, both downward."""
+    prod, exps = compose(d1, d2)
     if any(exps):
         raise RuntimeError("downward composition removed a middle component")
-    return shape.r, shape.k, shape.l, tuple(
-        (top, bot, True, top[0] - 1) if top else (top, bot, False, bot[0] - 1)
-        for top, bot, _ in shape.blocks)
+    return _uncolored(prod)
 
 
-def _recolored(product, target, source):
-    """The color-preserving diagram of a shape product whose top vertices
-    carry target and whose bottom vertices carry source.  Recoloring keeps
-    the canonical block order, and a composite of color-preserving
-    diagrams over a matching interface is color-preserving with these
-    sequences."""
-    r, k, l, blocks = product
-    d = ColoredDiagram._canonical(r, k, l, tuple(
-        (top, bot, target[i] if up else source[i]) for top, bot, up, i in blocks))
-    return ColorPreservingDiagram._trusted(d, target, source)
+def _recolored(shape, source):
+    """The morphism of a product shape whose bottom vertices carry source.
+    Every top vertex of a downward diagram propagates, so every block
+    holds a bottom vertex and takes the color of its first one: over a
+    matching interface each block of a composite is monochromatic.
+    Recoloring keeps the canonical block order."""
+    r, k, l, blocks = shape
+    return ColoredDiagram._canonical(r, k, l, tuple(
+        (top, bot, source[bot[0] - 1]) for top, bot in blocks))
 
 
 def gcompose(d1, d2):
-    """Compose morphisms: d1: f_k -> f_l after d2: f_m -> f_k.
-
-    Returns a ColorPreservingDiagram, or None (the zero morphism) when the
-    interface color sequences do not match.
-    """
-    if d1.source != d2.target:
-        if len(d1.source) != len(d2.target):
+    """Compose morphisms d1: f_k -> f_l after d2: f_m -> f_k; None (the
+    zero morphism) when the interface color sequences do not match."""
+    source1 = colors(d1)[1]
+    target2, source2 = colors(d2)
+    if source1 != target2:
+        if len(source1) != len(target2):
             raise ValueError("arities not composable")
         return None
-    # compose the uncolored shapes, then recolor blocks from the endpoints
-    return _recolored(_shape_product(_shape(d1.d), _shape(d2.d)), d1.target, d2.source)
+    return _recolored(_product(d1, d2), source2)
 
 
 def psi(d):
     """Expand a downward colored diagram into color-preserving terms.
 
-    Returns {ColorPreservingDiagram: CycNumber}; one term per coloring
-    (j_1..j_s) of the s blocks, with coefficient zeta^(sum i_s j_s) where
-    i_s are the block colors of d.  Recoloring keeps d's canonical block
-    order, and the target and source of each term are read through the
-    vertex-to-block maps of d, built once.
+    Returns {ColoredDiagram: CycNumber}: one term per coloring (j_1..j_s)
+    of d's s blocks, in d's canonical block order, with coefficient
+    zeta^(sum i_s j_s) where i_s are the block colors of d.
     """
     if not d.is_downward():
         raise ValueError("psi needs a downward diagram")
-    r, k, l = d.r, d.k, d.l
-    top_block = [0] * k
-    bot_block = [0] * l
-    for n, (top, bot, _) in enumerate(d.blocks):
-        for v in top:
-            top_block[v - 1] = n
-        for v in bot:
-            bot_block[v - 1] = n
-    colors = [c for _, _, c in d.blocks]
+    r, k, l, shape = _uncolored(d)
+    phases = [c for _, _, c in d.blocks]
     terms = {}
-    for js in product(range(r), repeat=len(d.blocks)):
-        blocks = tuple((t, b, j) for (t, b, _), j in zip(d.blocks, js))
-        cpd = ColorPreservingDiagram._trusted(
-            ColoredDiagram._canonical(r, k, l, blocks),
-            tuple(js[n] for n in top_block), tuple(js[n] for n in bot_block))
-        terms[cpd] = zeta_pow(r, sum(i * j for i, j in zip(colors, js)) % r)
+    for js in product(range(r), repeat=len(shape)):
+        blocks = tuple((top, bot, j) for (top, bot), j in zip(shape, js))
+        terms[ColoredDiagram._canonical(r, k, l, blocks)] = zeta_pow(
+            r, sum(map(mul, phases, js)) % r)
     return terms
 
 
 def gsum_compose(A, B):
     """Bilinear extension of gcompose to formal sums.  Each term's shape is
     taken once, each distinct pair of shapes is composed once, and every
-    matching pair of terms recolors that product."""
+    matching pair of terms recolors that product from the right term's
+    source."""
     by_target = {}
-    for cpd, c in B.items():
-        by_target.setdefault(cpd.target, []).append((_shape(cpd.d), cpd.source, c))
+    for d2, c2 in B.items():
+        target, source = colors(d2)
+        by_target.setdefault(target, []).append((d2, _uncolored(d2), source, c2))
     products = {}
     out = {}
-    for cpd1, c1 in A.items():
-        matches = by_target.get(cpd1.source)
+    for d1, c1 in A.items():
+        matches = by_target.get(colors(d1)[1])
         if not matches:
             continue
-        shape1 = _shape(cpd1.d)
-        for shape2, source, c2 in matches:
+        shape1 = _uncolored(d1)
+        for d2, shape2, source, c2 in matches:
             pair = shape1, shape2
             prod = products.get(pair)
             if prod is None:
-                prod = products[pair] = _shape_product(shape1, shape2)
-            term = _recolored(prod, cpd1.target, source)
+                prod = products[pair] = _product(d1, d2)
+            term = _recolored(prod, source)
             c = c1 * c2
             out[term] = out.get(term, c * 0) + c
     return {k: v for k, v in out.items() if v}
@@ -214,7 +169,8 @@ def psi_hom_check(samples=1000, k_max=4, r_max=3, seed=0):
 
 
 def downward_shapes(l, k):
-    """All downward (l,k) uncolored shapes: partition bottoms, attach tops."""
+    """All downward (l,k) shapes, blocks as (top, bottom): partition the
+    bottoms, attach the tops."""
     out = []
     for part in set_partitions(range(1, k + 1)):
         n = len(part)
@@ -222,28 +178,20 @@ def downward_shapes(l, k):
             continue
         for chosen in combinations(range(n), l):
             for perm in permutations(chosen):
-                blocks = []
-                for t, idx in enumerate(perm, start=1):
-                    blocks.append(((t,), tuple(part[idx]), 0))
-                for idx in range(n):
-                    if idx not in chosen:
-                        blocks.append(((), tuple(part[idx]), 0))
-                out.append(tuple(blocks))
+                out.append(tuple(((t,), tuple(part[i])) for t, i in enumerate(perm, 1))
+                           + tuple(((), tuple(part[i])) for i in range(n) if i not in chosen))
     return out
 
 
 def hom_dimension_check(l, k, r):
     """Total Hom-basis count over all object pairs vs the dimension of the
     span of colored downward (l,k)-diagrams, computed independently."""
-    # groupoid side: enumerate color-preserving diagrams from block colorings
-    cpds = set()
-    for blocks in downward_shapes(l, k):
-        for colors in product(range(r), repeat=len(blocks)):
-            cols = [(t, b, c) for (t, b, _), c in zip(blocks, colors)]
-            cpds.add(ColorPreservingDiagram(ColoredDiagram(r, l, k, cols)))
+    # groupoid side: color each shape's blocks, group by (source, target)
     by_objects = {}
-    for cpd in cpds:
-        by_objects.setdefault((cpd.source, cpd.target), set()).add(cpd)
+    for blocks in downward_shapes(l, k):
+        for cs in product(range(r), repeat=len(blocks)):
+            d = ColoredDiagram(r, l, k, [(t, b, c) for (t, b), c in zip(blocks, cs)])
+            by_objects.setdefault(colors(d)[::-1], set()).add(d)
     dim_groupoid = sum(len(v) for v in by_objects.values())
     # path-algebra side: brute enumeration of colored downward diagrams
     dim_path = sum(1 for d in enumerate_diagrams(r, l, k) if d.is_downward())

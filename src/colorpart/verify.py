@@ -32,13 +32,7 @@ from .diagrams import (
     factor_triangular,
     stirling2,
 )
-from .groupoid import (
-    ColorPreservingDiagram,
-    gsum_equal,
-    hom_dimension_check,
-    psi,
-    psi_hom_check,
-)
+from .groupoid import gsum_equal, hom_dimension_check, psi, psi_hom_check
 from .modules_rep import (
     _perm_diagram,
     cartan_matrix,
@@ -108,7 +102,7 @@ def psi_expected_terms():
             ((2,), (3,), j2),
             ((), (4,), j3),
         ])
-        out[ColorPreservingDiagram(d)] = zeta_pow(2, j2)
+        out[d] = zeta_pow(2, j2)
     return out
 
 
@@ -536,6 +530,8 @@ def run_all(cfg=None, only=None):
     names = {name for name, _ in CHECKS}
     if only:
         unknown = set(only) - names
+        if "" in unknown:
+            raise ValueError("a criterion name is empty")
         if unknown:
             raise ValueError("unknown criteria: %s" % ", ".join(sorted(unknown)))
     results = []

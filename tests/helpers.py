@@ -2,7 +2,6 @@
 
 from colorpart.characters import g_elements
 from colorpart.diagrams import ColoredDiagram, compose, enumerate_diagrams
-from colorpart.groupoid import ColorPreservingDiagram
 from colorpart.modules_rep import _perm_diagram
 from colorpart.ribbon import addable_ribbons, bumpout, firstr, nextr, rt_shape, special_type
 from colorpart.scalars import CycNumber, zeta_pow
@@ -181,25 +180,38 @@ def sw_diagram_by_max(d):
 #
 # psi, gcompose and gsum_compose as they were before psi built its terms
 # through the trusted constructors and gsum_compose composed each pair of
-# shapes once; colorpart.groupoid must give equal dicts.
+# shapes once, over diagram keys; each oracle reads the vertex colors itself
+# and colors a product block from the target when it has a top vertex.
+# colorpart.groupoid must give equal dicts.
+
+
+def vertex_colors(d):
+    """(target, source) of a downward diagram, read vertex by vertex."""
+    if not d.is_downward():
+        raise ValueError("not a downward diagram")
+    color = {(side, v): c for top, bot, c in d.blocks
+             for side, verts in (("t", top), ("b", bot)) for v in verts}
+    return (tuple(color["t", v] for v in range(1, d.k + 1)),
+            tuple(color["b", v] for v in range(1, d.l + 1)))
 
 
 def gcompose_by_validation(d1, d2):
-    if d1.source != d2.target:
-        if len(d1.source) != len(d2.target):
+    tgt, src1 = vertex_colors(d1)
+    tgt2, src = vertex_colors(d2)
+    if src1 != tgt2:
+        if len(src1) != len(tgt2):
             raise ValueError("arities not composable")
         return None
-    a = ColoredDiagram(d1.d.r, d1.d.k, d1.d.l, [(t, b, 0) for t, b, _ in d1.d.blocks])
-    b = ColoredDiagram(d2.d.r, d2.d.k, d2.d.l, [(t, b, 0) for t, b, _ in d2.d.blocks])
+    a = ColoredDiagram(d1.r, d1.k, d1.l, [(t, b, 0) for t, b, _ in d1.blocks])
+    b = ColoredDiagram(d2.r, d2.k, d2.l, [(t, b, 0) for t, b, _ in d2.blocks])
     shape, exps = compose(a, b)
     if any(exps):
         raise RuntimeError("downward composition removed a middle component")
-    tgt, src = d1.target, d2.source
     blocks = []
     for top, bot, _ in shape.blocks:
         c = tgt[top[0] - 1] if top else src[bot[0] - 1]
         blocks.append((top, bot, c))
-    return ColorPreservingDiagram(ColoredDiagram(shape.r, shape.k, shape.l, blocks))
+    return ColoredDiagram(shape.r, shape.k, shape.l, blocks)
 
 
 def psi_by_validation(d):
@@ -213,8 +225,8 @@ def psi_by_validation(d):
         idx, phase, js = stack.pop()
         if idx == s:
             blocks = [(t, b, j) for (t, b, _), j in zip(d.blocks, js)]
-            cpd = ColorPreservingDiagram(ColoredDiagram(r, d.k, d.l, blocks))
-            terms[cpd] = terms.get(cpd, CycNumber.zero(r)) + zeta_pow(r, phase)
+            term = ColoredDiagram(r, d.k, d.l, blocks)
+            terms[term] = terms.get(term, CycNumber.zero(r)) + zeta_pow(r, phase)
             continue
         i_s = d.blocks[idx][2]
         for j in range(r):
@@ -224,12 +236,12 @@ def psi_by_validation(d):
 
 def gsum_compose_by_validation(A, B):
     by_target = {}
-    for cpd, c in B.items():
-        by_target.setdefault(cpd.target, []).append((cpd, c))
+    for d2, c in B.items():
+        by_target.setdefault(vertex_colors(d2)[0], []).append((d2, c))
     out = {}
-    for cpd1, c1 in A.items():
-        for cpd2, c2 in by_target.get(cpd1.source, []):
-            prod = gcompose_by_validation(cpd1, cpd2)
+    for d1, c1 in A.items():
+        for d2, c2 in by_target.get(vertex_colors(d1)[1], []):
+            prod = gcompose_by_validation(d1, d2)
             if prod is None:
                 continue
             c = c1 * c2

@@ -148,6 +148,18 @@ def test_thm_check_explicit_triple():
     assert out["equal"] and out["lhs"] == out["rhs"] == 1
 
 
+@pytest.mark.parametrize("bars, named", [
+    (("--lam-bar", "[[1],[],[]]"), "--lam-bar"),
+    (("--mu-bar", "[[1],[],[]]", "--nu-bar", "[[],[],[]]"), "--mu-bar, --nu-bar"),
+    # an empty value is still given
+    (("--nu-bar", ""), "--nu-bar"),
+])
+def test_thm_check_refuses_a_triple_next_to_the_example(bars, named):
+    res = run("thm-check", "--r", "3", "--example", "paper", *bars)
+    assert_usage_error(res)
+    assert res.output.splitlines()[-1] == "Error: --example conflicts with " + named
+
+
 def test_present_check():
     res = run("present-check", "--k", "2", "--r", "2")
     assert res.exit_code == 0
@@ -223,6 +235,13 @@ def test_verify_subset():
 
 def test_verify_unknown_suite():
     assert run("verify", "--suite", "nonsense").exit_code == 2
+
+
+@pytest.mark.parametrize("suite", ["", ",", "counting,", " , counting"])
+def test_verify_names_an_empty_criterion(suite):
+    res = run("verify", "--suite", suite)
+    assert_usage_error(res)
+    assert res.output.splitlines()[-1] == "Error: a criterion name is empty"
 
 
 def test_verify_bad_cap():

@@ -1,13 +1,17 @@
 """Color-preserving groupoid expansion of downward diagrams."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import colorpart
 from colorpart import groupoid as G
 from colorpart.diagrams import ColoredDiagram, compose, enumerate_diagrams
 from colorpart.groupoid import (
-    ColorPreservingDiagram,
+    colors,
     gcompose,
     gsum_compose,
     gsum_equal,
@@ -18,35 +22,32 @@ from colorpart.groupoid import (
 )
 from colorpart.scalars import CycNumber
 from colorpart.verify import PSI_INPUT, psi_expected_terms
-from helpers import gcompose_by_validation, gsum_compose_by_validation, psi_by_validation
+from helpers import (
+    gcompose_by_validation,
+    gsum_compose_by_validation,
+    psi_by_validation,
+    vertex_colors,
+)
 
 
 def test_source_and_target_read_off_colors():
     d = ColoredDiagram(3, 1, 2, [((1,), (1,), 2), ((), (2,), 1)])
-    cpd = ColorPreservingDiagram(d)
-    assert cpd.target == (2,)
-    assert cpd.source == (2, 1)
+    assert colors(d) == ((2,), (2, 1))
 
 
 def test_source_and_target_match_a_per_vertex_reading():
-    # the sequences are read once at construction; each equals the color
-    # of the block holding the vertex
+    # each color is that of the block holding the vertex
     for d in enumerate_diagrams(2, 2, 3):
-        if not d.is_downward():
-            continue
-        cpd = ColorPreservingDiagram(d)
-        color = {(side, v): c for top, bot, c in d.blocks
-                 for side, verts in (("t", top), ("b", bot)) for v in verts}
-        assert cpd.target == tuple(color["t", v] for v in range(1, 3))
-        assert cpd.source == tuple(color["b", v] for v in range(1, 4))
+        if d.is_downward():
+            assert colors(d) == vertex_colors(d)
 
 
 def test_gcompose_interface_mismatch_is_zero():
-    a = ColorPreservingDiagram(ColoredDiagram(2, 1, 1, [((1,), (1,), 1)]))
-    b = ColorPreservingDiagram(ColoredDiagram(2, 1, 1, [((1,), (1,), 0)]))
+    a = ColoredDiagram(2, 1, 1, [((1,), (1,), 1)])
+    b = ColoredDiagram(2, 1, 1, [((1,), (1,), 0)])
     assert gcompose(a, b) is None
     assert gcompose(a, a) is not None
-    wide = ColorPreservingDiagram(ColoredDiagram(2, 2, 2, [((1,), (1,), 0), ((2,), (2,), 0)]))
+    wide = ColoredDiagram(2, 2, 2, [((1,), (1,), 0), ((2,), (2,), 0)])
     with pytest.raises(ValueError, match="arities not composable"):
         gcompose(a, wide)
 
@@ -57,7 +58,7 @@ def _compose_with_loop(d1, d2):
 
 
 def test_gcompose_rejects_a_removed_middle_component(monkeypatch):
-    a = ColorPreservingDiagram(ColoredDiagram(2, 1, 1, [((1,), (1,), 1)]))
+    a = ColoredDiagram(2, 1, 1, [((1,), (1,), 1)])
     monkeypatch.setattr(G, "compose", _compose_with_loop)
     with pytest.raises(RuntimeError, match="middle component"):
         gcompose(a, a)
@@ -78,8 +79,8 @@ def test_expansion_term_count_and_coefficients():
     terms = psi(PSI_INPUT)
     assert len(terms) == 2 ** len(PSI_INPUT.blocks)
     # trivially colored diagrams always get coefficient 1
-    for cpd, coeff in terms.items():
-        if all(c == 0 for _, _, c in cpd.d.blocks):
+    for d, coeff in terms.items():
+        if all(c == 0 for _, _, c in d.blocks):
             assert coeff == CycNumber.one(2)
 
 
@@ -130,13 +131,12 @@ def _sample_pairs(samples, k_max, r_max, seed):
 
 def _assert_validated(terms):
     """Every term, built by the trusted constructors, is what the
-    validating constructors make of its blocks."""
-    for cpd in terms:
-        d = cpd.d
+    validating constructors make of its blocks, and its colors are those
+    read vertex by vertex."""
+    for d in terms:
         valid = ColoredDiagram(d.r, d.k, d.l, d.blocks)
         assert valid.blocks == d.blocks
-        again = ColorPreservingDiagram(valid)
-        assert (again.target, again.source) == (cpd.target, cpd.source)
+        assert colors(d) == vertex_colors(valid)
 
 
 @pytest.mark.parametrize("samples, r_max, seed", [
@@ -164,3 +164,42 @@ def test_gcompose_equals_the_validating_oracle():
                 assert prod == gcompose_by_validation(a, b)
                 if prod is not None:
                     _assert_validated([prod])
+
+
+# (2,1)-diagrams with two propagating parts, so not downward
+UPWARD = ColoredDiagram(2, 2, 1, [((1, 2), (1,), 0)])
+WIDE_UP = ColoredDiagram(2, 2, 2, [((1,), (), 1), ((2,), (1, 2), 0)])
+IDENTITY = ColoredDiagram.identity(2, 2)
+
+
+@pytest.mark.parametrize("call", [
+    colors,
+    psi,
+    lambda d: gcompose(d, IDENTITY),
+    lambda d: gcompose(IDENTITY, d),
+    lambda d: gsum_compose({d: CycNumber.one(2)}, psi(IDENTITY)),
+    lambda d: gsum_compose(psi(IDENTITY), {d: CycNumber.one(2)}),
+], ids=["colors", "psi", "gcompose-left", "gcompose-right",
+        "gsum_compose-left", "gsum_compose-right"])
+@pytest.mark.parametrize("d", [UPWARD, WIDE_UP], ids=["upward", "non-propagating-top"])
+def test_a_non_downward_diagram_is_refused(call, d):
+    assert not d.is_downward()
+    with pytest.raises(ValueError, match="downward"):
+        call(d)
+
+
+def test_a_non_downward_morphism_is_refused_under_O():
+    script = "\n".join([
+        "from colorpart.diagrams import ColoredDiagram",
+        "from colorpart.groupoid import gcompose",
+        "d = ColoredDiagram(2, 2, 2, [((1,), (), 1), ((2,), (1, 2), 0)])",
+        "try:",
+        "    gcompose(ColoredDiagram.identity(2, 2), d)",
+        "except ValueError:",
+        "    raise SystemExit(0)",
+        "raise SystemExit('accepted a non-downward morphism')"])
+    src = os.path.dirname(os.path.dirname(colorpart.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
