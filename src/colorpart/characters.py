@@ -2,13 +2,14 @@
 
 Symmetric group characters come from the Murnaghan-Nakayama rule;
 Littlewood-Richardson coefficients from lattice-word backtracking.  The
-irreducible characters of G(r,n) = C_r wr S_n are induced from the block
-subgroup G(r,k_1) x ... x G(r,k_r), base character prod_i phi_i(cycle
-colors) chi^{lambda_i}, by Frobenius' formula in class form, cached per
-(r, n).  Every sum on top of them runs over conjugacy classes (Macdonald,
-Symmetric Functions, App. B): Kronecker and reduced Kronecker coefficients,
-the K-coefficients over H(r,t) = (C_r x C_r) wr S_t, R-coefficients, and
-the X^t permutation-module oracle (one fixed-point table per (r,l,m,n,t)).
+irreducible characters of G(r,n) = C_r wr S_n come from the wreath
+Murnaghan-Nakayama rule on the same abacus, a cycle of color c removed
+from lambda_j as a border strip weighted zeta^(j c), cached per (r, n);
+no subgroup is enumerated.  Every sum on top of them runs over
+conjugacy classes (Macdonald, Symmetric Functions, App. B): Kronecker
+and reduced Kronecker coefficients, the K-coefficients over H(r,t) =
+(C_r x C_r) wr S_t, R-coefficients, and the X^t permutation-module
+oracle (one fixed-point table per (r,l,m,n,t)).
 """
 
 from fractions import Fraction
@@ -245,67 +246,43 @@ def class_type(r, g):
     return tuple(tuple(sorted(b, reverse=True)) for b in buckets)
 
 
-def _block_subgroup(r, ks):
-    """(blocks, elements) of G(r,k_1) x ... x G(r,k_s) inside G(r, sum ks):
-    the consecutive blocks of sizes ks, and the elements of G(r, sum ks)
-    whose permutation maps each block to itself, in g_elements order."""
-    blocks, start = [], 1
-    for k in ks:
-        blocks.append(tuple(range(start, start + k)))
-        start += k
-    in_h = lambda g: all(all(g[1][v - 1] in blk for v in blk) for blk in blocks)
-    return tuple(blocks), tuple(g for g in g_elements(r, start - 1) if in_h(g))
-
-
-def _block_character(r, lam_bar, blocks, h):
-    """Base character of the block subgroup at h: prod_i zeta^(i a_i)
-    chi^{lam_i}(cycle type on block i), a_i the color sum on block i."""
-    f, perm = h
-    val = CycNumber.one(r)
-    for i, blk in enumerate(blocks):
-        val = val * zeta_pow(r, i * sum(f[v - 1] for v in blk))
-        cycles, seen = [], set()
-        for v in blk:
-            length = 0
-            while v not in seen:
-                seen.add(v)
-                v = perm[v - 1]
-                length += 1
-            if length:
-                cycles.append(length)
-        c = chi_sn(lam_bar[i], tuple(sorted(cycles, reverse=True)))
-        if c != 1:
-            val = val * c
-        if not val:
-            break
-    return val
+def _mn_terms(lam_bar, cycles):
+    """The terms of the Murnaghan-Nakayama rule for G(r,n) at the cycles
+    ((length d, color c), ...): the first cycle is removed from one lam_j
+    as a d-border strip of height ht, a factor (-1)^ht zeta^(j c), and the
+    others recurse.  Yields (sign, exponent of zeta) per way to remove
+    them all."""
+    if not cycles:
+        yield 1, 0
+        return
+    (d, c), rest = cycles[0], cycles[1:]
+    for j, lam in enumerate(lam_bar):
+        for new, ht in abacus_moves(lam, -d):
+            for sign, e in _mn_terms(lam_bar[:j] + (new,) + lam_bar[j + 1:], rest):
+                yield (-1) ** ht * sign, j * c + e
 
 
 @lru_cache(maxsize=None)
 def wreath_char_table(r, n):
     """Character table of G(r,n): (class_reps, class_sizes, table) where
-    table[lam_bar][class_type] is a CycNumber.  Each row is induced from its
-    block subgroup H by Frobenius' formula in class form, chi(C) =
-    |G| / (|H| |C|) sum_{h in H n C} theta(h): one pass over H."""
-    elements = g_elements(r, n)
+    table[lam_bar][class_type] is a CycNumber; a class's rep is its first
+    element in g_elements order.  Each value is the Murnaghan-Nakayama
+    rule for G(r,n) (Macdonald, App. B) on the abacus of chi_sn, the
+    longest cycles removed first."""
     reps, sizes = {}, {}
-    for g in elements:
+    for g in g_elements(r, n):
         t = class_type(r, g)
         reps.setdefault(t, g)
         sizes[t] = sizes.get(t, 0) + 1
-    table = {}
-    for lam_bar in multipartitions(r, n):
-        blocks, h_elements = _block_subgroup(r, tuple(sum(lam) for lam in lam_bar))
-        sums = {}
-        for h in h_elements:
-            val = _block_character(r, lam_bar, blocks, h)
-            if val:
-                t = class_type(r, h)
-                sums[t] = sums[t] + val if t in sums else val
-        table[lam_bar] = {
-            t: sums[t] * Fraction(len(elements), len(h_elements) * sizes[t])
-            if t in sums else CycNumber.zero(r)
-            for t in reps}
+    table = {lam_bar: {} for lam_bar in multipartitions(r, n)}
+    for t in reps:
+        cycles = tuple(sorted(((d, c) for c, mu in enumerate(t) for d in mu), reverse=True))
+        for lam_bar, row in table.items():
+            coeffs = [0] * r
+            for sign, e in _mn_terms(lam_bar, cycles):
+                coeffs[e % r] += sign
+            row[t] = sum((zeta_pow(r, e) * a for e, a in enumerate(coeffs) if a),
+                         CycNumber.zero(r))
     return reps, sizes, table
 
 

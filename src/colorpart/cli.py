@@ -119,6 +119,15 @@ def check_monoid_size(k, r):
         raise click.UsageError("cap exceeded: %s" % exc)
 
 
+def check_estimate(formula, estimate, unit):
+    """Refuse a request before any work when its work estimate, the value
+    of formula in unit, exceeds the monoid cap."""
+    cap = run_config().monoid_cap
+    if estimate > cap:
+        raise click.UsageError("cap exceeded: %s = %d %s exceed cap %d"
+                               % (formula, estimate, unit, cap))
+
+
 @click.group(cls=TableGroup)
 def main():
     """Exact computations for colored partition diagram categories."""
@@ -152,6 +161,8 @@ def cmd_count(k, r):
 @click.option("--r", required=True, type=COLORS)
 def cmd_present_check(k, r):
     """Check every instance of the defining monoid relations."""
+    # relation (12) has about k r^2 / 2 letters over its instances
+    check_estimate("k*r^2", k * r * r, "letters of relation (12)")
     rep = algebra.check_presentation(k, r)
     emit(rep)
     if not rep["ok"]:
@@ -195,6 +206,8 @@ def cmd_rs(diagram):
 def cmd_sw(diagram):
     """Ribbon-insertion image of a colored diagram, as row grids."""
     d = parse_diagram(diagram)
+    # each shape's table of addable r-ribbons holds r^2 cells
+    check_estimate("(k+l)*r^2", (d.k + d.l) * d.r * d.r, "ribbon-table cells")
     (P, S), (Q, T) = sw_diagram(d)
     emit({"P": rt_rows(P), "Q": rt_rows(Q), "S": rt_rows(S), "T": rt_rows(T)})
 

@@ -7,11 +7,12 @@ factors uniquely as d2*g with d2 in S(k,i) and g in G(r,i), which drives
 the action, the symbolic Gram matrices, and the semisimplicity certificate.
 Wreath irreducibles are induced modules from Specht matrices (standard
 polytabloid basis, straightened by peeling the standard tabloids in
-dominance order, small n only).  A Gram entry is y^e rho(g)_ab, a matrix
-entry of a group element in that standard basis.  Its product
-flip_invert(d) d' is never composed: g and y^e are read off the join of
-the top halves of d and d' at the middle vertices, one union-find per
-pair of uncolored halves.
+dominance order, small n only); a coset of the block subgroup is named by
+the image of each block, so the block subgroup is never listed.  A Gram
+entry is y^e rho(g)_ab, a matrix entry of a group element in that
+standard basis.  Its product flip_invert(d) d' is never composed: g and
+y^e are read off the join of the top halves of d and d' at the middle
+vertices, one union-find per pair of uncolored halves.
 
 Cartan entries are computed by class sums: the downward (m,l) diagram
 basis carries a G(r,m) x G(r,l) bi-action by place permutation, and
@@ -26,8 +27,6 @@ from itertools import combinations, permutations, product
 from types import MappingProxyType
 
 from .characters import (
-    _block_subgroup,
-    g_elements,
     ginv,
     gmul,
     multipartitions,
@@ -156,26 +155,23 @@ class MatrixRep:
 
     Induced from the block subgroup G(r,k_0) x ... x G(r,k_{r-1}) acting by
     color characters times Specht matrices; the standard basis is the
-    coset blocks times the Specht standard polytabloids.
+    coset blocks times the Specht standard polytabloids.  A coset gH is
+    the image of each block under g, and its rep, its first element in
+    g_elements order, has colors 0 and maps each block increasingly.
     """
 
     def __init__(self, r, lam_bar):
         self.r = r
         self.lam_bar = tuple(tuple(lam) for lam in lam_bar)
         self.n = weight(lam_bar)
-        self.blocks, self.h_elements = _block_subgroup(
-            r, tuple(sum(lam) for lam in lam_bar))
-        elements = g_elements(r, self.n)
-        # coset decomposition G = union t_c H
-        self.coset_reps = []
-        self.elem_coset = {}
-        for g in elements:
-            if g in self.elem_coset:
-                continue
-            c = len(self.coset_reps)
-            self.coset_reps.append(g)
-            for h in self.h_elements:
-                self.elem_coset[gmul(r, g, h)] = c
+        blocks, start = [], 1
+        for lam in self.lam_bar:
+            blocks.append(tuple(range(start, start + sum(lam))))
+            start += sum(lam)
+        self.blocks = tuple(blocks)
+        self.coset_reps = [((0,) * self.n, p) for p in permutations(range(1, self.n + 1))
+                           if all(p[v - 1] < p[v] for blk in blocks for v in blk[:-1])]
+        self._coset_of = {p: c for c, (_, p) in enumerate(self.coset_reps)}
         self.base_dim = 1
         for lam in self.lam_bar:
             self.base_dim *= specht_dim(lam)
@@ -190,7 +186,8 @@ class MatrixRep:
         out = [[zero] * self.dim for _ in range(self.dim)]
         for c, t in enumerate(self.coset_reps):
             gt = gmul(r, g, t)
-            c2 = self.elem_coset[gt]
+            c2 = self._coset_of[tuple(v for blk in self.blocks
+                                      for v in sorted(gt[1][u - 1] for u in blk))]
             f, tau = gmul(r, ginv(r, self.coset_reps[c2]), gt)
             phase = 0
             theta = [[1]]

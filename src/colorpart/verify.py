@@ -2,10 +2,11 @@
 
 Each check_* function runs one criterion and returns a small report dict
 with an "ok" flag plus the data that was compared.  run_all drives the
-whole suite (this is what `colorpart verify` executes).  The module-level
-constants are frozen worked examples: exact inputs together with their
-expected outputs, used as ground truth alongside the independent
-re-computations inside each check.
+whole suite (this is what `colorpart verify` executes) and names each
+report by its entry in CHECKS.  The module-level constants are frozen
+worked examples: exact inputs together with their expected outputs, used
+as ground truth alongside the independent re-computations inside each
+check.
 """
 
 import time
@@ -214,8 +215,7 @@ def check_composition(cfg):
     """Worked r = 5 composition reproduced exactly, scalar included."""
     prod, exps = compose(COMPOSE_D1, COMPOSE_D2)
     ok = prod == COMPOSE_PRODUCT and exps == COMPOSE_EXPONENTS
-    return {"criterion": "composition-example", "ok": ok,
-            "exponents": list(exps)}
+    return {"ok": ok, "exponents": list(exps)}
 
 
 def check_counting(cfg):
@@ -235,7 +235,7 @@ def check_counting(cfg):
         egf_coefficients(r, 10) == [count_bell(k, r) for k in range(11)]
         for r in range(1, 5)
     )
-    return {"criterion": "counting", "ok": ok and egf_ok,
+    return {"ok": ok and egf_ok,
             "sizes": {"%d,%d" % kr: n for kr, n in sizes.items()},
             "egf_ok": egf_ok}
 
@@ -256,8 +256,7 @@ def check_presentation(cfg):
         full = algebra.enumerate_monoid(k, r, cap=cfg.monoid_cap)
         closures["%d,%d" % (k, r)] = len(closed)
         ok = ok and closed == full
-    return {"criterion": "presentation", "ok": ok,
-            "relations": reports, "closure_sizes": closures}
+    return {"ok": ok, "relations": reports, "closure_sizes": closures}
 
 
 def check_groupoid(cfg):
@@ -273,8 +272,7 @@ def check_groupoid(cfg):
                 rep = hom_dimension_check(l, k, r)
                 dims.append(rep)
                 dims_ok = dims_ok and rep["ok"]
-    return {"criterion": "groupoid-expansion",
-            "ok": hom["ok"] and figure_ok and dims_ok,
+    return {"ok": hom["ok"] and figure_ok and dims_ok,
             "hom_samples": hom, "figure_ok": figure_ok, "dimensions": dims}
 
 
@@ -313,8 +311,7 @@ def check_triangular(cfg):
                     ok = ok and not any(e2)
                     products.add(back)
     unique = total == len(products) == len(monoid) and products == monoid
-    return {"criterion": "triangular-factorization", "ok": ok and unique,
-            "monoid": len(monoid), "triples": total}
+    return {"ok": ok and unique, "monoid": len(monoid), "triples": total}
 
 
 def check_rs(cfg):
@@ -335,8 +332,7 @@ def check_rs(cfg):
                 if rs_inverse(rs_forward(d), r, k, k) != d:
                     ok = False
             counts["%d,%d" % (k, r)] = n
-    return {"criterion": "rs-bijection", "ok": ok,
-            "example_ok": example_ok, "roundtrips": counts}
+    return {"ok": ok, "example_ok": example_ok, "roundtrips": counts}
 
 
 def check_sw(cfg):
@@ -369,8 +365,7 @@ def check_sw(cfg):
                       for d in enumerate_diagrams(rr, k, k)}
             diagram_counts["%d,%d" % (k, rr)] = len(images)
             diagrams_ok = diagrams_ok and len(images) == count_bell(2 * k, rr)
-    return {"criterion": "ribbon-bijection",
-            "ok": trace_ok and groups_ok and diagrams_ok,
+    return {"ok": trace_ok and groups_ok and diagrams_ok,
             "trace_ok": trace_ok, "group_images": group_counts,
             "diagram_images": diagram_counts}
 
@@ -393,7 +388,7 @@ def check_green(cfg):
             details.append({"k": k, "r": r, "relation": rel,
                             "classes": len(graph), "ok": same})
             ok = ok and same
-    return {"criterion": "green-relations", "ok": ok, "cases": details}
+    return {"ok": ok, "cases": details}
 
 
 def _formula_sweep(r, w):
@@ -424,8 +419,7 @@ def check_formula(cfg):
     example_ok = example["ok"] and example["lhs"] == 1 and example["rhs"] == 1
     checked, failures = _formula_sweep(2, 3)
     checked_r3, failures_r3 = _formula_sweep(3, 2)
-    return {"criterion": "coefficient-identity",
-            "ok": example_ok and not failures and not failures_r3,
+    return {"ok": example_ok and not failures and not failures_r3,
             "example": {"lhs": example["lhs"], "rhs": example["rhs"]},
             "checked": checked, "failures": failures,
             "checked_r3": checked_r3, "failures_r3": failures_r3}
@@ -455,7 +449,7 @@ def check_xt_oracle(cfg):
     l, m, n <= 3 at r = 2 and l, m, n <= 2 at r = 3."""
     checked, failures = _xt_sweep(2, 3)
     checked_r3, failures_r3 = _xt_sweep(3, 2)
-    return {"criterion": "xt-oracle", "ok": not failures and not failures_r3,
+    return {"ok": not failures and not failures_r3,
             "checked": checked, "failures": failures,
             "checked_r3": checked_r3, "failures_r3": failures_r3}
 
@@ -473,8 +467,7 @@ def check_cartan(cfg):
         or (weight(mu) == weight(lam) and mu != lam)
     )
     tensor_ok = cartan_tensor_check(w, r)
-    return {"criterion": "cartan",
-            "ok": diag_ok and vanish_ok and tensor_ok,
+    return {"ok": diag_ok and vanish_ok and tensor_ok,
             "labels": len(labels), "diag_ok": diag_ok,
             "vanish_ok": vanish_ok, "tensor_ok": tensor_ok}
 
@@ -500,8 +493,7 @@ def check_gram(cfg):
     cert_ss = semisimplicity_certificate(2, 1, (2, 1))
     cert_ns = semisimplicity_certificate(2, 1, (1, 1))
     points_ok = cert_ss["semisimple"] and not cert_ns["semisimple"]
-    return {"criterion": "gram-semisimplicity",
-            "ok": data_ok and lead_ok and dims_ok and points_ok,
+    return {"ok": data_ok and lead_ok and dims_ok and points_ok,
             "data_ok": data_ok, "leading_ok": lead_ok,
             "dimension_ok": dims_ok,
             "semisimple_at_2_1": cert_ss["semisimple"],
@@ -539,7 +531,7 @@ def run_all(cfg=None, only=None):
         if only and name not in only:
             continue
         t0 = time.perf_counter()
-        rep = fn(cfg)
+        rep = {"criterion": name, **fn(cfg)}
         rep["seconds"] = round(time.perf_counter() - t0, 3)
         results.append(rep)
     return {"ok": all(rep["ok"] for rep in results), "criteria": results,

@@ -210,7 +210,7 @@ def k_coefficient_by_elements(r, delta, delta1, delta2):
 
 
 @pytest.mark.parametrize("r, n", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2),
-                                  (2, 3), (3, 1), (3, 2)])
+                                  (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2)])
 def test_wreath_char_table_equals_the_conjugation_sweep(r, n):
     assert wreath_char_table(r, n) == wreath_char_table_by_conjugation(r, n)
 

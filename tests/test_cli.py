@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -308,6 +309,40 @@ def test_psi_check_admits_sizes_up_to_the_cap(sizes, cap):
 ])
 def test_psi_check_refuses_a_large_size_before_sampling(sizes):
     res = run("psi-check", *sizes)
+    assert_usage_error(res)
+    assert "cap exceeded" in res.output
+
+
+def _one_strand(r):
+    return json.dumps({"r": r, "k": 1, "l": 1,
+                       "blocks": [{"top": [1], "bot": [1], "c": 0}]})
+
+
+@pytest.mark.parametrize("admitted, refused", [
+    # k r^2 letters of relation (12): 316^2 <= 10^5 < 317^2
+    (("present-check", "--k", "1", "--r", "316"),
+     ("present-check", "--k", "1", "--r", "317")),
+    # (k + l) r^2 ribbon-table cells: 2 * 223^2 <= 10^5 < 2 * 224^2
+    (("sw", "--diagram", _one_strand(223)), ("sw", "--diagram", _one_strand(224))),
+])
+def test_present_check_and_sw_admit_r_up_to_the_cap(admitted, refused):
+    assert run(*admitted).exit_code == 0
+    res = run(*refused)
+    assert_usage_error(res)
+    assert "cap exceeded" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ("present-check", "--k", "1", "--r", "1000"),
+    ("present-check", "--k", "1", "--r", "2000"),
+    ("sw", "--diagram", _one_strand(1000)),
+    ("sw", "--diagram", _one_strand(3000)),
+    ("sw", "--diagram", _one_strand(10**5)),
+])
+def test_present_check_and_sw_refuse_a_large_r_before_any_work(args):
+    t0 = time.perf_counter()
+    res = run(*args)
+    assert time.perf_counter() - t0 < 1
     assert_usage_error(res)
     assert "cap exceeded" in res.output
 

@@ -182,15 +182,20 @@ def base_matrix(rep, h):
     )
 
 
+def preserves_blocks(rep, h):
+    return all(h[1][v - 1] in blk for blk in rep.blocks for v in blk)
+
+
 def induced_matrix(rep, g):
     """The full dim x dim matrix of g on the induced module, kept as the
-    oracle for MatrixRep.matrix."""
+    oracle for MatrixRep.matrix.  With g t = t2 h, t2 is the one coset rep
+    for which t2^-1 g t preserves the blocks."""
     r, d = rep.r, rep.dim
     m = [[CycNumber.zero(r) for _ in range(d)] for _ in range(d)]
     for c, t in enumerate(rep.coset_reps):
         gt = gmul(r, g, t)
-        c2 = rep.elem_coset[gt]
-        h = gmul(r, ginv(r, rep.coset_reps[c2]), gt)
+        (c2, h), = [(c2, h) for c2, t2 in enumerate(rep.coset_reps)
+                    for h in [gmul(r, ginv(r, t2), gt)] if preserves_blocks(rep, h)]
         sig = base_matrix(rep, h)
         for v in range(rep.base_dim):
             for w in range(rep.base_dim):
@@ -223,8 +228,29 @@ def test_wreath_rep_is_multiplicative_and_traces_match():
             assert trace == wreath_char_table(r, n)[2][lam_bar][class_type(r, a)]
 
 
+@pytest.mark.parametrize("r, n", [(r, n) for r in range(1, 4) for n in range(5)])
+def test_coset_reps_are_the_first_element_of_each_coset(r, n):
+    # brute force: g_elements in order, each new element opening the coset
+    # g H, H the elements that preserve the blocks
+    elements = g_elements(r, n)
+    for lam_bar in multipartitions(r, n):
+        rep = build_matrix_rep(r, lam_bar)
+        sizes = [sum(lam) for lam in lam_bar]
+        starts = [1 + sum(sizes[:j]) for j in range(r)]
+        assert rep.blocks == tuple(tuple(range(s, s + k)) for s, k in zip(starts, sizes))
+        subgroup = [h for h in elements if preserves_blocks(rep, h)]
+        firsts, seen = [], set()
+        for g in elements:
+            if g not in seen:
+                firsts.append(g)
+                seen.update(gmul(r, g, h) for h in subgroup)
+        assert rep.coset_reps == firsts
+        assert rep.dim == len(firsts) * rep.base_dim
+
+
 @pytest.mark.parametrize("r, lam_bar", [
-    (2, ((1,), (1,))), (3, ((), (1,), ())), (1, ((2, 1),)), (2, ((2, 1), ()))])
+    (2, ((1,), (1,))), (3, ((), (1,), ())), (1, ((2, 1),)), (2, ((2, 1), ())),
+    (2, ((1,), (1, 1))), (3, ((1,), (), (1,)))])
 def test_column_is_the_first_column_of_the_induced_matrix(r, lam_bar):
     rep = build_matrix_rep(r, lam_bar)
     for g in g_elements(r, rep.n):
