@@ -510,13 +510,21 @@ def xt_fixed_points(r, l, m, n, t):
     alone, and no element of X^t is formed.
     """
     _xt_kinds(l, m, n, t)
+    return _class_table(r, (l, m, n), lambda sides: _orbit_groupings(r, sides, t))
+
+
+def _class_table(r, ns, count):
+    """count(cycles) times the class sizes for each tuple of class types of
+    G(r,n), n in ns, a read-only map keyed by the tuple of types (from
+    wreath_char_table), last type innermost; zero counts are left out.
+    cycles holds each type's cycles as a sorted tuple of (length, color)."""
     sides = [[(T, k, tuple(sorted((d, c) for c, lam in enumerate(T) for d in lam)))
-              for T, k in wreath_char_table(r, size)[1].items()] for size in (l, m, n)]
+              for T, k in wreath_char_table(r, n)[1].items()] for n in ns]
     table = {}
-    for (T1, k1, s1), (T2, k2, s2), (T3, k3, s3) in product(*sides):
-        fixed = _orbit_groupings(r, (s1, s2, s3), t)
+    for classes in product(*sides):
+        fixed = count(tuple(cycles for _, _, cycles in classes))
         if fixed:
-            table[T1, T2, T3] = fixed * k1 * k2 * k3
+            table[tuple(T for T, _, _ in classes)] = fixed * prod(k for _, k, _ in classes)
     return MappingProxyType(table)
 
 

@@ -110,9 +110,9 @@ def run_config(**overrides):
 
 def check_monoid_size(k, r):
     """Refuse a k whose monoid CPar_k exceeds the cap before any work: the
-    cells of CPar_k have sum of (dim W)^2 = |CPar_k|, and the Cartan
-    entries up to weight k filter their downward basis from the (m,l)
-    diagrams, at most |CPar_k| for m, l <= k."""
+    cells of CPar_k have sum of (dim W)^2 = |CPar_k|.  The Cartan entries
+    up to weight k keep this bound until they are given a work estimate of
+    their own."""
     try:
         algebra._monoid_size(k, r, run_config().monoid_cap)
     except algebra.CapExceeded as exc:
@@ -152,6 +152,7 @@ def cmd_compose(d1, d2):
 @click.option("--r", required=True, type=COLORS)
 def cmd_count(k, r):
     """Colored Bell number: colored set partitions of k points."""
+    check_estimate("k^2", k * k, "Bell-triangle additions")
     emit({"B": _decimal(count_bell(k, r))})
 
 

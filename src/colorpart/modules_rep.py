@@ -14,19 +14,18 @@ standard basis.  Its product flip_invert(d) d' is never composed: g and
 y^e are read off the join of the top halves of d and d' at the middle
 vertices, one union-find per pair of uncolored halves.
 
-Cartan entries are computed by class sums: the downward (m,l) diagram
-basis carries a G(r,m) x G(r,l) bi-action by place permutation, and
-dim eps_mu * M * eps_lam is the multiplicity of S(mu) x S(lam) in it, read
-off one class-summed fixed-point table per (r, m, l) and two rows of the
-wreath character tables.
+Cartan entries are class sums: dim eps_mu * M * eps_lam is the
+multiplicity of S(mu) x S(lam) in the span of the downward (m,l) diagrams
+under G(r,m) x G(r,l), read off two character rows and one class-summed
+fixed-point table per (r, m, l), each count read off the two cycle types.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from types import MappingProxyType
 
 from .characters import (
+    _class_table,
     ginv,
     gmul,
     multipartitions,
@@ -34,8 +33,7 @@ from .characters import (
     weight,
     wreath_char_table,
 )
-from .diagrams import (ColoredDiagram, _sort_blocks, compose, count_bell, enumerate_diagrams,
-                       set_partitions)
+from .diagrams import ColoredDiagram, _sort_blocks, count_bell, set_partitions
 from .scalars import CycNumber, MPoly, _compile, _exact, eval_compiled, zeta_pow
 
 
@@ -475,11 +473,6 @@ def semisimplicity_certificate(r, k, x):
 # -- Cartan matrix ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _downward_basis(r, m, l):
-    return tuple(d for d in enumerate_diagrams(r, m, l) if d.is_downward())
-
-
 def _perm_diagram(r, n, g):
     f, tau = g
     ti = pinv(tau)
@@ -488,50 +481,43 @@ def _perm_diagram(r, n, g):
     )
 
 
-def _basis_map(index, products):
-    """The index map j -> index(p_j) of a permutation diagram acting on one
-    side of the downward basis, given the products (p_j, exps_j) in basis
-    order."""
-    out = []
-    for prod, exps in products:
-        if any(exps):
-            raise RuntimeError("a permutation diagram closed a loop")
-        j = index.get(prod)
-        if j is None:
-            raise RuntimeError("a permutation diagram left the downward basis")
-        out.append(j)
-    return out
+@lru_cache(maxsize=None)
+def _block_orbits(r, tops, bots):
+    """The number of downward diagrams d with g d h = d, from the cycles
+    (sorted tuples of (length, color)) of g (tops) and h (bots).  h
+    permutes the blocks of d; an orbit of p blocks runs through whole
+    h-cycles of lengths that p divides, the first placing the blocks and
+    each further one in p ways, and through one p-cycle of g (p ways) or,
+    if its blocks do not propagate, none.  Its colors close up, in r
+    ways, iff its cycle colors sum to 0 mod r.  The first bottom cycle
+    opens an orbit of each period p dividing its length."""
+    if not bots:
+        return int(not tops)
+    (n, color), rest = bots[0], bots[1:]
+    total = 0
+    for p in [p for p in range(1, n + 1) if n % p == 0]:
+        fits = [i for i, (d, _) in enumerate(rest) if d % p == 0]
+        for size in range(len(fits) + 1):
+            for chosen in combinations(fits, size):
+                c = color + sum(rest[i][1] for i in chosen)
+                left = tuple(cyc for i, cyc in enumerate(rest) if i not in chosen)
+                ways = r * p ** size
+                if c % r == 0:
+                    total += ways * _block_orbits(r, tops, left)
+                for j, (d, tc) in enumerate(tops):
+                    if d == p and (c + tc) % r == 0:
+                        total += ways * p * _block_orbits(r, tops[:j] + tops[j + 1:], left)
+    return total
 
 
 @lru_cache(maxsize=None)
 def _cartan_fixed_points(r, m, l):
-    """Fixed-point counts #{d : g d h = d} on the downward (m,l) basis of
+    """Fixed-point counts #{d : g d h = d} on the downward (m,l) diagrams of
     G(r,m) (left) x G(r,l) (right) times both class sizes, a read-only map
-    keyed by pairs of class types; zero counts are left out.
-
-    The count is a class function on each side, so one representative per
-    class (from wreath_char_table) stands for its class.  Permutation
-    diagrams keep rank and arity, so each representative permutes the
-    basis; its index map is built once and g d h = d is read off the two
-    index maps."""
-    basis = _downward_basis(r, m, l)
-    index = {d: j for j, d in enumerate(basis)}
-    reps_m, sizes_m, _ = wreath_char_table(r, m)
-    reps_l, sizes_l, _ = wreath_char_table(r, l)
-    rights = []
-    for T, h in reps_l.items():
-        dh = _perm_diagram(r, l, h)
-        right = _basis_map(index, (compose(d, dh) for d in basis))
-        rights.append((T, sizes_l[T], right))
-    table = {}
-    for S, g in reps_m.items():
-        dg = _perm_diagram(r, m, g)
-        left = _basis_map(index, (compose(dg, d) for d in basis))
-        for T, size, right in rights:
-            fixed = sum(1 for j, i in enumerate(left) if right[i] == j)
-            if fixed:
-                table[S, T] = fixed * sizes_m[S] * size
-    return MappingProxyType(table)
+    keyed by pairs of class types; zero counts are left out.  Each count
+    depends on the two cycle types alone (_block_orbits), so no diagram
+    is formed."""
+    return _class_table(r, (m, l), lambda sides: _block_orbits(r, *sides))
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ check.
 
 import time
 from itertools import product
+from math import factorial
 
 from . import algebra, config
 from .characters import (
@@ -21,6 +22,7 @@ from .characters import (
     reduced_kronecker,
     theorem_formula_check,
     weight,
+    wreath_char_table,
     xt_formula,
     xt_multiplicity_oracle,
 )
@@ -454,22 +456,57 @@ def check_xt_oracle(cfg):
             "checked_r3": checked_r3, "failures_r3": failures_r3}
 
 
+# (r, maximal weight) of each Cartan matrix that c11 checks
+CARTAN_CASES = ((2, 3), (1, 6), (2, 4), (3, 3))
+
+
+def _downward_dimension_ok(r, w, B):
+    """Whether sum_{lam,mu} dim S(mu) B[lam,mu] dim S(lam), over lam of
+    weight l and mu of weight m, is the number of downward (m,l) diagrams,
+    sum_b S(l,b) b!/(b-m)! r^b, at every m <= l <= w; and the number of
+    (m, l) checked.  Each dimension is a character at the identity class."""
+    dim = {}
+    for n in range(w + 1):
+        one = ((1,) * n,) + ((),) * (r - 1)
+        for lam, row in wreath_char_table(r, n)[2].items():
+            dim[lam] = int(row[one].as_rational())
+    ok, checked = True, 0
+    for l in range(w + 1):
+        for m in range(l + 1):
+            blocks = sum(dim[mu] * B[(lam, mu)] * dim[lam]
+                         for lam in multipartitions(r, l) for mu in multipartitions(r, m))
+            diagrams = sum(stirling2(l, b) * factorial(b) // factorial(b - m) * r**b
+                           for b in range(m, l + 1))
+            ok = ok and blocks == diagrams
+            checked += 1
+    return ok, checked
+
+
 def check_cartan(cfg):
-    """Diagonal 1, strict-upper vanishing, tensor factorization, at r = 2 up
-    to weight 3."""
-    r, w = 2, 3
-    labels, B = cartan_matrix(r, w)
-    diag_ok = all(B[(lam, lam)] == 1 for lam in labels)
-    vanish_ok = all(
-        B[(lam, mu)] == 0
-        for lam in labels for mu in labels
-        if weight(mu) > weight(lam)
-        or (weight(mu) == weight(lam) and mu != lam)
-    )
-    tensor_ok = cartan_tensor_check(w, r)
-    return {"ok": diag_ok and vanish_ok and tensor_ok,
-            "labels": len(labels), "diag_ok": diag_ok,
-            "vanish_ok": vanish_ok, "tensor_ok": tensor_ok}
+    """Diagonal 1, strict-upper vanishing and tensor factorization at each
+    (r, w) of CARTAN_CASES, and the dimension of every downward (m,l) span,
+    m <= l <= w, summed over its Cartan blocks."""
+    diag_ok = vanish_ok = tensor_ok = dims_ok = True
+    labels_by_case, dims_checked = {}, 0
+    for r, w in CARTAN_CASES:
+        labels, B = cartan_matrix(r, w)
+        labels_by_case["%d,%d" % (r, w)] = len(labels)
+        diag_ok = diag_ok and all(B[(lam, lam)] == 1 for lam in labels)
+        vanish_ok = vanish_ok and all(
+            B[(lam, mu)] == 0
+            for lam in labels for mu in labels
+            if weight(mu) > weight(lam)
+            or (weight(mu) == weight(lam) and mu != lam)
+        )
+        tensor_ok = tensor_ok and cartan_tensor_check(w, r)
+        ok, checked = _downward_dimension_ok(r, w, B)
+        dims_ok = dims_ok and ok
+        dims_checked += checked
+    return {"ok": diag_ok and vanish_ok and tensor_ok and dims_ok,
+            "labels": labels_by_case["2,3"], "diag_ok": diag_ok,
+            "vanish_ok": vanish_ok, "tensor_ok": tensor_ok,
+            "labels_by_case": labels_by_case, "dimension_ok": dims_ok,
+            "dimension_pairs": dims_checked}
 
 
 def check_gram(cfg):

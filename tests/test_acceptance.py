@@ -111,9 +111,13 @@ def test_c10_xt_multiplicity_oracle():
 
 
 def test_c11_cartan():
-    rep = timed(verify.check_cartan, 300)
+    # composing the downward basis at (r, w) = (1, 6) alone takes about a
+    # minute, so this budget catches the count going back to diagrams
+    rep = timed(verify.check_cartan, 10)
     assert rep["diag_ok"] and rep["vanish_ok"] and rep["tensor_ok"]
     assert rep["labels"] == 18
+    assert rep["labels_by_case"] == {"2,3": 18, "1,6": 30, "2,4": 38, "3,3": 35}
+    assert rep["dimension_ok"] and rep["dimension_pairs"] == 63
 
 
 def test_c12_gram_and_semisimplicity():

@@ -44,9 +44,29 @@ def test_count_bad_args():
     assert run("count", "--k=-1", "--r", "2").exit_code == 2
 
 
+@pytest.mark.parametrize("k, code", [("316", 0), ("317", 2)])
+def test_count_refuses_k_squared_above_the_cap(k, code):
+    # k^2 Bell-triangle additions against the default cap of 10^5
+    res = run("count", "--k", k, "--r", "2")
+    assert res.exit_code == code, res.output
+    if code:
+        assert_usage_error(res)
+        assert "cap exceeded: k^2 = 100489" in res.output
+
+
+def test_count_refuses_a_large_k_before_any_work():
+    t0 = time.perf_counter()
+    res = run("count", "--k", "3000", "--r", "2")
+    assert time.perf_counter() - t0 < 1
+    assert_usage_error(res)
+    assert "cap exceeded" in res.output
+
+
 def test_count_large():
-    # past the recursion limit, and more digits than str() converts
-    res = run("count", "--k", "1000", "--r", "100000")
+    # past the recursion limit, and more digits than str() converts; k^2
+    # needs a cap of 10^6
+    res = run("count", "--k", "1000", "--r", "100000",
+              env={"COLORPART_MONOID_CAP": str(10**6)})
     assert res.exit_code == 0
     digits = json.loads(res.output)["B"]
     assert len(digits) > 4300

@@ -847,11 +847,27 @@ def test_cartan_tensor_factorization():
     assert cartan_tensor_check(2, 2)
 
 
+@lru_cache(maxsize=None)
+def downward_basis(r, m, l):
+    return tuple(d for d in enumerate_diagrams(r, m, l) if d.is_downward())
+
+
+def basis_map(index, products):
+    """The index map j -> index(p_j) of a permutation diagram acting on one
+    side of the downward basis, given the products (p_j, exps_j) in basis
+    order; no product may close a loop or leave the basis."""
+    out = []
+    for prod, exps in products:
+        assert not any(exps)
+        out.append(index[prod])
+    return out
+
+
 def cartan_entry_by_compose(r, lam_bar, mu_bar):
     """The original triple loop, kept as the oracle: for every pair (g, h)
     and every basis diagram d, compose g*d*h and test it against d."""
     l, m = weight(lam_bar), weight(mu_bar)
-    basis = MR._downward_basis(r, m, l)
+    basis = downward_basis(r, m, l)
     if not basis:
         return 0
     total = CycNumber.zero(r)
@@ -883,18 +899,18 @@ def cartan_entry_by_basis_map(r, lam_bar, mu_bar):
     sum_{g,h} eps_mu[g] eps_lam[h] #{d : g d h = d} is the trace of the
     bi-projection."""
     l, m = weight(lam_bar), weight(mu_bar)
-    basis = MR._downward_basis(r, m, l)
+    basis = downward_basis(r, m, l)
     if not basis:
         return 0
     index = {d: j for j, d in enumerate(basis)}
     rights = []
     for h, ch in primitive_idempotent(r, lam_bar).items():
         dh = MR._perm_diagram(r, l, h)
-        rights.append((ch, MR._basis_map(index, (compose(d, dh) for d in basis))))
+        rights.append((ch, basis_map(index, (compose(d, dh) for d in basis))))
     total = CycNumber.zero(r)
     for g, cg in primitive_idempotent(r, mu_bar).items():
         dg = MR._perm_diagram(r, m, g)
-        left = MR._basis_map(index, (compose(dg, d) for d in basis))
+        left = basis_map(index, (compose(dg, d) for d in basis))
         for ch, right in rights:
             fixed = sum(1 for j, i in enumerate(left) if right[i] == j)
             if fixed:
@@ -908,6 +924,42 @@ def test_cartan_class_sums_match_the_idempotent_oracle(r, maxweight):
     for lam in labels:
         for mu in labels:
             assert cartan_entry(r, lam, mu) == cartan_entry_by_basis_map(r, lam, mu)
+
+
+def cartan_fixed_points_by_compose(r, m, l):
+    """The class-summed fixed-point table built from the downward basis,
+    kept as the oracle: one representative per class permutes the basis by
+    composition, and g d h = d is read off the two index maps."""
+    basis = downward_basis(r, m, l)
+    index = {d: j for j, d in enumerate(basis)}
+    reps_m, sizes_m, _ = wreath_char_table(r, m)
+    reps_l, sizes_l, _ = wreath_char_table(r, l)
+    rights = []
+    for T, h in reps_l.items():
+        dh = MR._perm_diagram(r, l, h)
+        rights.append((T, sizes_l[T], basis_map(index, (compose(d, dh) for d in basis))))
+    table = {}
+    for S, g in reps_m.items():
+        dg = MR._perm_diagram(r, m, g)
+        left = basis_map(index, (compose(dg, d) for d in basis))
+        for T, size, right in rights:
+            fixed = sum(1 for j, i in enumerate(left) if right[i] == j)
+            if fixed:
+                table[S, T] = fixed * sizes_m[S] * size
+    return table
+
+
+def test_cartan_fixed_points_match_the_compose_oracle():
+    # every class pair at r <= 2, m <= l <= 4 and at r = 3, m <= l <= 3;
+    # a top cycle's color enters the orbit sum with a sign only r = 3 sees
+    cases = [(r, l) for r in (1, 2) for l in range(5)] + [(3, l) for l in range(4)]
+    pairs = 0
+    for r, l in cases:
+        for m in range(l + 1):
+            table = MR._cartan_fixed_points(r, m, l)
+            assert dict(table) == cartan_fixed_points_by_compose(r, m, l)
+            pairs += len(wreath_char_table(r, m)[1]) * len(wreath_char_table(r, l)[1])
+    assert pairs == 1979
 
 
 def test_cartan_specific_entries():
@@ -956,33 +1008,6 @@ def test_gram_matrix_rejects_a_wrong_size(monkeypatch):
                         lambda r, k, i: cross_section(r, k, i)[:-1])
     with pytest.raises(RuntimeError, match="cell dimension"):
         gram_matrix(r, k, lam_bar)
-
-
-@pytest.fixture
-def fresh_cartan_tables():
-    """Clear the fixed-point tables around a test that patches compose, so
-    it builds its own table and leaves no table built from the patch."""
-    MR._cartan_fixed_points.cache_clear()
-    yield
-    MR._cartan_fixed_points.cache_clear()
-
-
-def test_cartan_entry_rejects_a_closed_loop(monkeypatch, fresh_cartan_tables):
-    def compose_with_loop(d1, d2):
-        prod, exps = compose(d1, d2)
-        return prod, (1,) + tuple(exps[1:])
-
-    monkeypatch.setattr(MR, "compose", compose_with_loop)
-    with pytest.raises(RuntimeError, match="loop"):
-        cartan_entry.__wrapped__(2, ((1,), ()), ((1,), ()))
-
-
-def test_cartan_entry_rejects_a_product_outside_the_basis(monkeypatch, fresh_cartan_tables):
-    outside = next(enumerate_diagrams(2, 1, 1))
-    assert outside not in MR._downward_basis(2, 0, 1)
-    monkeypatch.setattr(MR, "compose", lambda d1, d2: (outside, ()))
-    with pytest.raises(RuntimeError, match="downward basis"):
-        cartan_entry.__wrapped__(2, ((1,), ()), ((), ()))
 
 
 def test_cartan_entry_rejects_a_non_integer(monkeypatch):
