@@ -27,15 +27,10 @@ from .scalars import CycNumber, zeta_pow
 @lru_cache(maxsize=None)
 def partitions(n, maxpart=None):
     """All partitions of n as weakly decreasing tuples."""
-    if maxpart is None:
-        maxpart = n
     if n == 0:
         return ((),)
-    out = []
-    for first in range(min(n, maxpart), 0, -1):
-        for rest in partitions(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+    return tuple((first,) + rest for first in range(min(n, n if maxpart is None else maxpart), 0, -1)
+                 for rest in partitions(n - first, first))
 
 
 @lru_cache(maxsize=None)
@@ -45,12 +40,8 @@ def multipartitions(r, n):
         raise ValueError("multipartitions need r >= 1, got %r" % (r,))
     if r == 1:
         return tuple((lam,) for lam in partitions(n))
-    out = []
-    for k in range(n + 1):
-        for lam in partitions(k):
-            for rest in multipartitions(r - 1, n - k):
-                out.append((lam,) + rest)
-    return tuple(out)
+    return tuple((lam,) + rest for k in range(n + 1) for lam in partitions(k)
+                 for rest in multipartitions(r - 1, n - k))
 
 
 def weight(lam_bar):
@@ -93,16 +84,10 @@ def chi_sn(lam, mu):
 
 
 def z_order(mu):
-    """Centralizer order of the class with cycle type mu in S_n."""
-    z = 1
-    mult = {}
-    for part in mu:
-        mult[part] = mult.get(part, 0) + 1
-    for part, m in mult.items():
-        z *= part**m
-        for j in range(1, m + 1):
-            z *= j
-    return z
+    """Centralizer order of the class with cycle type mu in S_n: prod of
+    part^m m! over the parts of each multiplicity m, the t-th equal part
+    giving part * t."""
+    return prod([part * (mu[:i].count(part) + 1) for i, part in enumerate(mu)])
 
 
 # -- Littlewood-Richardson ----------------------------------------------------
@@ -126,21 +111,15 @@ def lr_coeff(lam, mu, nu):
     fill = {}
     # reverse reading order: top row first, right to left; the lattice
     # condition then reads "every prefix has content_v <= content_{v-1}"
-    cells = []
-    for i in range(rows):
-        for j in range(lam[i] - 1, mu_pad[i] - 1, -1):
-            cells.append((i, j))
+    cells = [(i, j) for i in range(rows) for j in range(lam[i] - 1, mu_pad[i] - 1, -1)]
 
     def ok2(i, j, v):
-        # right neighbor was filled before (reverse reading order)
-        right = fill.get((i, j + 1))
+        # right neighbor was filled before (reverse reading order); the cell
+        # above, where it is in lam/mu, holds a smaller value
+        right, up = fill.get((i, j + 1)), fill.get((i - 1, j))
         if right is not None and right < v:
             return False
-        up = fill.get((i - 1, j))
-        if i > 0 and mu_pad[i - 1] <= j < lam[i - 1]:
-            if up is None or up >= v:
-                return False
-        return True
+        return not (i > 0 and mu_pad[i - 1] <= j < lam[i - 1] and (up is None or up >= v))
 
     def rec2(idx, content):
         nonlocal count
@@ -149,11 +128,8 @@ def lr_coeff(lam, mu, nu):
             return
         i, j = cells[idx]
         for v in range(1, len(nu) + 1):
-            if content[v - 1] >= nu[v - 1]:
-                continue
-            if v > 1 and content[v - 1] >= content[v - 2]:
-                continue
-            if not ok2(i, j, v):
+            if (content[v - 1] >= nu[v - 1] or v > 1 and content[v - 1] >= content[v - 2]
+                    or not ok2(i, j, v)):
                 continue
             fill[(i, j)] = v
             content[v - 1] += 1
@@ -168,12 +144,8 @@ def lr_coeff(lam, mu, nu):
 @lru_cache(maxsize=None)
 def lr3_coeff(lam, m1, m2, m3):
     """Triple LR coefficient: multiplicity of s_lam in s_m1 s_m2 s_m3."""
-    total = 0
-    for kappa in partitions(sum(m1) + sum(m2)):
-        c = lr_coeff(kappa, m1, m2)
-        if c:
-            total += c * lr_coeff(lam, kappa, m3)
-    return total
+    return sum(c * lr_coeff(lam, kappa, m3) for kappa in partitions(sum(m1) + sum(m2))
+               if (c := lr_coeff(kappa, m1, m2)))
 
 
 def lr_bar3(lam_bar, a_bar, b_bar, c_bar):
@@ -218,10 +190,8 @@ def ginv(r, g):
 
 @lru_cache(maxsize=None)
 def g_elements(r, n):
-    perms = list(permutations(range(1, n + 1)))
-    return tuple(
-        (colors, tuple(p)) for p in perms for colors in product(range(r), repeat=n)
-    )
+    return tuple((colors, p) for p in permutations(range(1, n + 1))
+                 for colors in product(range(r), repeat=n))
 
 
 def class_type(r, g):
@@ -234,9 +204,7 @@ def class_type(r, g):
     for i in range(1, n + 1):
         if seen[i - 1]:
             continue
-        j = i
-        length = 0
-        color = 0
+        j, length, color = i, 0, 0
         while not seen[j - 1]:
             seen[j - 1] = True
             color = (color + f[j - 1]) % r
@@ -295,11 +263,8 @@ def kronecker(lam, mu, nu):
     n = sum(lam)
     if not n == sum(mu) == sum(nu):
         raise ValueError("partition sizes %d, %d, %d differ" % (n, sum(mu), sum(nu)))
-    total = Fraction(0)
-    for rho in partitions(n):
-        total += (
-            Fraction(chi_sn(lam, rho) * chi_sn(mu, rho) * chi_sn(nu, rho), z_order(rho))
-        )
+    total = sum(Fraction(chi_sn(lam, rho) * chi_sn(mu, rho) * chi_sn(nu, rho), z_order(rho))
+                for rho in partitions(n))
     if total.denominator != 1:
         raise ArithmeticError("Kronecker coefficient is not an integer: %s" % total)
     return int(total)
@@ -313,26 +278,29 @@ def _pad(lam, n):
     return (n - sum(lam),) + tuple(lam)
 
 
-def reduced_kronecker(lam, mu, nu):
-    """Stable limit of kronecker(lam[n], mu[n], nu[n]), x[n] = (n - |x|, x),
-    as one Kronecker coefficient at the stability bound n below.
+def _stability_bound(lam, mu, nu):
+    """The n from which g(lam[n], mu[n], nu[n]) is constant, x[n] = (n - |x|, x).
 
-    g(lam[n], mu[n], nu[n]) is constant for n >= |mu| + |nu| + lam_1
+    It is constant for n >= |mu| + |nu| + lam_1
     (Briand-Orellana-Rosas, J. Algebra 2011; Vallejo, Electron. J. Combin.
     1999 has a bound of the same kind), cited from memory and not checked
     against the papers.  g is symmetric in its arguments, so n is the least
     of the three such bounds, raised to |x| + x_1 for each x so that every
-    x[n] is a partition.  The tests compare the value with the former
-    search (the first two equal consecutive values from n = |lam| + |mu| +
-    |nu| on) and check its constancy from n on, on every triple up to
-    weight 4.
-    """
-    triple = tuple(lam), tuple(mu), tuple(nu)
-    sizes = [sum(x) for x in triple]
-    firsts = [x[0] if x else 0 for x in triple]
-    n = max(min(sum(sizes) - s + f for s, f in zip(sizes, firsts)),
-            *(s + f for s, f in zip(sizes, firsts)))
-    return kronecker(*(_pad(x, n) for x in triple))
+    x[n] is a partition."""
+    sizes = [sum(x) for x in (lam, mu, nu)]
+    firsts = [x[0] if x else 0 for x in (lam, mu, nu)]
+    return max(min(sum(sizes) - s + f for s, f in zip(sizes, firsts)),
+               *(s + f for s, f in zip(sizes, firsts)))
+
+
+def reduced_kronecker(lam, mu, nu):
+    """Stable limit of kronecker(lam[n], mu[n], nu[n]), as one Kronecker
+    coefficient at n = _stability_bound.  The tests compare the value with
+    the former search (the first two equal consecutive values from
+    n = |lam| + |mu| + |nu| on) and check its constancy from n on, on every
+    triple up to weight 4."""
+    n = _stability_bound(lam, mu, nu)
+    return kronecker(*(_pad(tuple(x), n) for x in (lam, mu, nu)))
 
 
 # -- K-coefficients over H(r,t) -----------------------------------------------
@@ -386,20 +354,9 @@ def k_coefficient(r, delta, delta1, delta2):
 
 
 def admissible_set(l, m, n):
-    out = []
-    top = min(l + m - n, l + n - m, m + n - l)
-    for t in range(0, top + 1):
-        if (t - (l + m + n)) % 2:
-            continue
-        out.append(
-            {
-                "t": t,
-                "a": (m + n - l - t) // 2,
-                "b": (l + n - m - t) // 2,
-                "c": (l + m - n - t) // 2,
-            }
-        )
-    return out
+    return [{"t": t, "a": (m + n - l - t) // 2, "b": (l + n - m - t) // 2,
+             "c": (l + m - n - t) // 2}
+            for t in range(min(l + m - n, l + n - m, m + n - l) + 1) if (t - l - m - n) % 2 == 0]
 
 
 def xt_formula(r, lam_bar, mu_bar, nu_bar, t):

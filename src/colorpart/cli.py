@@ -11,13 +11,15 @@ import sys
 import click
 
 from . import algebra, config, verify
-from .characters import r_coefficient, reduced_kronecker, theorem_formula_check
+from .characters import (_stability_bound, r_coefficient, reduced_kronecker,
+                         theorem_formula_check)
 from .cliparse import TableGroup
 from .diagrams import ColoredDiagram, compose, count_bell
 from .groupoid import psi_hom_check
 from .modules_rep import (
+    _factored_form,
+    _label_factors,
     cartan_matrix,
-    gram_det,
     gram_matrix,
     semisimplicity_certificate,
 )
@@ -110,9 +112,7 @@ def run_config(**overrides):
 
 def check_monoid_size(k, r):
     """Refuse a k whose monoid CPar_k exceeds the cap before any work: the
-    cells of CPar_k have sum of (dim W)^2 = |CPar_k|.  The Cartan entries
-    up to weight k keep this bound until they are given a work estimate of
-    their own."""
+    cells of CPar_k have sum of (dim W)^2 = |CPar_k|."""
     try:
         algebra._monoid_size(k, r, run_config().monoid_cap)
     except algebra.CapExceeded as exc:
@@ -126,6 +126,18 @@ def check_estimate(formula, estimate, unit):
     if estimate > cap:
         raise click.UsageError("cap exceeded: %s = %d %s exceed cap %d"
                                % (formula, estimate, unit, cap))
+
+
+def _class_counts(r, n, cap):
+    """[c(0), c(1), ...], c(j) the number of r-multipartitions of j, which
+    label the classes of G(r,j), by j c(j) = r sum_{i<=j} sigma(i) c(j-i);
+    up to c(n), or to the first c(j) above cap, as c grows with j."""
+    c = [1]
+    while len(c) <= n and c[-1] <= cap:
+        j = len(c)
+        c.append(r * sum(sum(d for d in range(1, i + 1) if i % d == 0) * c[j - i]
+                         for i in range(1, j + 1)) // j)
+    return c
 
 
 @click.group(cls=TableGroup)
@@ -265,7 +277,7 @@ def cmd_gram(r, k, shape):
         "shape": lam_bar,
         "dim": len(M),
         "matrix": [[repr(e) for e in row] for row in M],
-        "det": repr(gram_det(r, k, lam_bar)),
+        "det": _factored_form(r, _label_factors(r, k, lam_bar)),
     })
 
 
@@ -291,7 +303,7 @@ def cmd_semisimple(r, k, x):
         "dimension_identity": cert["dimension_identity"],
         "sum_dim_sq": cert["sum_dim_sq"],
         "bell": cert["bell"],
-        "dets": {json.dumps(lam): {"det": repr(det), "value": str(val)}
+        "dets": {json.dumps(lam): {"det": det, "value": str(val)}
                  for lam, (det, val) in cert["dets"].items()},
     })
 
@@ -301,7 +313,13 @@ def cmd_semisimple(r, k, x):
 @click.option("--maxweight", required=True, type=click.IntRange(min=0))
 def cmd_cartan(r, maxweight):
     """Cartan matrix entries for multipartitions up to a weight."""
-    check_monoid_size(maxweight, r)
+    # each of the c(m) c(l) label pairs of weights m <= l sums the nonzero
+    # fixed-point counts of its class pairs: about c(m) + c(l) <= 2 c(l) of
+    # them, as measured at (1, <=9), (2, <=5) and (4,3)
+    c = _class_counts(r, maxweight, run_config().monoid_cap)
+    check_estimate("sum_{m<=l<=w} c(m) c(l)^2, c(n) the classes of G(r,n)",
+                   sum(a * b * b for l, b in enumerate(c) for a in c[:l + 1]),
+                   "class-pair terms")
     labels, B = cartan_matrix(r, maxweight)
     emit({
         "labels": labels,
@@ -315,9 +333,13 @@ def cmd_cartan(r, maxweight):
 @click.option("--nu", required=True)
 def cmd_reduced_kronecker(lam, mu, nu):
     """Stable Kronecker coefficient of three partitions."""
-    value = reduced_kronecker(parse_partition(lam), parse_partition(mu),
-                              parse_partition(nu))
-    emit({"value": value})
+    triple = parse_partition(lam), parse_partition(mu), parse_partition(nu)
+    # one character product per class of S_n, n the stability bound
+    n = _stability_bound(*triple)
+    p = _class_counts(1, n, run_config().monoid_cap)
+    check_estimate("p(%d), n = %d the stability bound" % (len(p) - 1, n), p[-1],
+                   "classes of S_n")
+    emit({"value": reduced_kronecker(*triple)})
 
 
 @main.command("r-coeff")

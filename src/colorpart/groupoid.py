@@ -140,12 +140,9 @@ def random_downward(rng, r, k_top, k_bot):
         if len(parts) >= k_top:
             break
     chosen = rng.sample(range(len(parts)), k_top)
-    blocks = []
-    for t, idx in enumerate(chosen, start=1):
-        blocks.append(((t,), tuple(parts[idx]), rng.randrange(r)))
-    for idx, part in enumerate(parts):
-        if idx not in chosen:
-            blocks.append(((), tuple(part), rng.randrange(r)))
+    blocks = [((t,), tuple(parts[idx]), rng.randrange(r)) for t, idx in enumerate(chosen, 1)]
+    blocks += [((), tuple(part), rng.randrange(r))
+               for idx, part in enumerate(parts) if idx not in chosen]
     return ColoredDiagram(r, k_top, k_bot, blocks)
 
 

@@ -4,7 +4,7 @@ The cell module W(lam_bar) at rank i = |lam_bar| has basis S(k,i) x (basis
 of the wreath irreducible S(lam_bar)).  S(k,i) is the cross-section of
 normally ordered rank-i (k,k)-diagrams; a rank-preserving product d*d1
 factors uniquely as d2*g with d2 in S(k,i) and g in G(r,i), which drives
-the action, the symbolic Gram matrices, and the semisimplicity certificate.
+the action and the symbolic Gram matrices.
 Wreath irreducibles are induced modules from Specht matrices (standard
 polytabloid basis, straightened by peeling the standard tabloids in
 dominance order, small n only); a coset of the block subgroup is named by
@@ -14,6 +14,11 @@ standard basis.  Its product flip_invert(d) d' is never composed: g and
 y^e are read off the join of the top halves of d and d' at the middle
 vertices, one union-find per pair of uncolored halves.
 
+A certificate takes no multivariate determinant: in the basis of color
+idempotents CPar(x) is r partition categories side by side, so each Gram
+determinant is a product of r = 1 factors (_label_factors), and its value
+at a point is a product of powers of linear forms yhat_{-j} - r a.
+
 Cartan entries are class sums: dim eps_mu * M * eps_lam is the
 multiplicity of S(mu) x S(lam) in the span of the downward (m,l) diagrams
 under G(r,m) x G(r,l), read off two character rows and one class-summed
@@ -22,7 +27,8 @@ fixed-point table per (r, m, l), each count read off the two cycle types.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
+from math import factorial, prod
 
 from .characters import (
     _class_table,
@@ -34,7 +40,7 @@ from .characters import (
     wreath_char_table,
 )
 from .diagrams import ColoredDiagram, _sort_blocks, count_bell, set_partitions
-from .scalars import CycNumber, MPoly, _compile, _exact, eval_compiled, zeta_pow
+from .scalars import CycNumber, MPoly, _exact, zeta_pow
 
 
 # -- Specht matrices -----------------------------------------------------------
@@ -63,10 +69,7 @@ def standard_tableaux(lam):
 
 
 def _columns(t):
-    width = max((len(row) for row in t), default=0)
-    return [
-        [row[j] for row in t if len(row) > j] for j in range(width)
-    ]
+    return [[row[j] for row in t if len(row) > j] for j in range(max(map(len, t), default=0))]
 
 
 def _tabloid(t):
@@ -78,18 +81,10 @@ def _polytabloid(t):
     cols = _columns(t)
     vec = {}
     for perms in product(*[permutations(col) for col in cols]):
-        sign = 1
-        sub = {}
-        for col, img in zip(cols, perms):
-            inv = 0
-            img = list(img)
-            for a in range(len(img)):
-                for b in range(a + 1, len(img)):
-                    if col.index(img[a]) > col.index(img[b]):
-                        inv += 1
-            sign *= (-1) ** inv
-            for src, dst in zip(col, img):
-                sub[src] = dst
+        sub = {src: dst for col, img in zip(cols, perms) for src, dst in zip(col, img)}
+        # the sign of the column permutation: (-1)^(its inversions)
+        sign = (-1) ** sum(col.index(a) > col.index(b) for col, img in zip(cols, perms)
+                           for a, b in combinations(img, 2))
         rows = _tabloid((sub.get(v, v) for v in row) for row in t)
         vec[rows] = vec.get(rows, 0) + sign
     return {k: v for k, v in vec.items() if v}
@@ -162,17 +157,12 @@ class MatrixRep:
         self.r = r
         self.lam_bar = tuple(tuple(lam) for lam in lam_bar)
         self.n = weight(lam_bar)
-        blocks, start = [], 1
-        for lam in self.lam_bar:
-            blocks.append(tuple(range(start, start + sum(lam))))
-            start += sum(lam)
-        self.blocks = tuple(blocks)
+        ends = tuple(accumulate(map(sum, self.lam_bar), initial=0))
+        self.blocks = blocks = tuple(tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:]))
         self.coset_reps = [((0,) * self.n, p) for p in permutations(range(1, self.n + 1))
                            if all(p[v - 1] < p[v] for blk in blocks for v in blk[:-1])]
         self._coset_of = {p: c for c, (_, p) in enumerate(self.coset_reps)}
-        self.base_dim = 1
-        for lam in self.lam_bar:
-            self.base_dim *= specht_dim(lam)
+        self.base_dim = prod(map(specht_dim, self.lam_bar))
         self.dim = len(self.coset_reps) * self.base_dim
 
     def matrix(self, g):
@@ -433,37 +423,142 @@ def cell_dimension(r, k, lam_bar):
 
 
 @lru_cache(maxsize=None)
+def _unit_factors(m, lam):
+    """((a, m_a), ...), m_a > 0, with the r = 1 Gram determinant of W_m(lam)
+    equal to prod_a (y0 - a)^{m_a}, a in 0..2m-2: the partition-algebra
+    roots (Halverson-Ram 2005, cited from memory), divided out in ints by
+    synthetic division while the remainder is 0.  ArithmeticError if a
+    quotient other than 1 is left."""
+    terms = gram_det(1, m, (lam,)).terms
+    hi = [terms[e,].as_rational() if (e,) in terms else 0  # the highest degree first
+          for e in range(max(terms, default=(-1,))[0], -1, -1)]
+    roots = []
+    for a in range(2 * m - 1):
+        while len(hi) > 1:
+            *quot, rem = accumulate(hi, lambda s, c: s * a + c)
+            if rem:
+                break
+            hi = quot
+            roots.append(a)
+    if hi != [1]:
+        raise ArithmeticError("the r = 1 Gram determinant of %r at k = %d leaves %r"
+                              " after its roots" % (lam, m, hi))
+    return tuple((a, roots.count(a)) for a in dict.fromkeys(roots))
+
+
+def _label_compositions(r, k, lam_bar):
+    """(M, (k_0, ..., k_{r-1})) per composition of k with |lam^j| <= k_j,
+    M = k! / prod_j k_j!."""
+    extra = k - weight(lam_bar)
+    for bars in combinations(range(extra + r - 1), r - 1):
+        cuts = (-1,) + bars + (extra + r - 1,)
+        ks = tuple(sum(lam) + b - a - 1 for lam, a, b in zip(lam_bar, cuts, cuts[1:]))
+        yield factorial(k) // prod(map(factorial, ks)), ks
+
+
+def _label_factors(r, k, lam_bar):
+    """{(j, a): e} with det G_k(lam_bar) = prod (yhat_{-j} - r a)^e exactly,
+    yhat_j = sum_c zeta^{jc} y_c: e sums m_a(k_j, lam^j) M prod_{i != j}
+    dim W_{k_i}(lam^i) over _label_compositions, at r = 1.
+
+    Proof.  Read block colors in the group algebra of C_r: composition is
+    multilinear in them, merged blocks multiply, a closed component u
+    gives sum_c u_c x_c.  In the orthogonal idempotents eps_j = (1/r)
+    sum_c zeta^{-jc} [c], [c] = sum_j zeta^{jc} eps_j; blocks of two labels
+    that meet give 0, and a closed component labelled j gives t_j =
+    yhat_{-j} / r.  So a labelled diagram is one partition diagram per
+    label, composed at loop value t_j: CPar(x) is Rep(S_{t_0}) x ... x
+    Rep(S_{t_{r-1}}) (Deligne 2007, cited from memory).  W_k(lam_bar) is
+    then, per label sizes (k_j), M copies of the tensor product of the
+    W_{k_j}(lam^j), lam^j on label j as MatrixRep lets color c act on
+    block j by zeta^{jc}, as [c] acts on eps_j; its form is the product
+    of the r = 1 forms at t_j.  det(A x B) = det(A)^{dim B} det(B)^{dim A}
+    and t_j - a = (yhat_{-j} - r a) / r give the identity up to a constant
+    from the change of basis, and it is 1, as both sides are monic in y0
+    (c12 checks the Gram determinants are).  c12 checks the identity; the
+    pairing of lam^j with yhat_j breaks it."""
+    out = {}
+    for M, ks in _label_compositions(r, k, lam_bar):
+        dims = [cell_dimension(1, m, (lam,)) for m, lam in zip(ks, lam_bar)]
+        copies = M * prod(dims)
+        for j, (m, lam) in enumerate(zip(ks, lam_bar)):
+            for a, e in _unit_factors(m, lam):
+                out[j, a] = out.get((j, a), 0) + e * copies // dims[j]
+    return out
+
+
+def _factored_form(r, factors):
+    """_label_factors as a product in (j, a) order, z = zeta_r, for example
+    (y0 + y1)^2*(y0 - y1 - 2); 1 when there is no factor."""
+    out = []
+    for (j, a), e in sorted(factors.items()):
+        base = "y0"
+        for c in range(1, r):
+            m = -j * c % r  # the coefficient zeta^m of y_c
+            base += " - y%d" % c if 2 * m == r else " + %sy%d" % (
+                {0: "", 1: "z*"}.get(m, "z^%d*" % m), c)
+        if a:
+            base += " - %d" % (r * a)
+        if base != "y0":
+            base = "(%s)" % base
+        out.append(base + ("^%d" % e if e > 1 else ""))
+    return "*".join(out) or "1"
+
+
+@lru_cache(maxsize=None)
 def _certificate_plan(r, k):
     """The point-free part of a certificate at (r, k): the cell labels by
-    weight, their Gram determinants and those determinants compiled for
-    evaluation, the sum over cells of (dim W)^2 and B_{2k,r}."""
+    weight, the bases (j, a) of their label factors, each cell's factors
+    as (base index, exponent) pairs and their factored form, the sum over
+    cells of (dim W)^2 and B_{2k,r}."""
     labels = tuple(lam_bar for i in range(k + 1) for lam_bar in multipartitions(r, i))
-    dets = tuple(gram_det(r, k, lam_bar) for lam_bar in labels)
+    factors = [_label_factors(r, k, lam_bar) for lam_bar in labels]
+    keys = sorted({key for f in factors for key in f})
+    tables = tuple(tuple((keys.index(key), e) for key, e in f.items()) for f in factors)
     dim_sq = sum(cell_dimension(r, k, lam_bar) ** 2 for lam_bar in labels)
-    return labels, dets, _compile(r, dets), dim_sq, count_bell(2 * k, r)
+    return (labels, tuple(keys), tables, tuple(_factored_form(r, f) for f in factors),
+            dim_sq, count_bell(2 * k, r))
 
 
 def semisimplicity_certificate(r, k, x):
-    """Evaluate every Gram determinant at the parameter point x; semisimple
-    iff all are nonzero.  Also checks sum over cells of (dim W)^2 = B_{2k,r}.
-    x holds ints or Fractions; any other coordinate raises TypeError.  The
-    certificate's "x" holds them in normal form: an int when integral, a
-    Fraction otherwise.  The determinants, compiled once for evaluation,
-    and the dimension count come from a plan cached on (r, k), and all of
-    the determinants are evaluated in one eval_compiled pass."""
+    """Every Gram determinant at the parameter point x, by label as
+    (factored form, value); semisimple iff all are nonzero.  Also checks
+    sum over cells of (dim W)^2 = B_{2k,r}.  x holds ints or Fractions; any
+    other coordinate raises TypeError.  "x" holds them in normal form: an
+    int when integral, a Fraction otherwise.  Each base yhat_{-j} - r a is
+    formed once per point, in ints or Fractions where r <= 2, and a value
+    is a product of their powers."""
     x = tuple(map(_exact, x))
     if len(x) != r:
         raise ValueError("parameter point needs %d coordinates" % r)
     if not any(x):
         raise ValueError("some parameter must be nonzero")
-    labels, dets, compiled, dim_sq, bell = _certificate_plan(r, k)
-    values = eval_compiled(r, compiled, x)
+    labels, keys, tables, forms, dim_sq, bell = _certificate_plan(r, k)
+    one = zeta_pow(r, 0)
+    if r <= 2:  # zeta_r = 1 or -1, and yhat_{-j} = yhat_j
+        hats = x if r == 1 else (x[0] + x[1], x[0] - x[1])
+        bases = [hats[j] - r * a for j, a in keys]
+        values = []
+        for table in tables:
+            v = 1
+            for i, e in table:
+                v *= bases[i] ** e
+            values.append(CycNumber._trusted(r, (v,)) if table else one)
+    else:  # each yhat_j as power-basis coordinates, from those of zeta^m
+        zs = [zeta_pow(r, m).coeffs for m in range(r)]
+        hats = [[sum(v * zs[j * c % r][i] for c, v in enumerate(x)) for i in range(len(zs[0]))]
+                for j in range(r)]
+        bases = [CycNumber._trusted(r, (hats[-j % r][0] - r * a, *hats[-j % r][1:]))
+                 for j, a in keys]
+        values = [prod((bases[i] for i, e in table for _ in range(e)), start=one)
+                  for table in tables]
     return {
         "r": r,
         "k": k,
         "x": x,
-        "semisimple": all(values),
-        "dets": dict(zip(labels, zip(dets, values))),
+        # a value is 0 iff one of its bases is, and every base has a cell
+        "semisimple": all(bases),
+        "dets": dict(zip(labels, zip(forms, values))),
         "dimension_identity": dim_sq == bell,
         "sum_dim_sq": dim_sq,
         "bell": bell,
@@ -534,9 +629,8 @@ def cartan_entry(r, lam_bar, mu_bar):
     _, sizes_m, table_m = wreath_char_table(r, m)
     _, sizes_l, table_l = wreath_char_table(r, l)
     chi_mu, chi_lam = table_m[mu_bar], table_l[lam_bar]
-    total = CycNumber.zero(r)
-    for (S, T), fixed in _cartan_fixed_points(r, m, l).items():
-        total = total + chi_mu[S] * chi_lam[T] * fixed
+    total = sum((chi_mu[S] * chi_lam[T] * fixed
+                 for (S, T), fixed in _cartan_fixed_points(r, m, l).items()), CycNumber.zero(r))
     order = sum(sizes_m.values()) * sum(sizes_l.values())
     val = (total * Fraction(1, order)).as_rational()
     if val.denominator != 1 or val < 0:
@@ -546,24 +640,12 @@ def cartan_entry(r, lam_bar, mu_bar):
 
 def cartan_matrix(r, maxweight):
     """All entries for multipartition pairs of weight <= maxweight."""
-    labels = [
-        lam for w in range(maxweight + 1) for lam in multipartitions(r, w)
-    ]
-    return labels, {
-        (lam, mu): cartan_entry(r, lam, mu) for lam in labels for mu in labels
-    }
+    labels = [lam for w in range(maxweight + 1) for lam in multipartitions(r, w)]
+    return labels, {(lam, mu): cartan_entry(r, lam, mu) for lam in labels for mu in labels}
 
 
 def cartan_tensor_check(maxweight, r):
     """Entrywise B_r = B_1 tensor ... tensor B_1 on total weight <= maxweight."""
     labels, big = cartan_matrix(r, maxweight)
-    for lam in labels:
-        for mu in labels:
-            prod = 1
-            for li, mi in zip(lam, mu):
-                prod *= cartan_entry(1, (li,), (mi,))
-                if not prod:
-                    break
-            if big[(lam, mu)] != prod:
-                return False
-    return True
+    return all(big[lam, mu] == prod(cartan_entry(1, (li,), (mi,)) for li, mi in zip(lam, mu))
+               for lam in labels for mu in labels)

@@ -17,12 +17,9 @@ only when it is not integral.  The pair is packed into one int, each
 exponent and the z-degree in a 32-bit field, y_0's the highest, so a
 monomial product is one integer addition and int order is lex order.  A
 product's z-degrees d..2d-2 are rewritten by the same reduction rows as
-CycNumber's.  Evaluation is split in two: _compile unpacks each key once
-into its z-degree and its (variable, exponent) pairs, with no point, and
-eval_compiled forms each coordinate's powers once for all of the compiled
-polynomials; at a rational point it sums coordinate times monomial value
-per z-degree and builds one CycNumber per polynomial.  eval_many is the
-two in turn, and MPoly.eval is its one-polynomial case.
+CycNumber's.  eval_many evaluates many polynomials at one point, forming
+each coordinate's powers once for all of them, and MPoly.eval is its
+one-polynomial case.
 Exact division forms a CycNumber only for an irrational leading
 coefficient.
 `terms` is a read-only {y-exponents: CycNumber} view built on demand.
@@ -33,8 +30,9 @@ arithmetic results skip the check.
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import accumulate
 from math import gcd, lcm
-from operator import or_
+from operator import mul, or_
 from types import MappingProxyType
 
 _ZERO = 0
@@ -88,10 +86,9 @@ def _reduction_rows(r):
     """Vectors expressing z^d, z^(d+1), ..., z^(2d-2) in the power basis."""
     phi = _phi_coeffs(r)
     d = len(phi) - 1
-    rows = []
     # z^d = -(phi_0 + phi_1 z + ... + phi_{d-1} z^{d-1})  (Phi_r is monic)
     cur = [-c for c in phi[:d]]
-    rows.append(tuple(cur))
+    rows = [tuple(cur)]
     for _ in range(d - 2):
         nxt = [_ZERO] + cur[: d - 1]
         top = cur[d - 1]
@@ -258,17 +255,8 @@ class CycNumber:
         return self.coeffs[0]
 
     def __repr__(self):
-        terms = []
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            if i == 0:
-                terms.append(str(a))
-            elif i == 1:
-                terms.append("%s*z" % a)
-            else:
-                terms.append("%s*z^%d" % (a, i))
-        return " + ".join(terms) if terms else "0"
+        return " + ".join(str(a) if i == 0 else "%s*z" % a if i == 1 else "%s*z^%d" % (a, i)
+                          for i, a in enumerate(self.coeffs) if a) or "0"
 
 
 @lru_cache(maxsize=None)
@@ -379,9 +367,7 @@ class MPoly:
 
     @staticmethod
     def variable(r, i):
-        exps = [0] * r
-        exps[i] = 1
-        return MPoly(r, {tuple(exps): 1})
+        return MPoly.monomial(r, [int(j == i) for j in range(r)])
 
     @staticmethod
     def monomial(r, exps, c=1):
@@ -566,110 +552,48 @@ class MPoly:
         return MPoly._trusted(r, quot)
 
     def __repr__(self):
-        if not self._c:
-            return "0"
         parts = []
         for e, c in sorted(self.terms.items(), reverse=True):
-            factors = []
-            for i, a in enumerate(e):
-                if a == 1:
-                    factors.append("y%d" % i)
-                elif a > 1:
-                    factors.append("y%d^%d" % (i, a))
             cs = repr(c)
-            if " + " in cs:
-                cs = "(%s)" % cs
-            if factors and cs == "1":
-                parts.append("*".join(factors))
-            elif factors:
-                parts.append(cs + "*" + "*".join(factors))
-            else:
-                parts.append(cs)
-        return " + ".join(parts)
-
-
-def _compile(r, polys):
-    """The point-free part of evaluating the MPolys in polys, all in r
-    variables: (terms, top).  terms holds, per polynomial, its terms as
-    (z-degree, coordinate, ((variable, exponent), ...)), the zero exponents
-    left out, so every packed key is unpacked here once; top[i] is the
-    largest exponent of y_i over all of them.  A polynomial in other than
-    r variables raises ValueError."""
-    _, shifts, _ = _layout(r)
-    top = [0] * r
-    compiled = []
-    for p in polys:
-        if p.r != r:
-            raise ValueError("mixed variable counts")
-        terms = []
-        for key, a in p._c.items():
-            factors = []
-            for i, s in enumerate(shifts):
-                e = key >> s & _FIELD
-                if e:
-                    factors.append((i, e))
-                    if e > top[i]:
-                        top[i] = e
-            terms.append((key & _FIELD, a, tuple(factors)))
-        compiled.append(tuple(terms))
-    return tuple(compiled), tuple(top)
-
-
-def eval_compiled(r, compiled, point):
-    """The values at one point of r CycNumbers or rationals of the
-    polynomials that _compile(r, polys) compiled, as a tuple of
-    CycNumbers.
-
-    Each coordinate's powers are formed once, up to the largest exponent
-    of its variable, an integral coordinate's as ints.  At a rational
-    point a term's coordinate times its monomial value is added to its
-    z-degree's coordinate, in ints or Fractions; where the point has a
-    cyclotomic coordinate the product is multiplied by zeta to the term's
-    z-degree and added coordinate by coordinate.  One CycNumber is built
-    per polynomial.  A point of the wrong length raises ValueError, a
-    coordinate that is not a CycNumber, int or Fraction TypeError."""
-    if len(point) != r:
-        raise ValueError("evaluation point has wrong length")
-    polys, top = compiled
-    d = _layout(r)[0]
-    cyclotomic = False
-    pows = []
-    for v, t in zip(point, top):
-        if isinstance(v, CycNumber):
-            cyclotomic = True
-        else:
-            v = _exact(v)
-        row = [1]
-        for _ in range(t):
-            row.append(row[-1] * v)
-        pows.append(row)
-    out = []
-    if cyclotomic:
-        zetas = [zeta_pow(r, z) for z in range(d)]
-        for terms in polys:
-            acc = [0] * d
-            for z, a, factors in terms:
-                for i, e in factors:
-                    a *= pows[i][e]
-                for j, b in enumerate((a * zetas[z]).coeffs):
-                    acc[j] += b
-            out.append(CycNumber._trusted(r, tuple(acc)))
-    else:
-        for terms in polys:
-            acc = [0] * d
-            for z, a, factors in terms:
-                for i, e in factors:
-                    a *= pows[i][e]
-                acc[z] += a
-            out.append(CycNumber._trusted(r, tuple(acc)))
-    return tuple(out)
+            factors = ["y%d" % i if a == 1 else "y%d^%d" % (i, a) for i, a in enumerate(e) if a]
+            if not factors or cs != "1":
+                factors.insert(0, "(%s)" % cs if " + " in cs else cs)
+            parts.append("*".join(factors))
+        return " + ".join(parts) or "0"
 
 
 def eval_many(r, polys, point):
     """The values of the MPolys in polys, all in r variables, at one point
-    of r CycNumbers or rationals, as a tuple of CycNumbers: _compile, then
-    eval_compiled.  A caller that evaluates the same polynomials at many
-    points compiles them once.  A point of the wrong length or a
-    polynomial in other than r variables raises ValueError, a coordinate
+    of r CycNumbers or rationals, as a tuple of CycNumbers.  Each
+    coordinate's powers are formed once for all of the polynomials, an
+    integral coordinate's as ints; a term's coordinate times its monomial
+    value is added to its z-degree's coordinate, or, where the point is
+    cyclotomic, times zeta to that degree.  A point of the wrong length or
+    a polynomial in other than r variables raises ValueError, a coordinate
     that is not a CycNumber, int or Fraction TypeError."""
-    return eval_compiled(r, _compile(r, polys), point)
+    if len(point) != r:
+        raise ValueError("evaluation point has wrong length")
+    if any(p.r != r for p in polys):
+        raise ValueError("mixed variable counts")
+    d, shifts, _ = _layout(r)
+    point = [v if isinstance(v, CycNumber) else _exact(v) for v in point]
+    cyclotomic = any(isinstance(v, CycNumber) for v in point)
+    zetas = [zeta_pow(r, z) for z in range(d)]
+    pows = [list(accumulate([v] * max((k >> s & _FIELD for p in polys for k in p._c),
+                                      default=0), mul, initial=1))
+            for v, s in zip(point, shifts)]
+    out = []
+    for p in polys:
+        acc = [0] * d
+        for key, a in p._c.items():
+            for row, s in zip(pows, shifts):
+                e = key >> s & _FIELD
+                if e:
+                    a *= row[e]
+            if cyclotomic:
+                for j, b in enumerate((a * zetas[key & _FIELD]).coeffs):
+                    acc[j] += b
+            else:
+                acc[key & _FIELD] += a
+        out.append(CycNumber._trusted(r, tuple(acc)))
+    return tuple(out)

@@ -11,7 +11,7 @@ check.
 
 import time
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 from . import algebra, config
 from .characters import (
@@ -37,17 +37,20 @@ from .diagrams import (
 )
 from .groupoid import gsum_equal, hom_dimension_check, psi, psi_hom_check
 from .modules_rep import (
+    _label_compositions,
+    _label_factors,
     _perm_diagram,
     cartan_matrix,
     cartan_tensor_check,
     cell_dimension,
+    det_bareiss,
     gram_det,
     gram_matrix,
     semisimplicity_certificate,
 )
 from .ribbon import insert, rt_rows, sw_diagram, sw_image_key
 from .rs import colored_array, green_invariants, rs_forward, rs_inverse
-from .scalars import MPoly, zeta_pow
+from .scalars import MPoly, eval_many, zeta_pow
 
 
 # -- frozen worked examples ----------------------------------------------------
@@ -98,15 +101,8 @@ PSI_INPUT = ColoredDiagram(2, 2, 4, [
 
 
 def psi_expected_terms():
-    out = {}
-    for j1, j2, j3 in product(range(2), repeat=3):
-        d = ColoredDiagram(2, 2, 4, [
-            ((1,), (1, 2), j1),
-            ((2,), (3,), j2),
-            ((), (4,), j3),
-        ])
-        out[d] = zeta_pow(2, j2)
-    return out
+    return {ColoredDiagram(2, 2, 4, [((1,), (1, 2), j1), ((2,), (3,), j2), ((), (4,), j3)]):
+            zeta_pow(2, j2) for j1, j2, j3 in product(range(2), repeat=3)}
 
 
 # r = 5 diagram on 11 + 11 vertices driving both Schensted-type bijections
@@ -209,6 +205,10 @@ GRAM_K1_R2 = {
     ((), (1,)): ((MPoly.one(2),),),
 }
 
+# points off every wall t_j in 0..2k-2, t_j = yhat_{-j}/r, where c12 checks
+# the label factors against elimination of the evaluated Gram matrices
+LABEL_POINTS = {(2, 3): (5, 2), (4, 2): (3, 1, 2, 5)}
+
 
 # -- criteria ------------------------------------------------------------------
 
@@ -230,9 +230,7 @@ def check_counting(cfg):
         n = len(algebra.enumerate_monoid(k, r, cap=cfg.monoid_cap))
         stirling = sum(stirling2(2 * k, j) * r**j for j in range(2 * k + 1))
         sizes[(k, r)] = n
-        ok = ok and n == count_bell(2 * k, r) == stirling
-        if (k, r) in frozen:
-            ok = ok and n == frozen[(k, r)]
+        ok = ok and n == count_bell(2 * k, r) == stirling == frozen.get((k, r), n)
     egf_ok = all(
         egf_coefficients(r, 10) == [count_bell(k, r) for k in range(11)]
         for r in range(1, 5)
@@ -244,14 +242,10 @@ def check_counting(cfg):
 
 def check_presentation(cfg):
     """All defining relations hold for k, r <= 4; the generators generate."""
-    reports = []
-    ok = True
-    for k in range(1, 5):
-        for r in range(1, 5):
-            rep = algebra.check_presentation(k, r)
-            reports.append({"k": k, "r": r, "checked": rep["checked"],
-                            "failures": rep["failures"]})
-            ok = ok and rep["ok"]
+    reps = {(k, r): algebra.check_presentation(k, r) for k in range(1, 5) for r in range(1, 5)}
+    reports = [{"k": k, "r": r, "checked": rep["checked"], "failures": rep["failures"]}
+               for (k, r), rep in reps.items()]
+    ok = all(rep["ok"] for rep in reps.values())
     closures = {}
     for k, r in [(2, 3), (3, 2), (4, 1)]:
         closed = algebra.generated_closure(k, r, cap=cfg.monoid_cap)
@@ -266,14 +260,9 @@ def check_groupoid(cfg):
     8-term figure and the dimensions for l <= k <= 3, r <= 3 match."""
     hom = psi_hom_check(seed=cfg.seed)
     figure_ok = gsum_equal(psi(PSI_INPUT), psi_expected_terms())
-    dims = []
-    dims_ok = True
-    for k in range(4):
-        for l in range(k + 1):
-            for r in range(1, 4):
-                rep = hom_dimension_check(l, k, r)
-                dims.append(rep)
-                dims_ok = dims_ok and rep["ok"]
+    dims = [hom_dimension_check(l, k, r)
+            for k in range(4) for l in range(k + 1) for r in range(1, 4)]
+    dims_ok = all(rep["ok"] for rep in dims)
     return {"ok": hom["ok"] and figure_ok and dims_ok,
             "hom_samples": hom, "figure_ok": figure_ok, "dimensions": dims}
 
@@ -509,30 +498,56 @@ def check_cartan(cfg):
             "dimension_pairs": dims_checked}
 
 
+def _label_ok(r, k, lam_bar, det=None):
+    """The cell dimension is the sum over label compositions, and the label
+    factors expand to det, if one is given."""
+    dim_ok = cell_dimension(r, k, lam_bar) == sum(
+        M * prod(cell_dimension(1, m, (lam,)) for m, lam in zip(ks, lam_bar))
+        for M, ks in _label_compositions(r, k, lam_bar))
+    if det is None:
+        return dim_ok
+    expanded = MPoly.one(r)
+    for (j, a), e in _label_factors(r, k, lam_bar).items():
+        base = sum((MPoly.monomial(r, [int(c == i) for i in range(r)], zeta_pow(r, -j * c))
+                    for c in range(r)), MPoly.constant(r, -r * a))
+        expanded = prod([base] * e, start=expanded)
+    return dim_ok and expanded == det
+
+
 def check_gram(cfg):
     """Gram data, leading coefficients and the dimension identity for
-    k <= 2, r <= 3, and (non)semisimple parameter points."""
+    k <= 2, r <= 3, and (non)semisimple parameter points.  The label
+    factors of every cell: expanded against the determinants there, and
+    at LABEL_POINTS against exact elimination of the evaluated matrix."""
     data_ok = all(
         tuple(tuple(row) for row in gram_matrix(2, 1, lam_bar)) == expected
         for lam_bar, expected in GRAM_K1_R2.items()
     )
-    lead_ok = True
-    dims_ok = True
+    lead_ok = dims_ok = labels_ok = True
     for r in range(1, 4):
         for k in range(3):
             dim_sq = 0
             for i in range(k + 1):
                 for lam_bar in multipartitions(r, i):
-                    _, coeff = gram_det(r, k, lam_bar).leading_coeff_in(0)
-                    lead_ok = lead_ok and coeff == MPoly.one(r)
+                    det = gram_det(r, k, lam_bar)
+                    lead_ok = lead_ok and det.leading_coeff_in(0)[1] == MPoly.one(r)
+                    # at r = 1 the label factors are read off det itself
+                    labels_ok = labels_ok and _label_ok(r, k, lam_bar, det if r > 1 else None)
                     dim_sq += cell_dimension(r, k, lam_bar) ** 2
             dims_ok = dims_ok and dim_sq == count_bell(2 * k, r)
+    for (r, k), x in LABEL_POINTS.items():
+        for lam_bar, (_, value) in semisimplicity_certificate(r, k, x)["dets"].items():
+            M = gram_matrix(r, k, lam_bar)
+            vals = iter(eval_many(r, [e for row in M for e in row], x))
+            det = det_bareiss([[MPoly.constant(r, next(vals)) for _ in row] for row in M], r)
+            labels_ok = (labels_ok and bool(value) and det == value
+                         and _label_ok(r, k, lam_bar))
     cert_ss = semisimplicity_certificate(2, 1, (2, 1))
     cert_ns = semisimplicity_certificate(2, 1, (1, 1))
     points_ok = cert_ss["semisimple"] and not cert_ns["semisimple"]
-    return {"ok": data_ok and lead_ok and dims_ok and points_ok,
+    return {"ok": data_ok and lead_ok and dims_ok and labels_ok and points_ok,
             "data_ok": data_ok, "leading_ok": lead_ok,
-            "dimension_ok": dims_ok,
+            "dimension_ok": dims_ok, "label_factors_ok": labels_ok,
             "semisimple_at_2_1": cert_ss["semisimple"],
             "semisimple_at_1_1": cert_ns["semisimple"]}
 

@@ -660,11 +660,15 @@ from colorpart.groupoid import random_downward
 from colorpart import modules_rep as MR
 from colorpart.ribbon import insert
 from colorpart.rs import rs_inverse
+from colorpart.scalars import MPoly
 
 C.z_order = lambda rho: 3
 std, polys, peel = MR._specht_data((2, 1))
 MR._specht_data = lambda lam: (std, polys, peel[1:])
-checks = [lambda: MR.specht_matrix((2, 1), (1, 2, 3)),
+# an r = 1 determinant that does not split over 0..2m-2
+MR.gram_det = lambda r, k, lam_bar: MPoly(1, {(2,): 1, (0,): 1})
+checks = [lambda: MR._unit_factors.__wrapped__(2, ()),
+          lambda: MR.specht_matrix((2, 1), (1, 2, 3)),
           lambda: C.kronecker((2,), (2,), (2,)),
           lambda: insert({(1,): frozenset({(1, 1)})}, 0, (1,), 1),
           lambda: rs_inverse(((((((2,),), ((1,),)),), ((),)),
@@ -710,7 +714,7 @@ def test_integrity_checks_raise_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "ArithmeticError", "ArithmeticError",
+    assert proc.stdout.split() == ["1", "ArithmeticError", "ArithmeticError", "ArithmeticError",
                                    "ValueError", "ValueError",
                                    "ArithmeticError", "ValueError",
                                    "ValueError", "94", "94", "94", "94"]

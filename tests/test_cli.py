@@ -17,7 +17,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import colorpart
+from colorpart import cli as cli_module
 from colorpart.cli import main
+from colorpart.characters import multipartitions
 from colorpart.diagrams import count_bell
 from colorpart.verify import COMPOSE_D1, COMPOSE_D2, COMPOSE_PRODUCT
 
@@ -217,6 +219,21 @@ def test_gram():
     out = json.loads(res.output)
     assert out["dim"] == 2
     assert out["matrix"][0][0] == out["matrix"][1][1]
+    # y0^2 - y1^2, as a product of label factors
+    assert out["det"] == "(y0 + y1)*(y0 - y1)"
+
+
+def test_gram_prints_the_rank0_r4_k2_determinant_factored():
+    # its 20x20 symbolic determinant did not finish in 540 s
+    t0 = time.perf_counter()
+    res = run("gram", "--r", "4", "--k", "2", "--shape", "[[],[],[],[]]")
+    assert time.perf_counter() - t0 < 1
+    out = json.loads(res.output)
+    assert out["dim"] == 20
+    assert out["det"] == "*".join(
+        "(%s)^8*(%s - 4)" % (base, base) for base in (
+            "y0 + y1 + y2 + y3", "y0 + z^3*y1 - y2 + z*y3", "y0 - y1 + y2 - y3",
+            "y0 + z*y1 - y2 + z^3*y3"))
 
 
 def test_semisimple():
@@ -224,6 +241,7 @@ def test_semisimple():
         run("semisimple", "--r", "2", "--k", "1", "--x", "2,1").output
     )
     assert out["semisimple"] and out["dimension_identity"]
+    assert out["dets"]["[[], []]"] == {"det": "(y0 + y1)*(y0 - y1)", "value": "3"}
     out = json.loads(
         run("semisimple", "--r", "2", "--k", "1", "--x", "1,1").output
     )
@@ -233,6 +251,63 @@ def test_semisimple():
 def test_cartan():
     out = json.loads(run("cartan", "--r", "1", "--maxweight", "1").output)
     assert out["matrix"][0][0] == 1
+
+
+def test_cartan_admits_r1_weight_7_and_bounds_class_pair_terms():
+    # sum_{m<=l<=7} p(m) p(l)^2 = 15,068 class-pair terms; |CPar_7| is far
+    # past the cap, and no entry enumerates it
+    out = json.loads(run("cartan", "--r", "1", "--maxweight", "7").output)
+    assert len(out["labels"]) == 45
+    res = run("cartan", "--r", "2", "--maxweight", "4",
+              env={"COLORPART_MONOID_CAP": "17213"})
+    assert res.exit_code == 0
+    res = run("cartan", "--r", "2", "--maxweight", "4",
+              env={"COLORPART_MONOID_CAP": "17212"})
+    assert_usage_error(res)
+    assert "17213 class-pair terms exceed cap 17212" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ("cartan", "--r", "1", "--maxweight", "9"),
+    ("cartan", "--r", "4", "--maxweight", "4"),
+    ("cartan", "--r", "1", "--maxweight", str(10**6)),
+    ("cartan", "--r", str(10**40), "--maxweight", "2"),
+    ("reduced-kronecker", "--lam", "[30]", "--mu", "[30]", "--nu", "[30]"),
+    ("reduced-kronecker", "--lam", "[%d]" % 10**6, "--mu", "[]", "--nu", "[]"),
+])
+def test_cartan_and_reduced_kronecker_refuse_an_oversized_request_first(monkeypatch, args):
+    def work(*_):
+        raise AssertionError("work started before the refusal")
+    monkeypatch.setattr(cli_module, "cartan_matrix", work)
+    monkeypatch.setattr(cli_module, "reduced_kronecker", work)
+    t0 = time.perf_counter()
+    res = run(*args)
+    assert time.perf_counter() - t0 < 1
+    assert_usage_error(res)
+    assert "cap exceeded" in res.output
+
+
+def test_class_counts_are_the_multipartition_counts():
+    for r in range(1, 5):
+        assert cli_module._class_counts(r, 6, 10**9) == [
+            len(multipartitions(r, n)) for n in range(7)]
+    # p(n) up to the first value above the cap: p(7) = 15 > 14
+    assert cli_module._class_counts(1, 10**9, 14) == [1, 1, 2, 3, 5, 7, 11, 15]
+
+
+def test_reduced_kronecker_admits_every_weight_2_triple():
+    parts = ["[]", "[1]", "[2]", "[1,1]"]
+    for a in parts:
+        for b in parts:
+            for c in parts:
+                res = run("reduced-kronecker", "--lam", a, "--mu", b, "--nu", c)
+                assert res.exit_code == 0, res.output
+    # [2], [2], [2] sits at the stability bound n = 6: p(6) = 11 classes
+    args = ("reduced-kronecker", "--lam", "[2]", "--mu", "[2]", "--nu", "[2]")
+    assert run(*args, env={"COLORPART_MONOID_CAP": "11"}).exit_code == 0
+    res = run(*args, env={"COLORPART_MONOID_CAP": "10"})
+    assert_usage_error(res)
+    assert "p(6), n = 6 the stability bound = 11 classes of S_n" in res.output
 
 
 def test_reduced_kronecker_and_r_coeff():
@@ -290,8 +365,8 @@ def test_green_refuses_a_large_k_before_counting(k):
     ("cartan", "--r", "1", "--maxweight", "40"),
 ])
 def test_cells_refuse_a_large_k_before_building(args):
-    # the cells of CPar_k have sum of (dim W)^2 = |CPar_k|, and the Cartan
-    # entries to weight k filter their basis from CPar_k: the same cap
+    # the cells of CPar_k have sum of (dim W)^2 = |CPar_k|; the Cartan
+    # entries to weight 40 have far more class-pair terms than the cap
     res = run(*args)
     assert_usage_error(res)
     assert "cap exceeded" in res.output

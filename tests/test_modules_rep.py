@@ -2,12 +2,14 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from hashlib import sha256
 from functools import lru_cache
 from itertools import combinations, product
+from math import prod
 
 import pytest
 
@@ -773,8 +775,18 @@ def test_semisimplicity_takes_fractions():
     assert [type(v) for v in x] == [int, Fraction]
 
 
-# the (r, k) of the cellular benchmark's certificates and of c12
-CERT_CASES = [(1, 3), (2, 2), (3, 1), (4, 1), (5, 1), (2, 1)]
+# the (r, k) of the cellular benchmark's certificates and of c12, and (3,2)
+CERT_CASES = [(1, 3), (2, 2), (3, 1), (4, 1), (5, 1), (2, 1), (3, 2)]
+
+
+def expand_form(r, form):
+    """A factored form read back as an MPoly: y0.. the variables, z zeta_r."""
+    names = {"y%d" % c: MPoly.variable(r, c) for c in range(r)}
+    names.update({"z%d" % m: MPoly.constant(r, zeta_pow(r, m)) for m in range(r)})
+    names["power"] = lambda base, e: prod([base] * e, start=MPoly.one(r))
+    form = re.sub(r"z\^?(\d*)", lambda m: "z" + (m.group(1) or "1"), form)
+    form = re.sub(r"(\([^()]*\)|y\d+)\^(\d+)", r"power(\1, \2)", form)
+    return eval(form, {"__builtins__": {}}, names) * MPoly.one(r)
 
 
 def _cert_points(rng, r):
@@ -792,19 +804,23 @@ def _cert_points(rng, r):
 
 @pytest.mark.parametrize("r, k", CERT_CASES)
 def test_certificate_values_are_each_determinant_at_the_point(r, k):
-    # the values against the repeated-product oracle, which reads each
-    # determinant through its terms view and shares no code with the
-    # compiled evaluation that both the certificate and MPoly.eval run
+    # the values against the Bareiss determinants through the
+    # repeated-product oracle, which reads each one through its terms
+    # view; at r = 2, 3 and k <= 2 the factored form, read back, is the
+    # determinant itself
     rng = random.Random(r * 10 + k)
     cells = [lam for i in range(k + 1) for lam in multipartitions(r, i)]
+    for lam in cells if r in (2, 3) else ():
+        form = semisimplicity_certificate(r, k, (1,) * r)["dets"][lam][0]
+        assert expand_form(r, form) == gram_det(r, k, lam)
     for x in _cert_points(rng, r):
         cert = semisimplicity_certificate(r, k, x)
         assert list(cert["dets"]) == cells
         for lam in cells:
-            det, val = cert["dets"][lam]
-            assert det is gram_det(r, k, lam)
+            form, val = cert["dets"][lam]
+            assert form == MR._factored_form(r, MR._label_factors(r, k, lam))
             assert type(val) is CycNumber
-            assert val == eval_by_repeated_products(det, x)
+            assert val == eval_by_repeated_products(gram_det(r, k, lam), x)
         assert cert["semisimple"] == all(val for _, val in cert["dets"].values())
         # normal form: an int when integral, a Fraction otherwise
         assert cert["x"] == tuple(x)
@@ -813,6 +829,62 @@ def test_certificate_values_are_each_determinant_at_the_point(r, k):
         dim_sq = sum(cell_dimension(r, k, lam) ** 2 for lam in cells)
         assert cert["sum_dim_sq"] == dim_sq == cert["bell"] == count_bell(2 * k, r)
         assert cert["dimension_identity"]
+
+
+def test_factored_forms_at_r2_k2():
+    cert = semisimplicity_certificate(2, 2, (3, 1))
+    assert {lam: form for lam, (form, _) in cert["dets"].items()} == {
+        ((), ()): "(y0 + y1)^4*(y0 + y1 - 2)*(y0 - y1)^4*(y0 - y1 - 2)",
+        ((), (1,)): "(y0 + y1)^2*(y0 - y1)*(y0 - y1 - 4)",
+        ((1,), ()): "(y0 + y1)*(y0 + y1 - 4)*(y0 - y1)^2",
+        ((), (2,)): "1", ((), (1, 1)): "1", ((1,), (1,)): "1", ((2,), ()): "1",
+        ((1, 1), ()): "1"}
+    # t_0 = 2 and t_1 = 1 are both on a wall: (y0 + y1 - 4) and (y0 - y1 - 2)
+    # vanish, y0 - y1 - 4 does not
+    assert [val for _, val in cert["dets"].values()][:3] == [0, -64, 0]
+
+
+def test_unit_factors_are_the_partition_algebra_roots():
+    # P_3's rank-0 cell: t^5 (t - 1)^4 (t - 2)
+    assert MR._unit_factors(3, ()) == ((0, 5), (1, 4), (2, 1))
+    assert MR._unit_factors(0, ()) == ()
+    assert MR._unit_factors(2, (2,)) == ()
+
+
+@pytest.mark.parametrize("det", [
+    # a root past 2m - 2 = 2, a factor without a root, a constant factor
+    {(2,): 1, (1,): -3},
+    {(2,): 1, (0,): 1},
+    {(1,): 2},
+])
+def test_unit_factors_raise_on_a_determinant_that_does_not_split(monkeypatch, det):
+    monkeypatch.setattr(MR, "gram_det", lambda r, k, lam_bar: MPoly(1, det))
+    with pytest.raises(ArithmeticError, match="leaves"):
+        MR._unit_factors.__wrapped__(2, ())
+
+
+def _pairing_values(r, k, lam, x, sign):
+    """The product of label factors at x, label j taken at yhat_{sign j}."""
+    hats = [sum((zeta_pow(r, j * c) * v for c, v in enumerate(x)), CycNumber.zero(r))
+            for j in range(r)]
+    value = CycNumber.one(r)
+    for (j, a), e in MR._label_factors(r, k, lam).items():
+        for _ in range(e):
+            value = value * (hats[sign * j % r] - r * a)
+    return value
+
+
+@pytest.mark.parametrize("r, k, x, broken", [
+    (3, 2, (3, 1, 2), {((), (), (1,)), ((), (1,), ())}),
+    (4, 2, (3, 1, 2, 5), {((), (), (), (1,)), ((), (1,), (), ())}),
+])
+def test_pairing_lam_j_with_yhat_j_breaks_the_identity(r, k, x, broken):
+    # the identity pairs lam^j with yhat_{-j}; the other pairing misses
+    # exactly the rank-1 cells of the two conjugate labels
+    cells = [lam for i in range(k + 1) for lam in multipartitions(r, i)]
+    dets = {lam: eliminate_at(gram_matrix(r, k, lam), x)[1] for lam in cells}
+    assert all(_pairing_values(r, k, lam, x, -1) == dets[lam] for lam in cells)
+    assert {lam for lam in cells if _pairing_values(r, k, lam, x, 1) != dets[lam]} == broken
 
 
 def test_certificate_plan_is_cached_per_r_and_k_not_per_point():

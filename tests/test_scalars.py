@@ -15,9 +15,7 @@ from colorpart.cli import main
 from colorpart.scalars import (
     CycNumber,
     MPoly,
-    _compile,
     _phi_coeffs,
-    eval_compiled,
     eval_many,
     zeta_pow,
 )
@@ -207,8 +205,8 @@ def test_evaluation_rejects_a_wrong_length_point():
 @given(data=st.data())
 def test_eval_many_matches_the_repeated_product_oracle(r, data):
     # with the zero polynomial among them, at int, Fraction and CycNumber
-    # points; each value is also what eval gives alone, and one
-    # compilation evaluated at a second point gives that point's values
+    # points; each value is also what eval gives alone, and the same
+    # polynomials evaluated at a second point give that point's values
     polys = data.draw(st.lists(mpolys(r), max_size=4)) + [MPoly.zero(r)]
     point, other = data.draw(points(r)), data.draw(points(r))
     values = eval_many(r, polys, point)
@@ -216,22 +214,22 @@ def test_eval_many_matches_the_repeated_product_oracle(r, data):
     assert values == tuple(p.eval(point) for p in polys)
     assert values[-1] == CycNumber.zero(r)
     assert eval_many(r, (), point) == ()
-    compiled = _compile(r, polys)
-    assert eval_compiled(r, compiled, point) == values
-    assert eval_compiled(r, compiled, other) == tuple(
+    assert eval_many(r, polys, other) == tuple(
         eval_by_repeated_products(p, other) for p in polys)
 
 
-def test_compile_unpacks_each_term_once():
-    # (z-degree, coordinate, ((variable, exponent), ...)) with the zero
-    # exponents left out, and the largest exponent of each variable
+def test_eval_many_reads_each_term_and_each_largest_exponent():
+    # every z-degree of a coordinate, a variable that is absent (y_1 in
+    # p) or whose powers reach past another polynomial's (y_1 in q), and
+    # the zero polynomial
     p = MPoly(3, {(2, 0, 1): CycNumber(3, (5, Fraction(1, 2))), (0, 0, 0): 7})
     q = MPoly(3, {(0, 3, 0): -1})
-    terms, top = _compile(3, [p, q, MPoly.zero(3)])
-    assert sorted(terms[0]) == [(0, 5, ((0, 2), (2, 1))), (0, 7, ()),
-                                (1, Fraction(1, 2), ((0, 2), (2, 1)))]
-    assert terms[1:] == (((0, -1, ((1, 3),)),), ())
-    assert top == (2, 3, 1)
+    values = eval_many(3, [p, q, MPoly.zero(3)], (2, 3, Fraction(1, 4)))
+    assert values == (CycNumber(3, (12, Fraction(1, 2))), CycNumber(3, (-27, 0)),
+                      CycNumber.zero(3))
+    z = zeta_pow(3, 1)
+    assert eval_many(3, [p, q], (z, 2, 1)) == (
+        CycNumber(3, (5, Fraction(1, 2))) * z * z + 7, CycNumber.from_rational(3, -8))
 
 
 def test_eval_many_shares_the_powers_of_one_point():
