@@ -194,64 +194,68 @@ def g_elements(r, n):
                  for colors in product(range(r), repeat=n))
 
 
-def class_type(r, g):
-    """Conjugacy class invariant: per color, the partition of cycle lengths
-    whose cycle color product is zeta^color."""
-    f, tau = g
-    n = len(f)
-    seen = [False] * n
-    buckets = [[] for _ in range(r)]
-    for i in range(1, n + 1):
-        if seen[i - 1]:
-            continue
-        j, length, color = i, 0, 0
-        while not seen[j - 1]:
-            seen[j - 1] = True
-            color = (color + f[j - 1]) % r
-            j = tau[j - 1]
-            length += 1
-        buckets[color].append(length)
-    return tuple(tuple(sorted(b, reverse=True)) for b in buckets)
+@lru_cache(maxsize=None)
+def _class_sizes(q, n):
+    """The classes of C_q wr S_n by type, a q-multipartition rho of n (the
+    cycles whose colors sum to c mod q have lengths rho_c), each of size
+    q^n n! / prod_c z_{rho_c} q^len(rho_c)."""
+    order = q ** n * factorial(n)
+    return {rho: order // prod(z_order(mu) * q ** len(mu) for mu in rho)
+            for rho in multipartitions(q, n)}
 
 
-def _mn_terms(lam_bar, cycles):
-    """The terms of the Murnaghan-Nakayama rule for G(r,n) at the cycles
-    ((length d, color c), ...): the first cycle is removed from one lam_j
-    as a d-border strip of height ht, a factor (-1)^ht zeta^(j c), and the
-    others recurse.  Yields (sign, exponent of zeta) per way to remove
-    them all."""
+def _cycles(T):
+    """The cycles of class type T as (length, color), longest first."""
+    return tuple(sorted(((d, c) for c, mu in enumerate(T) for d in mu), reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _mn(r, lam_bar, cycles):
+    """The Murnaghan-Nakayama rule for G(r,n) at the cycles ((length d,
+    color c), ...) as r integer counts, the e-th the coefficient of zeta^e:
+    the first cycle is removed from one lam_j as a d-border strip of height
+    ht, a factor (-1)^ht zeta^(j c), and the others recurse."""
     if not cycles:
-        yield 1, 0
-        return
+        return (1,) + (0,) * (r - 1)
     (d, c), rest = cycles[0], cycles[1:]
+    out = [0] * r
     for j, lam in enumerate(lam_bar):
         for new, ht in abacus_moves(lam, -d):
-            for sign, e in _mn_terms(lam_bar[:j] + (new,) + lam_bar[j + 1:], rest):
-                yield (-1) ** ht * sign, j * c + e
+            sub = _mn(r, lam_bar[:j] + (new,) + lam_bar[j + 1:], rest)
+            for e, a in enumerate(sub):
+                out[(e + j * c) % r] += (-1) ** ht * a
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def wreath_char_table(r, n):
     """Character table of G(r,n): (class_reps, class_sizes, table) where
-    table[lam_bar][class_type] is a CycNumber; a class's rep is its first
-    element in g_elements order.  Each value is the Murnaghan-Nakayama
-    rule for G(r,n) (Macdonald, App. B) on the abacus of chi_sn, the
-    longest cycles removed first."""
-    reps, sizes = {}, {}
-    for g in g_elements(r, n):
-        t = class_type(r, g)
-        reps.setdefault(t, g)
-        sizes[t] = sizes.get(t, 0) + 1
-    table = {lam_bar: {} for lam_bar in multipartitions(r, n)}
-    for t in reps:
-        cycles = tuple(sorted(((d, c) for c, mu in enumerate(t) for d in mu), reverse=True))
+    table[lam_bar][T] is a CycNumber, T a class type.  A class's rep lays its
+    cycles on consecutive points, longest first, each cycle's color on its
+    first point.  Each value is the Murnaghan-Nakayama rule for G(r,n)
+    (Macdonald, App. B) on the abacus of chi_sn."""
+    sizes = _class_sizes(r, n)
+    reps, table = {}, {lam_bar: {} for lam_bar in multipartitions(r, n)}
+    for T in sizes:
+        cycles, colors, perm = _cycles(T), [], []
+        for d, c in cycles:
+            start = len(perm)
+            colors += [c] + [0] * (d - 1)
+            perm += [start + (i + 1) % d + 1 for i in range(d)]
+        reps[T] = tuple(colors), tuple(perm)
         for lam_bar, row in table.items():
-            coeffs = [0] * r
-            for sign, e in _mn_terms(lam_bar, cycles):
-                coeffs[e % r] += sign
-            row[t] = sum((zeta_pow(r, e) * a for e, a in enumerate(coeffs) if a),
+            row[T] = sum((zeta_pow(r, e) * a for e, a in enumerate(_mn(r, lam_bar, cycles)) if a),
                          CycNumber.zero(r))
     return reps, sizes, table
+
+
+def _class_sum(r, terms, order, what):
+    """The sum of the CycNumber terms over the group order, as an int;
+    ArithmeticError unless it is a non-negative integer."""
+    val = (sum(terms, CycNumber.zero(r)) * Fraction(1, order)).as_rational()
+    if val.denominator != 1 or val < 0:
+        raise ArithmeticError("%s is not a non-negative integer: %s" % (what, val))
+    return int(val)
 
 
 # -- Kronecker coefficients ---------------------------------------------------
@@ -308,25 +312,21 @@ def reduced_kronecker(lam, mu, nu):
 
 @lru_cache(maxsize=None)
 def _h_classes(r, t):
-    """The classes of H(r,t) = (C_r x C_r) wr S_t as (T_a, T_b, T_c, size),
-    and |H(r,t)|.  A class is an r^2-multipartition rho of t, color pair
-    (a, b) at index a*r + b, of size |H| / prod_c z_{rho_c} r^(2 len(rho_c)).
-    T_a and T_b are its psi_1 and psi_2 types (each cycle keeps color a,
-    resp. b); T_c inverts its psi_3 type (color -(a+b)), so chi(T_c) is the
-    conjugate of chi at psi_3."""
-    order = r ** (2 * t) * factorial(t)
+    """The classes of H(r,t) = (C_r x C_r) wr S_t as (T_a, T_b, T_c, size).
+    A class is an r^2-multipartition rho of t, color pair (a, b) at index
+    a*r + b.  T_a and T_b are its psi_1 and psi_2 types (each cycle keeps
+    color a, resp. b); T_c inverts its psi_3 type (color -(a+b)), so
+    chi(T_c) is the conjugate of chi at psi_3."""
     out = []
-    for rho in multipartitions(r * r, t):
+    for rho, size in _class_sizes(r * r, t).items():
         images = [[[] for _ in range(r)] for _ in range(3)]
-        central = 1
         for idx, parts in enumerate(rho):
             a, b = divmod(idx, r)
             for image, color in zip(images, (a, b, -(a + b) % r)):
                 image[color] += parts
-            central *= z_order(parts) * r ** (2 * len(parts))
         out.append(tuple(tuple(tuple(sorted(c, reverse=True)) for c in image)
-                         for image in images) + (order // central,))
-    return tuple(out), order
+                         for image in images) + (size,))
+    return tuple(out)
 
 
 def k_coefficient(r, delta, delta1, delta2):
@@ -339,15 +339,9 @@ def k_coefficient(r, delta, delta1, delta2):
         raise ValueError("multipartition weights differ")
     table = wreath_char_table(r, t)[2]
     chi, chi1, chi2 = table[delta], table[delta1], table[delta2]
-    classes, order = _h_classes(r, t)
-    total = CycNumber.zero(r)
-    for ta, tb, tc, size in classes:
-        if chi[ta] and chi1[tb]:
-            total = total + chi[ta] * chi1[tb] * chi2[tc] * size
-    val = (total * Fraction(1, order)).as_rational()
-    if val.denominator != 1 or val < 0:
-        raise ArithmeticError("K-coefficient is not a non-negative integer: %s" % val)
-    return int(val)
+    return _class_sum(r, (chi[ta] * chi1[tb] * chi2[tc] * size
+                          for ta, tb, tc, size in _h_classes(r, t) if chi[ta] and chi1[tb]),
+                      r ** (2 * t) * factorial(t), "K-coefficient")
 
 
 # -- admissible data and R-coefficients ---------------------------------------
@@ -445,9 +439,9 @@ def _orbit_groupings(r, sides, t):
 @lru_cache(maxsize=None)
 def xt_fixed_points(r, l, m, n, t):
     """Fixed-point counts on X^t of G(r,l) x G(r,m) x G(r,n) times the
-    three class sizes, a read-only map keyed by triples of class types
-    (from wreath_char_table), third type innermost; zero counts are left
-    out.  ValueError unless t is admissible.
+    three class sizes, a read-only map keyed by triples of class types,
+    third type innermost; zero counts are left out.  ValueError unless t
+    is admissible.
 
     X^t holds the colored tripartite matchings with t parts {i,j',k''};
     a group element moves each vertex of a part along its cycle and adds
@@ -472,11 +466,10 @@ def xt_fixed_points(r, l, m, n, t):
 
 def _class_table(r, ns, count):
     """count(cycles) times the class sizes for each tuple of class types of
-    G(r,n), n in ns, a read-only map keyed by the tuple of types (from
-    wreath_char_table), last type innermost; zero counts are left out.
-    cycles holds each type's cycles as a sorted tuple of (length, color)."""
-    sides = [[(T, k, tuple(sorted((d, c) for c, lam in enumerate(T) for d in lam)))
-              for T, k in wreath_char_table(r, n)[1].items()] for n in ns]
+    G(r,n), n in ns, a read-only map keyed by the tuple of types, last type
+    innermost; zero counts are left out.  cycles holds each type's cycles
+    (_cycles)."""
+    sides = [[(T, k, _cycles(T)) for T, k in _class_sizes(r, n).items()] for n in ns]
     table = {}
     for classes in product(*sides):
         fixed = count(tuple(cycles for _, _, cycles in classes))
@@ -491,23 +484,12 @@ def xt_multiplicity_oracle(r, lam_bar, mu_bar, nu_bar, t):
     Frobenius), sum_{T1,T2} chi1 chi2 (sum_{T3} chi3 fixed) over the
     class-summed fixed points."""
     labels = (lam_bar, mu_bar, nu_bar)
-    l, m, n = (weight(label) for label in labels)
-    rows, order = [], 1
-    for size, label in zip((l, m, n), labels):
-        # dual slots: the character of S(mu)* on the opposite group is
-        # chi_mu itself, so no conjugation here
-        _, sizes, table = wreath_char_table(r, size)
-        rows.append(table[label])
-        order *= sum(sizes.values())
-    chi1, chi2, chi3 = rows
-    total = zero = CycNumber.zero(r)
-    for (T1, T2), run in groupby(xt_fixed_points(r, l, m, n, t).items(),
-                                 key=lambda item: item[0][:2]):
-        inner = zero
-        for (_, _, T3), fixed in run:
-            inner = inner + chi3[T3] * fixed
-        total = total + chi1[T1] * chi2[T2] * inner
-    val = (total * Fraction(1, order)).as_rational()
-    if val.denominator != 1 or val < 0:
-        raise ArithmeticError("X^t multiplicity is not a non-negative integer: %s" % val)
-    return int(val)
+    sizes = [weight(label) for label in labels]
+    # dual slots: the character of S(mu)* on the opposite group is chi_mu
+    # itself, so no conjugation here
+    chi1, chi2, chi3 = (wreath_char_table(r, n)[2][label] for n, label in zip(sizes, labels))
+    zero = CycNumber.zero(r)
+    terms = (chi1[T1] * chi2[T2] * sum((chi3[T3] * fixed for (_, _, T3), fixed in run), zero)
+             for (T1, T2), run in groupby(xt_fixed_points(r, *sizes, t).items(),
+                                          key=lambda item: item[0][:2]))
+    return _class_sum(r, terms, prod(r ** n * factorial(n) for n in sizes), "X^t multiplicity")

@@ -7,12 +7,13 @@ usage errors (unknown subcommand, malformed JSON, exceeded cap).
 import inspect
 import json
 import sys
+from functools import lru_cache
 
 import click
 
 from . import algebra, config, verify
-from .characters import (_stability_bound, r_coefficient, reduced_kronecker,
-                         theorem_formula_check)
+from .characters import (_stability_bound, admissible_set, r_coefficient, reduced_kronecker,
+                         theorem_formula_check, weight)
 from .cliparse import TableGroup
 from .diagrams import ColoredDiagram, compose, count_bell
 from .groupoid import psi_hom_check
@@ -128,16 +129,45 @@ def check_estimate(formula, estimate, unit):
                                % (formula, estimate, unit, cap))
 
 
+@lru_cache(maxsize=None)
 def _class_counts(r, n, cap):
     """[c(0), c(1), ...], c(j) the number of r-multipartitions of j, which
     label the classes of G(r,j), by j c(j) = r sum_{i<=j} sigma(i) c(j-i);
-    up to c(n), or to the first c(j) above cap, as c grows with j."""
+    up to c(n), or to the first c(j) above cap, as c grows with j.  The
+    list is cached and shared: callers read it and never change it."""
     c = [1]
     while len(c) <= n and c[-1] <= cap:
         j = len(c)
         c.append(r * sum(sum(d for d in range(1, i + 1) if i % d == 0) * c[j - i]
                          for i in range(1, j + 1)) // j)
     return c
+
+
+def check_stability_size(lam, mu, nu):
+    """Refuse a reduced Kronecker coefficient before any work by p(n), one
+    character product per class of S_n, n the stability bound."""
+    n = _stability_bound(lam, mu, nu)
+    p = _class_counts(1, n, run_config().monoid_cap)
+    check_estimate("p(%d), n = %d the stability bound" % (len(p) - 1, n), p[-1],
+                   "classes of S_n")
+
+
+def check_r_coefficient_size(r, triple):
+    """Refuse an R-coefficient before any work by the label quadruples
+    xt_formula scans, the character values of G(r,t) and the classes of
+    H(r,t) each K-coefficient sums, over the admissible (t, a, b, c).  A
+    count cut off at the cap stands for the later ones; the sum stops past it."""
+    cap = run_config().monoid_cap
+    sizes = [weight(x) for x in triple]
+    c, h = (_class_counts(q, max(sizes), cap) for q in (r, r * r))
+    est = 0
+    for d in admissible_set(*sizes):
+        ca, cb, cc, ct = (c[min(d[k], len(c) - 1)] for k in "abct")
+        est += ca * cb * cc * ct + ct * ct + h[min(d["t"], len(h) - 1)]
+        if est > cap:
+            break
+    check_estimate("sum_t c(a) c(b) c(c) c(t) + c(t)^2 + h(t), c(n) and h(n) the classes "
+                   "of G(r,n) and H(r,n)", est, "terms")
 
 
 @click.group(cls=TableGroup)
@@ -334,11 +364,7 @@ def cmd_cartan(r, maxweight):
 def cmd_reduced_kronecker(lam, mu, nu):
     """Stable Kronecker coefficient of three partitions."""
     triple = parse_partition(lam), parse_partition(mu), parse_partition(nu)
-    # one character product per class of S_n, n the stability bound
-    n = _stability_bound(*triple)
-    p = _class_counts(1, n, run_config().monoid_cap)
-    check_estimate("p(%d), n = %d the stability bound" % (len(p) - 1, n), p[-1],
-                   "classes of S_n")
+    check_stability_size(*triple)
     emit({"value": reduced_kronecker(*triple)})
 
 
@@ -349,10 +375,9 @@ def cmd_reduced_kronecker(lam, mu, nu):
 @click.option("--nu-bar", required=True)
 def cmd_r_coeff(r, lam_bar, mu_bar, nu_bar):
     """Structure constant in the simple-module basis, via the LR/K sum."""
-    value = r_coefficient(r, parse_multipartition(lam_bar, r),
-                          parse_multipartition(mu_bar, r),
-                          parse_multipartition(nu_bar, r))
-    emit({"value": value})
+    triple = [parse_multipartition(x, r) for x in (lam_bar, mu_bar, nu_bar)]
+    check_r_coefficient_size(r, triple)
+    emit({"value": r_coefficient(r, *triple)})
 
 
 @main.command("thm-check")
@@ -377,9 +402,10 @@ def cmd_thm_check(r, example, lam_bar, mu_bar, nu_bar):
         if not (lam_bar and mu_bar and nu_bar):
             raise click.UsageError(
                 "need --lam-bar/--mu-bar/--nu-bar or --example")
-        triple = (parse_multipartition(lam_bar, r),
-                  parse_multipartition(mu_bar, r),
-                  parse_multipartition(nu_bar, r))
+        triple = [parse_multipartition(x, r) for x in (lam_bar, mu_bar, nu_bar)]
+    check_r_coefficient_size(r, triple)
+    for colors in zip(*triple):
+        check_stability_size(*colors)
     rep = theorem_formula_check(r, *triple)
     emit({"lhs": rep["lhs"], "rhs": rep["rhs"], "equal": rep["ok"]})
     if not rep["ok"]:

@@ -25,21 +25,20 @@ under G(r,m) x G(r,l), read off two character rows and one class-summed
 fixed-point table per (r, m, l), each count read off the two cycle types.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations, product
 from math import factorial, prod
 
 from .characters import (
+    _class_sum,
     _class_table,
     ginv,
     gmul,
     multipartitions,
-    pinv,
     weight,
     wreath_char_table,
 )
-from .diagrams import ColoredDiagram, _sort_blocks, count_bell, set_partitions
+from .diagrams import _sort_blocks, count_bell, set_partitions
 from .scalars import CycNumber, MPoly, _exact, zeta_pow
 
 
@@ -568,14 +567,6 @@ def semisimplicity_certificate(r, k, x):
 # -- Cartan matrix ---------------------------------------------------------------
 
 
-def _perm_diagram(r, n, g):
-    f, tau = g
-    ti = pinv(tau)
-    return ColoredDiagram(
-        r, n, n, [((v,), (ti[v - 1],), f[v - 1]) for v in range(1, n + 1)]
-    )
-
-
 @lru_cache(maxsize=None)
 def _block_orbits(r, tops, bots):
     """The number of downward diagrams d with g d h = d, from the cycles
@@ -626,16 +617,10 @@ def cartan_entry(r, lam_bar, mu_bar):
     lam_bar = tuple(tuple(x) for x in lam_bar)
     mu_bar = tuple(tuple(x) for x in mu_bar)
     l, m = weight(lam_bar), weight(mu_bar)
-    _, sizes_m, table_m = wreath_char_table(r, m)
-    _, sizes_l, table_l = wreath_char_table(r, l)
-    chi_mu, chi_lam = table_m[mu_bar], table_l[lam_bar]
-    total = sum((chi_mu[S] * chi_lam[T] * fixed
-                 for (S, T), fixed in _cartan_fixed_points(r, m, l).items()), CycNumber.zero(r))
-    order = sum(sizes_m.values()) * sum(sizes_l.values())
-    val = (total * Fraction(1, order)).as_rational()
-    if val.denominator != 1 or val < 0:
-        raise RuntimeError("Cartan entry is not a non-negative integer: %s" % val)
-    return int(val)
+    chi_mu, chi_lam = wreath_char_table(r, m)[2][mu_bar], wreath_char_table(r, l)[2][lam_bar]
+    return _class_sum(r, (chi_mu[S] * chi_lam[T] * fixed
+                          for (S, T), fixed in _cartan_fixed_points(r, m, l).items()),
+                      r ** (m + l) * factorial(m) * factorial(l), "Cartan entry")
 
 
 def cartan_matrix(r, maxweight):

@@ -39,7 +39,6 @@ from .groupoid import gsum_equal, hom_dimension_check, psi, psi_hom_check
 from .modules_rep import (
     _label_compositions,
     _label_factors,
-    _perm_diagram,
     cartan_matrix,
     cartan_tensor_check,
     cell_dimension,
@@ -267,6 +266,12 @@ def check_groupoid(cfg):
             "hom_samples": hom, "figure_ok": figure_ok, "dimensions": dims}
 
 
+def _perm_diagram(r, n, g):
+    """g = (colors, tau) of G(r,n) as a diagram: bottom u joins top tau(u), in its color."""
+    f, tau = g
+    return ColoredDiagram(r, n, n, [((p,), (u,), f[p - 1]) for u, p in enumerate(tau, start=1)])
+
+
 def check_triangular(cfg):
     """Every diagram factors as up x group x down, uniquely."""
     r, k = 2, 3
@@ -446,7 +451,7 @@ def check_xt_oracle(cfg):
 
 
 # (r, maximal weight) of each Cartan matrix that c11 checks
-CARTAN_CASES = ((2, 3), (1, 6), (2, 4), (3, 3))
+CARTAN_CASES = ((2, 3), (1, 6), (2, 4), (3, 3), (1, 8), (2, 5))
 
 
 def _downward_dimension_ok(r, w, B):

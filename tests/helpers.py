@@ -2,9 +2,9 @@
 
 from colorpart.characters import g_elements
 from colorpart.diagrams import ColoredDiagram, compose, enumerate_diagrams
-from colorpart.modules_rep import _perm_diagram
 from colorpart.ribbon import addable_ribbons, bumpout, firstr, nextr, rt_shape, special_type
 from colorpart.scalars import CycNumber, zeta_pow
+from colorpart.verify import _perm_diagram
 
 
 def as_integer(c):
@@ -29,6 +29,27 @@ def eval_by_repeated_products(p, point):
                 val = val * v
         total = total + val
     return total
+
+
+def class_type(r, g):
+    """Conjugacy class invariant, the oracle for the closed-form class
+    types: per color, the partition of cycle lengths whose cycle color
+    product is zeta^color."""
+    f, tau = g
+    n = len(f)
+    seen = [False] * n
+    buckets = [[] for _ in range(r)]
+    for i in range(1, n + 1):
+        if seen[i - 1]:
+            continue
+        j, length, color = i, 0, 0
+        while not seen[j - 1]:
+            seen[j - 1] = True
+            color = (color + f[j - 1]) % r
+            j = tau[j - 1]
+            length += 1
+        buckets[color].append(length)
+    return tuple(tuple(sorted(b, reverse=True)) for b in buckets)
 
 
 def g_identity(n):

@@ -116,8 +116,9 @@ def test_c11_cartan():
     rep = timed(verify.check_cartan, 10)
     assert rep["diag_ok"] and rep["vanish_ok"] and rep["tensor_ok"]
     assert rep["labels"] == 18
-    assert rep["labels_by_case"] == {"2,3": 18, "1,6": 30, "2,4": 38, "3,3": 35}
-    assert rep["dimension_ok"] and rep["dimension_pairs"] == 63
+    assert rep["labels_by_case"] == {"2,3": 18, "1,6": 30, "2,4": 38, "3,3": 35,
+                                     "1,8": 67, "2,5": 74}
+    assert rep["dimension_ok"] and rep["dimension_pairs"] == 129
 
 
 def test_c12_gram_and_semisimplicity():

@@ -19,7 +19,6 @@ from colorpart.characters import (
     abacus_moves,
     admissible_set,
     chi_sn,
-    class_type,
     g_elements,
     ginv,
     gmul,
@@ -39,7 +38,7 @@ from colorpart.characters import (
 )
 from colorpart.scalars import CycNumber, zeta_pow
 from colorpart.verify import FORMULA_EXAMPLE_R3
-from helpers import as_integer, g_identity
+from helpers import as_integer, class_type, g_identity
 
 
 def test_partition_counts():
@@ -212,7 +211,29 @@ def k_coefficient_by_elements(r, delta, delta1, delta2):
 @pytest.mark.parametrize("r, n", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2),
                                   (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2)])
 def test_wreath_char_table_equals_the_conjugation_sweep(r, n):
-    assert wreath_char_table(r, n) == wreath_char_table_by_conjugation(r, n)
+    reps, sizes, table = wreath_char_table(r, n)
+    _, sweep_sizes, sweep_table = wreath_char_table_by_conjugation(r, n)
+    assert sizes == sweep_sizes and table == sweep_table
+    assert all(class_type(r, g) == T for T, g in reps.items())
+
+
+@pytest.mark.parametrize("r, n", [(2, 7), (3, 5), (4, 4)])
+def test_wreath_classes_are_the_multipartitions_with_laid_out_reps(r, n):
+    reps, sizes, _ = wreath_char_table(r, n)
+    assert set(sizes) == set(reps) == set(multipartitions(r, n))
+    assert sum(sizes.values()) == r**n * factorial(n)
+    for T, (f, tau) in reps.items():
+        assert class_type(r, (f, tau)) == T
+        # cycles on consecutive points, longest first, each color on the
+        # cycle's first point
+        start, lengths = 0, []
+        while start < n:
+            d = next(d for d in range(1, n - start + 1) if tau[start + d - 1] == start + 1)
+            assert tau[start:start + d] == tuple(range(start + 2, start + d + 1)) + (start + 1,)
+            assert not any(f[start + 1:start + d])
+            lengths.append(d)
+            start += d
+        assert lengths == sorted(lengths, reverse=True)
 
 
 @pytest.mark.parametrize("r, t", [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1),
@@ -667,6 +688,8 @@ std, polys, peel = MR._specht_data((2, 1))
 MR._specht_data = lambda lam: (std, polys, peel[1:])
 # an r = 1 determinant that does not split over 0..2m-2
 MR.gram_det = lambda r, k, lam_bar: MPoly(1, {(2,): 1, (0,): 1})
+# one fixed point at the identity classes of G(2,1) x G(2,1): a quarter
+MR._cartan_fixed_points = lambda r, m, l: {(((1,), ()), ((1,), ())): 1}
 checks = [lambda: MR._unit_factors.__wrapped__(2, ()),
           lambda: MR.specht_matrix((2, 1), (1, 2, 3)),
           lambda: C.kronecker((2,), (2,), (2,)),
@@ -675,7 +698,8 @@ checks = [lambda: MR._unit_factors.__wrapped__(2, ()),
                               (((((1,),), ((2,),)),), ((),))), 1, 2, 2),
           lambda: egf_coefficients(Fraction(1, 2), 2),
           lambda: random_downward(random.Random(0), 2, 2, 1),
-          lambda: C.xt_fixed_points(1, 1, 1, 0, 1)]
+          lambda: C.xt_fixed_points(1, 1, 1, 0, 1),
+          lambda: MR.cartan_entry.__wrapped__(2, ((1,), ()), ((1,), ()))]
 print(sys.flags.optimize)
 for check in checks:
     try:
@@ -717,7 +741,7 @@ def test_integrity_checks_raise_under_python_O():
     assert proc.stdout.split() == ["1", "ArithmeticError", "ArithmeticError", "ArithmeticError",
                                    "ValueError", "ValueError",
                                    "ArithmeticError", "ValueError",
-                                   "ValueError", "94", "94", "94", "94"]
+                                   "ValueError", "ArithmeticError", "94", "94", "94", "94"]
 
 
 def _asserts(tree):

@@ -274,17 +274,40 @@ def test_cartan_admits_r1_weight_7_and_bounds_class_pair_terms():
     ("cartan", "--r", str(10**40), "--maxweight", "2"),
     ("reduced-kronecker", "--lam", "[30]", "--mu", "[30]", "--nu", "[30]"),
     ("reduced-kronecker", "--lam", "[%d]" % 10**6, "--mu", "[]", "--nu", "[]"),
+    ("r-coeff", "--r", "2", "--lam-bar", "[[6],[6]]", "--mu-bar", "[[6],[6]]",
+     "--nu-bar", "[[6],[6]]"),
+    # multipartitions(10, 30) alone is past any budget, though t = 0
+    ("r-coeff", "--r", "10", "--lam-bar", "[[30]%s]" % (",[]" * 9),
+     "--mu-bar", "[[30]%s]" % (",[]" * 9), "--nu-bar", "[[]%s]" % (",[]" * 9)),
+    ("thm-check", "--r", "2", "--lam-bar", "[[6],[6]]", "--mu-bar", "[[6],[6]]",
+     "--nu-bar", "[[6],[6]]"),
+    # R is cheap at t = 0, but the stability bound 80 has p(80) classes
+    ("thm-check", "--r", "1", "--lam-bar", "[[40]]", "--mu-bar", "[[40]]",
+     "--nu-bar", "[[]]"),
 ])
 def test_cartan_and_reduced_kronecker_refuse_an_oversized_request_first(monkeypatch, args):
     def work(*_):
         raise AssertionError("work started before the refusal")
-    monkeypatch.setattr(cli_module, "cartan_matrix", work)
-    monkeypatch.setattr(cli_module, "reduced_kronecker", work)
+    for name in ("cartan_matrix", "reduced_kronecker", "r_coefficient", "theorem_formula_check"):
+        monkeypatch.setattr(cli_module, name, work)
     t0 = time.perf_counter()
     res = run(*args)
     assert time.perf_counter() - t0 < 1
     assert_usage_error(res)
     assert "cap exceeded" in res.output
+
+
+def test_r_coeff_admits_r2_weight_8(monkeypatch):
+    # the largest r = 2 weight admitted at the default cap; it takes about
+    # a second, and weight 9 (141,896 terms) about two
+    monkeypatch.setattr(cli_module, "r_coefficient", lambda *_: 0)
+    args = ("r-coeff", "--r", "2", "--lam-bar", "[[4],[4]]", "--mu-bar", "[[4],[4]]",
+            "--nu-bar", "[[4],[4]]")
+    assert run(*args).exit_code == 0
+    assert run(*args, env={"COLORPART_MONOID_CAP": "58355"}).exit_code == 0
+    res = run(*args, env={"COLORPART_MONOID_CAP": "58354"})
+    assert_usage_error(res)
+    assert "58355 terms exceed cap 58354" in res.output
 
 
 def test_class_counts_are_the_multipartition_counts():

@@ -7,7 +7,6 @@ import pytest
 from colorpart import ribbon as RB
 from colorpart.characters import abacus_moves, g_elements
 from colorpart.diagrams import count_bell, enumerate_diagrams
-from colorpart.modules_rep import _perm_diagram
 from colorpart.rs import colored_array, _key as _max_entry
 from colorpart.ribbon import (
     _cells,
@@ -34,6 +33,7 @@ from colorpart.verify import (
     SW_Q_STEPS,
     SW_S_ROWS,
     SW_T_ROWS,
+    _perm_diagram,
 )
 
 from helpers import insert_by_max, random_square_diagram, sw_diagram_by_max, sweep_diagrams
