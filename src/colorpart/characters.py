@@ -14,11 +14,12 @@ oracle (one fixed-point table per (r,l,m,n,t)).
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, permutations, product
+from itertools import permutations, product
 from math import factorial, prod
+from operator import add, mul
 from types import MappingProxyType
 
-from .scalars import CycNumber, zeta_pow
+from .scalars import CycNumber, _reduction_rows, zeta_pow
 
 
 # -- partitions ---------------------------------------------------------------
@@ -249,13 +250,33 @@ def wreath_char_table(r, n):
     return reps, sizes, table
 
 
-def _class_sum(r, terms, order, what):
-    """The sum of the CycNumber terms over the group order, as an int;
-    ArithmeticError unless it is a non-negative integer."""
-    val = (sum(terms, CycNumber.zero(r)) * Fraction(1, order)).as_rational()
-    if val.denominator != 1 or val < 0:
-        raise ArithmeticError("%s is not a non-negative integer: %s" % (what, val))
-    return int(val)
+def _class_sum(r, rows, items, order, what):
+    """The sum of rows[0][T_0] rows[1][T_1] ... count over the items
+    ((T_0, T_1, ...), count), over the group order, as an int;
+    ArithmeticError unless it is a non-negative integer.  No CycNumber is
+    formed: each character value is read once as its power-basis
+    coordinates, the products are polynomials in z held as one int list
+    per degree over all items (items is iterated twice), and their sums
+    are reduced by Phi_r once, top degree first."""
+    low = _reduction_rows(r)[0]  # z^d in the power basis
+    d = len(low)
+    keys = [key for key, _ in items]
+    poly = [[n for _, n in items]]  # poly[e][i]: item i's coordinate of z^e so far
+    for j, row in enumerate(rows):
+        out = [[0] * len(keys) for _ in range(len(poly) + d - 1)]
+        for e, col in enumerate(zip(*[row[key[j]].coeffs for key in keys])):
+            if any(col):
+                for f, vec in enumerate(poly):
+                    out[e + f] = list(map(add, out[e + f], map(mul, vec, col)))
+        poly = out
+    acc = [sum(vec) for vec in poly]
+    for k in range(len(acc) - 1, d - 1, -1):
+        for i, p in enumerate(low):
+            acc[k - d + i] += acc[k] * p
+    if any(acc[1:d]) or acc[0] % order or acc[0] < 0:
+        raise ArithmeticError("%s is not a non-negative integer: %r"
+                              % (what, CycNumber(r, acc[:d]) * Fraction(1, order)))
+    return acc[0] // order
 
 
 # -- Kronecker coefficients ---------------------------------------------------
@@ -312,7 +333,7 @@ def reduced_kronecker(lam, mu, nu):
 
 @lru_cache(maxsize=None)
 def _h_classes(r, t):
-    """The classes of H(r,t) = (C_r x C_r) wr S_t as (T_a, T_b, T_c, size).
+    """The classes of H(r,t) = (C_r x C_r) wr S_t as ((T_a, T_b, T_c), size).
     A class is an r^2-multipartition rho of t, color pair (a, b) at index
     a*r + b.  T_a and T_b are its psi_1 and psi_2 types (each cycle keeps
     color a, resp. b); T_c inverts its psi_3 type (color -(a+b)), so
@@ -324,8 +345,8 @@ def _h_classes(r, t):
             a, b = divmod(idx, r)
             for image, color in zip(images, (a, b, -(a + b) % r)):
                 image[color] += parts
-        out.append(tuple(tuple(tuple(sorted(c, reverse=True)) for c in image)
-                         for image in images) + (size,))
+        out.append((tuple(tuple(tuple(sorted(c, reverse=True)) for c in image)
+                          for image in images), size))
     return tuple(out)
 
 
@@ -338,19 +359,22 @@ def k_coefficient(r, delta, delta1, delta2):
     if not weight(delta1) == t == weight(delta2):
         raise ValueError("multipartition weights differ")
     table = wreath_char_table(r, t)[2]
-    chi, chi1, chi2 = table[delta], table[delta1], table[delta2]
-    return _class_sum(r, (chi[ta] * chi1[tb] * chi2[tc] * size
-                          for ta, tb, tc, size in _h_classes(r, t) if chi[ta] and chi1[tb]),
+    return _class_sum(r, [table[delta], table[delta1], table[delta2]], _h_classes(r, t),
                       r ** (2 * t) * factorial(t), "K-coefficient")
 
 
 # -- admissible data and R-coefficients ---------------------------------------
 
 
-def admissible_set(l, m, n):
-    return [{"t": t, "a": (m + n - l - t) // 2, "b": (l + n - m - t) // 2,
+def _admissible(l, m, n):
+    """The admissible (t, a, b, c), lazily from t = 0."""
+    return ({"t": t, "a": (m + n - l - t) // 2, "b": (l + n - m - t) // 2,
              "c": (l + m - n - t) // 2}
-            for t in range(min(l + m - n, l + n - m, m + n - l) + 1) if (t - l - m - n) % 2 == 0]
+            for t in range(min(l + m - n, l + n - m, m + n - l) + 1) if (t - l - m - n) % 2 == 0)
+
+
+def admissible_set(l, m, n):
+    return list(_admissible(l, m, n))
 
 
 def xt_formula(r, lam_bar, mu_bar, nu_bar, t):
@@ -487,9 +511,6 @@ def xt_multiplicity_oracle(r, lam_bar, mu_bar, nu_bar, t):
     sizes = [weight(label) for label in labels]
     # dual slots: the character of S(mu)* on the opposite group is chi_mu
     # itself, so no conjugation here
-    chi1, chi2, chi3 = (wreath_char_table(r, n)[2][label] for n, label in zip(sizes, labels))
-    zero = CycNumber.zero(r)
-    terms = (chi1[T1] * chi2[T2] * sum((chi3[T3] * fixed for (_, _, T3), fixed in run), zero)
-             for (T1, T2), run in groupby(xt_fixed_points(r, *sizes, t).items(),
-                                          key=lambda item: item[0][:2]))
-    return _class_sum(r, terms, prod(r ** n * factorial(n) for n in sizes), "X^t multiplicity")
+    rows = [wreath_char_table(r, n)[2][label] for n, label in zip(sizes, labels)]
+    return _class_sum(r, rows, xt_fixed_points(r, *sizes, t).items(),
+                      prod(r ** n * factorial(n) for n in sizes), "X^t multiplicity")

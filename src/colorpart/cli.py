@@ -12,7 +12,7 @@ from functools import lru_cache
 import click
 
 from . import algebra, config, verify
-from .characters import (_stability_bound, admissible_set, r_coefficient, reduced_kronecker,
+from .characters import (_admissible, _stability_bound, r_coefficient, reduced_kronecker,
                          theorem_formula_check, weight)
 from .cliparse import TableGroup
 from .diagrams import ColoredDiagram, compose, count_bell
@@ -111,19 +111,19 @@ def run_config(**overrides):
         raise click.UsageError("bad configuration: %s" % exc)
 
 
-def check_monoid_size(k, r):
+def check_monoid_size(k, r, cap):
     """Refuse a k whose monoid CPar_k exceeds the cap before any work: the
     cells of CPar_k have sum of (dim W)^2 = |CPar_k|."""
     try:
-        algebra._monoid_size(k, r, run_config().monoid_cap)
+        algebra._monoid_size(k, r, cap)
     except algebra.CapExceeded as exc:
         raise click.UsageError("cap exceeded: %s" % exc)
 
 
-def check_estimate(formula, estimate, unit):
+def check_estimate(formula, estimate, unit, cap):
     """Refuse a request before any work when its work estimate, the value
-    of formula in unit, exceeds the monoid cap."""
-    cap = run_config().monoid_cap
+    of formula in unit, exceeds the monoid cap.  Each command reads the cap
+    once, by run_config, and passes it to every check it makes."""
     if estimate > cap:
         raise click.UsageError("cap exceeded: %s = %d %s exceed cap %d"
                                % (formula, estimate, unit, cap))
@@ -143,31 +143,31 @@ def _class_counts(r, n, cap):
     return c
 
 
-def check_stability_size(lam, mu, nu):
+def check_stability_size(lam, mu, nu, cap):
     """Refuse a reduced Kronecker coefficient before any work by p(n), one
     character product per class of S_n, n the stability bound."""
     n = _stability_bound(lam, mu, nu)
-    p = _class_counts(1, n, run_config().monoid_cap)
+    p = _class_counts(1, n, cap)
     check_estimate("p(%d), n = %d the stability bound" % (len(p) - 1, n), p[-1],
-                   "classes of S_n")
+                   "classes of S_n", cap)
 
 
-def check_r_coefficient_size(r, triple):
+def check_r_coefficient_size(r, triple, cap):
     """Refuse an R-coefficient before any work by the label quadruples
     xt_formula scans, the character values of G(r,t) and the classes of
-    H(r,t) each K-coefficient sums, over the admissible (t, a, b, c).  A
-    count cut off at the cap stands for the later ones; the sum stops past it."""
-    cap = run_config().monoid_cap
+    H(r,t) each K-coefficient sums, over the admissible (t, a, b, c),
+    walked lazily from t = 0.  A count cut off at the cap stands for the
+    later ones; the sum stops past it."""
     sizes = [weight(x) for x in triple]
     c, h = (_class_counts(q, max(sizes), cap) for q in (r, r * r))
     est = 0
-    for d in admissible_set(*sizes):
+    for d in _admissible(*sizes):
         ca, cb, cc, ct = (c[min(d[k], len(c) - 1)] for k in "abct")
         est += ca * cb * cc * ct + ct * ct + h[min(d["t"], len(h) - 1)]
         if est > cap:
             break
     check_estimate("sum_t c(a) c(b) c(c) c(t) + c(t)^2 + h(t), c(n) and h(n) the classes "
-                   "of G(r,n) and H(r,n)", est, "terms")
+                   "of G(r,n) and H(r,n)", est, "terms", cap)
 
 
 @click.group(cls=TableGroup)
@@ -194,7 +194,7 @@ def cmd_compose(d1, d2):
 @click.option("--r", required=True, type=COLORS)
 def cmd_count(k, r):
     """Colored Bell number: colored set partitions of k points."""
-    check_estimate("k^2", k * k, "Bell-triangle additions")
+    check_estimate("k^2", k * k, "Bell-triangle additions", run_config().monoid_cap)
     emit({"B": _decimal(count_bell(k, r))})
 
 
@@ -205,7 +205,7 @@ def cmd_count(k, r):
 def cmd_present_check(k, r):
     """Check every instance of the defining monoid relations."""
     # relation (12) has about k r^2 / 2 letters over its instances
-    check_estimate("k*r^2", k * r * r, "letters of relation (12)")
+    check_estimate("k*r^2", k * r * r, "letters of relation (12)", run_config().monoid_cap)
     rep = algebra.check_presentation(k, r)
     emit(rep)
     if not rep["ok"]:
@@ -250,7 +250,8 @@ def cmd_sw(diagram):
     """Ribbon-insertion image of a colored diagram, as row grids."""
     d = parse_diagram(diagram)
     # each shape's table of addable r-ribbons holds r^2 cells
-    check_estimate("(k+l)*r^2", (d.k + d.l) * d.r * d.r, "ribbon-table cells")
+    check_estimate("(k+l)*r^2", (d.k + d.l) * d.r * d.r, "ribbon-table cells",
+                   run_config().monoid_cap)
     (P, S), (Q, T) = sw_diagram(d)
     emit({"P": rt_rows(P), "Q": rt_rows(Q), "S": rt_rows(S), "T": rt_rows(T)})
 
@@ -298,7 +299,7 @@ def cmd_psi_check(seed, **sizes):
 def cmd_gram(r, k, shape):
     """Symbolic Gram matrix and determinant of a cell module."""
     lam_bar = parse_multipartition(shape, r)
-    check_monoid_size(k, r)
+    check_monoid_size(k, r, run_config().monoid_cap)
     try:
         M = gram_matrix(r, k, lam_bar)
     except ValueError as exc:
@@ -322,7 +323,7 @@ def cmd_semisimple(r, k, x):
         point = tuple(int(v) for v in x.split(","))
     except ValueError as exc:
         raise click.UsageError("bad parameter point: %s" % exc)
-    check_monoid_size(k, r)
+    check_monoid_size(k, r, run_config().monoid_cap)
     try:
         cert = semisimplicity_certificate(r, k, point)
     except ValueError as exc:
@@ -346,10 +347,11 @@ def cmd_cartan(r, maxweight):
     # each of the c(m) c(l) label pairs of weights m <= l sums the nonzero
     # fixed-point counts of its class pairs: about c(m) + c(l) <= 2 c(l) of
     # them, as measured at (1, <=9), (2, <=5) and (4,3)
-    c = _class_counts(r, maxweight, run_config().monoid_cap)
+    cap = run_config().monoid_cap
+    c = _class_counts(r, maxweight, cap)
     check_estimate("sum_{m<=l<=w} c(m) c(l)^2, c(n) the classes of G(r,n)",
                    sum(a * b * b for l, b in enumerate(c) for a in c[:l + 1]),
-                   "class-pair terms")
+                   "class-pair terms", cap)
     labels, B = cartan_matrix(r, maxweight)
     emit({
         "labels": labels,
@@ -364,7 +366,7 @@ def cmd_cartan(r, maxweight):
 def cmd_reduced_kronecker(lam, mu, nu):
     """Stable Kronecker coefficient of three partitions."""
     triple = parse_partition(lam), parse_partition(mu), parse_partition(nu)
-    check_stability_size(*triple)
+    check_stability_size(*triple, run_config().monoid_cap)
     emit({"value": reduced_kronecker(*triple)})
 
 
@@ -376,7 +378,7 @@ def cmd_reduced_kronecker(lam, mu, nu):
 def cmd_r_coeff(r, lam_bar, mu_bar, nu_bar):
     """Structure constant in the simple-module basis, via the LR/K sum."""
     triple = [parse_multipartition(x, r) for x in (lam_bar, mu_bar, nu_bar)]
-    check_r_coefficient_size(r, triple)
+    check_r_coefficient_size(r, triple, run_config().monoid_cap)
     emit({"value": r_coefficient(r, *triple)})
 
 
@@ -403,9 +405,10 @@ def cmd_thm_check(r, example, lam_bar, mu_bar, nu_bar):
             raise click.UsageError(
                 "need --lam-bar/--mu-bar/--nu-bar or --example")
         triple = [parse_multipartition(x, r) for x in (lam_bar, mu_bar, nu_bar)]
-    check_r_coefficient_size(r, triple)
+    cap = run_config().monoid_cap
+    check_r_coefficient_size(r, triple, cap)
     for colors in zip(*triple):
-        check_stability_size(*colors)
+        check_stability_size(*colors, cap)
     rep = theorem_formula_check(r, *triple)
     emit({"lhs": rep["lhs"], "rhs": rep["rhs"], "equal": rep["ok"]})
     if not rep["ok"]:

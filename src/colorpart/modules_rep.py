@@ -617,9 +617,8 @@ def cartan_entry(r, lam_bar, mu_bar):
     lam_bar = tuple(tuple(x) for x in lam_bar)
     mu_bar = tuple(tuple(x) for x in mu_bar)
     l, m = weight(lam_bar), weight(mu_bar)
-    chi_mu, chi_lam = wreath_char_table(r, m)[2][mu_bar], wreath_char_table(r, l)[2][lam_bar]
-    return _class_sum(r, (chi_mu[S] * chi_lam[T] * fixed
-                          for (S, T), fixed in _cartan_fixed_points(r, m, l).items()),
+    rows = [wreath_char_table(r, m)[2][mu_bar], wreath_char_table(r, l)[2][lam_bar]]
+    return _class_sum(r, rows, _cartan_fixed_points(r, m, l).items(),
                       r ** (m + l) * factorial(m) * factorial(l), "Cartan entry")
 
 

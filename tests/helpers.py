@@ -1,5 +1,11 @@
 """Small helpers the tests share and the library does not need."""
 
+from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
+from math import prod
+from operator import getitem
+
 from colorpart.characters import g_elements
 from colorpart.diagrams import ColoredDiagram, compose, enumerate_diagrams
 from colorpart.ribbon import addable_ribbons, bumpout, firstr, nextr, rt_shape, special_type
@@ -13,6 +19,28 @@ def as_integer(c):
     if q.denominator != 1:
         raise ValueError("not an integer: %s" % (c,))
     return q.numerator
+
+
+def class_sum_by_cyc_numbers(r, rows, items, order, what):
+    """The class sum as CycNumber terms, the oracle for the integer
+    coordinates of characters._class_sum: each term is the product of its
+    character values, one per row, and its count, with the counts of
+    terms of equal values added first; the sum over the group order as an
+    int; ArithmeticError unless it is a non-negative integer."""
+    counts = Counter()
+    for types, count in items:
+        counts[tuple(map(getitem, rows, types))] += count
+    total = sum((_product(values) * count for values, count in counts.items()),
+                CycNumber.zero(r))
+    val = (total * Fraction(1, order)).as_rational()
+    if val.denominator != 1 or val < 0:
+        raise ArithmeticError("%s is not a non-negative integer: %s" % (what, val))
+    return int(val)
+
+
+@lru_cache(maxsize=None)
+def _product(values):
+    return prod(values)
 
 
 def eval_by_repeated_products(p, point):

@@ -38,7 +38,7 @@ from colorpart.characters import (
 )
 from colorpart.scalars import CycNumber, zeta_pow
 from colorpart.verify import FORMULA_EXAMPLE_R3
-from helpers import as_integer, class_type, g_identity
+from helpers import as_integer, class_sum_by_cyc_numbers, class_type, g_identity
 
 
 def test_partition_counts():
@@ -243,6 +243,25 @@ def test_k_coefficient_equals_the_element_sum(r, t):
     for delta, delta1, delta2 in product(labels, repeat=3):
         assert k_coefficient(r, delta, delta1, delta2) \
             == k_coefficient_by_elements(r, delta, delta1, delta2)
+
+
+@pytest.mark.parametrize("r, ts", [(1, range(5)), (2, range(4)), (3, range(3)), (4, [2])])
+def test_k_coefficient_equals_the_cyc_number_class_sum(monkeypatch, r, ts):
+    # the reduction by Phi_r runs where phi(r) >= 2, so at r = 3 and 4
+    triples = [x for t in ts for x in product(multipartitions(r, t), repeat=3)]
+    values = [k_coefficient(r, *x) for x in triples]
+    monkeypatch.setattr(C, "_class_sum", class_sum_by_cyc_numbers)
+    assert [k_coefficient(r, *x) for x in triples] == values
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_xt_oracle_equals_the_cyc_number_class_sum(monkeypatch, r):
+    cases = [(labels, d["t"]) for sizes in product(range(3), repeat=3)
+             for d in admissible_set(*sizes)
+             for labels in product(*(multipartitions(r, n) for n in sizes))]
+    values = [xt_multiplicity_oracle(r, *labels, t) for labels, t in cases]
+    monkeypatch.setattr(C, "_class_sum", class_sum_by_cyc_numbers)
+    assert [xt_multiplicity_oracle(r, *labels, t) for labels, t in cases] == values
 
 
 def test_kronecker_values():

@@ -17,6 +17,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import colorpart
+from colorpart import characters
 from colorpart import cli as cli_module
 from colorpart.cli import main
 from colorpart.characters import multipartitions
@@ -295,6 +296,44 @@ def test_cartan_and_reduced_kronecker_refuse_an_oversized_request_first(monkeypa
     assert time.perf_counter() - t0 < 1
     assert_usage_error(res)
     assert "cap exceeded" in res.output
+
+
+@pytest.mark.parametrize("command", ["r-coeff", "thm-check"])
+def test_a_heavy_r_coefficient_is_refused_without_listing_admissible_t(monkeypatch, command):
+    def work(*_):
+        raise AssertionError("work started before the refusal")
+    for name in ("r_coefficient", "theorem_formula_check"):
+        monkeypatch.setattr(cli_module, name, work)
+    monkeypatch.setattr(characters, "admissible_set", work)
+    # weight 10^7 on each side: the estimate passes the cap at t = 0, so
+    # the five million admissible t are never listed
+    big = "[[10000000],[]]"
+    t0 = time.perf_counter()
+    res = run(command, "--r", "2", "--lam-bar", big, "--mu-bar", big, "--nu-bar", big)
+    assert time.perf_counter() - t0 < 1
+    assert_usage_error(res)
+    assert "terms exceed cap" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ("thm-check", "--r", "2", "--lam-bar", "[[1],[]]", "--mu-bar", "[[1],[]]",
+     "--nu-bar", "[[],[]]"),
+    ("r-coeff", "--r", "2", "--lam-bar", "[[1],[]]", "--mu-bar", "[[1],[]]",
+     "--nu-bar", "[[],[]]"),
+    ("reduced-kronecker", "--lam", "[1]", "--mu", "[1]", "--nu", "[]"),
+    ("sw", "--diagram", '{"r": 2, "k": 1, "l": 1, "blocks": [{"top": [1], "bot": [1], "c": 1}]}'),
+    ("count", "--k", "5", "--r", "2"),
+])
+def test_a_request_reads_the_run_configuration_once(monkeypatch, args):
+    calls = []
+    from_env = cli_module.config.from_env
+    monkeypatch.setattr(cli_module.config, "from_env",
+                        lambda **overrides: calls.append(overrides) or from_env(**overrides))
+    assert run(*args).exit_code == 0
+    assert len(calls) == 1
+    # the cap is still read per request, from the env passed with it
+    assert_usage_error(run(*args, env={"COLORPART_MONOID_CAP": "1"}))
+    assert len(calls) == 2
 
 
 def test_r_coeff_admits_r2_weight_8(monkeypatch):

@@ -42,7 +42,8 @@ from colorpart.modules_rep import (
 )
 from colorpart.scalars import CycNumber, MPoly, zeta_pow
 from colorpart.verify import GRAM_K1_R2, _perm_diagram
-from helpers import as_integer, class_type, eval_by_repeated_products, g_identity
+from helpers import (as_integer, class_sum_by_cyc_numbers, class_type,
+                     eval_by_repeated_products, g_identity)
 from nested_mpoly import NestedMPoly, nested_det_bareiss
 
 
@@ -997,6 +998,17 @@ def test_cartan_class_sums_match_the_idempotent_oracle(r, maxweight):
             assert cartan_entry(r, lam, mu) == cartan_entry_by_basis_map(r, lam, mu)
 
 
+@pytest.mark.parametrize("r, maxweight", [(1, 6), (2, 4), (3, 3), (5, 2)])
+def test_cartan_entries_equal_the_cyc_number_class_sum(monkeypatch, r, maxweight):
+    # the reduction by Phi_r runs where phi(r) >= 2: at r = 3 from degree
+    # 2, at r = 5 (phi = 4) from degrees 6, 5 and 4
+    labels = [lam for w in range(maxweight + 1) for lam in multipartitions(r, w)]
+    pairs = list(product(labels, repeat=2))
+    values = [cartan_entry.__wrapped__(r, lam, mu) for lam, mu in pairs]
+    monkeypatch.setattr(MR, "_class_sum", class_sum_by_cyc_numbers)
+    assert [cartan_entry.__wrapped__(r, lam, mu) for lam, mu in pairs] == values
+
+
 def cartan_fixed_points_by_compose(r, m, l):
     """The class-summed fixed-point table built from the downward basis,
     kept as the oracle: one representative per class permutes the basis by
@@ -1079,6 +1091,20 @@ def test_gram_matrix_rejects_a_wrong_size(monkeypatch):
                         lambda r, k, i: cross_section(r, k, i)[:-1])
     with pytest.raises(RuntimeError, match="cell dimension"):
         gram_matrix(r, k, lam_bar)
+
+
+def test_cartan_entry_rejects_an_irrational_value(monkeypatch):
+    # every value 1 + zeta_3: the entry at weights 0 is (1 + zeta)^2 = zeta,
+    # whose rational coordinate 0 alone would pass as an integer
+    one_plus_zeta = CycNumber.one(3) + zeta_pow(3, 1)
+
+    def table(r, n):
+        reps, sizes, values = wreath_char_table(r, n)
+        return reps, sizes, {lam: dict.fromkeys(row, one_plus_zeta) for lam, row in values.items()}
+
+    monkeypatch.setattr(MR, "wreath_char_table", table)
+    with pytest.raises(ArithmeticError, match="non-negative integer: 1\\*z$"):
+        cartan_entry.__wrapped__(3, ((), (), ()), ((), (), ()))
 
 
 def test_cartan_entry_rejects_a_non_integer(monkeypatch):
