@@ -3,9 +3,10 @@ CPar_k(x) with every parameter evaluated at 1.
 
 Its generators s_0, s_i, p_i, q_i and their relations, and one monoid
 kernel: a cached breadth-first closure of the generators with its right
-and left Cayley graphs, from which generated_closure and the Green's L, R
-and J classes are read.  The kernel composes no diagram: a generator acts
-on a flat block-label code of an element by a local edit.
+Cayley graph, read through the anti-involution flip_keep for the left one,
+from which generated_closure and the Green's L, R and J classes are read:
+|M| * |gens| edits, |M| flips and two SCC passes.  No diagram is composed:
+a generator acts on a flat block-label code of an element by a local edit.
 """
 
 from functools import cached_property, lru_cache
@@ -196,11 +197,11 @@ def monoid_generators(k, r):
 # The code of a (k, k) diagram lists the block label of each vertex in the
 # order t1, b1, ..., tk, bk, with blocks numbered by first appearance (the
 # canonical block order), followed by the color of each block.  An edit
-# acts at position pos, the vertex i of one side (2i - 1 for the bottom
-# row, the right action; 2i - 2 for the top row, the left one), and at
-# pos + 2, the vertex i + 1 of the same side.  Every generator is fixed by
-# flip_keep, so g * d is the same edit of d's top row as d * g is of its
-# bottom row.
+# acts at position pos = 2i - 1, the bottom vertex i, and at pos + 2, the
+# bottom vertex i + 1: it is the right action d -> d * g.  The flip of a
+# code trades t_i and b_i.  Every generator is fixed by flip_keep, an
+# anti-involution, so g * d = flip(flip(d) * g): the left action is read
+# through the flip, and no edit touches a top row.
 
 
 def _renumber(labels, colors):
@@ -212,6 +213,11 @@ def _renumber(labels, colors):
         if x not in new:
             new[x] = len(new)
     return tuple([new[x] for x in labels] + [colors[x] for x in new])
+
+
+def _flip(code, n):
+    """The code of flip_keep(d) from that of d: t_i and b_i trade places."""
+    return _renumber([code[p ^ 1] for p in range(n)], code[n:])
 
 
 def _recolor(code, n, pos, r):
@@ -287,32 +293,31 @@ class _Closure:
     every element interned to its index (Froidure & Pin 1997).
 
     The search runs on codes, and a generator acts on a code by one local
-    edit (see above), so no diagram is composed.  right[i][j] is the index
-    of elems[i] * gens[j]: the search edits bottom rows, |M| * |gens|
-    edits.  left[i][j], the index of gens[j] * elems[i], is built on first
-    use, |M| * |gens| more edits of the top rows.  The codes are decoded
-    into elems once, at the end; codes and index stay for the left graph.
-    by_repr, the indices in the repr order of their elements, is also
-    sorted on first use.
+    edit of its bottom row (see above), so no diagram is composed.
+    right[i][j] is the index of elems[i] * gens[j]: |M| * |gens| edits.
+    Built on first use: flip[i], the index of flip_keep(elems[i]), from |M|
+    flips; left[i][j] = flip[right[flip[i]][j]], that of gens[j] * elems[i];
+    the components of right; and by_repr, the indices in the repr order of
+    their elements.  The codes are decoded into elems once, at the end.
     """
 
     def __init__(self, k, r):
         n = 2 * k
         start = _encode(ColoredDiagram.identity(r, k))
-        # (edit, position of bottom vertex i); the top vertex i is one before
-        self.edits = []
+        edits = []
         for _, g, edit, i in _generators(k, r):
-            # an explicit check, so that it holds under python -O as well
-            if {edit(start, n, pos, r) for pos in (2 * i - 1, 2 * i - 2)} \
-                    != {_encode(g)}:
-                raise RuntimeError("the edits for %r do not give it" % g)
-            self.edits.append((edit, 2 * i - 1))
+            # explicit checks, so that they hold under python -O as well
+            code = _encode(g)
+            if edit(start, n, 2 * i - 1, r) != code or _flip(code, n) != code:
+                raise RuntimeError("the edits for %r do not give it, or "
+                                   "flip_keep does not fix it" % g)
+            edits.append((edit, 2 * i - 1))
         codes = self.codes = [start]
         index = self.index = {start: 0}
         right = self.right = []
         for c in codes:    # codes grows while the loop reads it
             row = []
-            for edit, pos in self.edits:
+            for edit, pos in edits:
                 x = edit(c, n, pos, r)
                 j = index.get(x)
                 if j is None:
@@ -322,13 +327,21 @@ class _Closure:
             right.append(row)
         shapes = {}
         self.elems = [_decode(c, r, k, shapes) for c in codes]
-        self.n, self.r = n, r
+        self.n = n
+
+    @cached_property
+    def flip(self):
+        index, n = self.index, self.n
+        return [index[_flip(c, n)] for c in self.codes]
 
     @cached_property
     def left(self):
-        index, n, r = self.index, self.n, self.r
-        return [[index[edit(c, n, pos - 1, r)] for edit, pos in self.edits]
-                for c in self.codes]
+        flip, right = self.flip, self.right
+        return [[flip[j] for j in right[f]] for f in flip]
+
+    @cached_property
+    def right_components(self):
+        return _strong_components(self.right)
 
     @cached_property
     def by_repr(self):
@@ -395,11 +408,12 @@ def green_classes(k, r, relation, cap=MONOID_CAP):
     """Partition the monoid into L, R or J classes.
 
     R classes are the strongly connected components of the right Cayley
-    graph, L classes those of the left one, and J classes those of the two
-    graphs together: a path from x to y multiplies x on both sides, so y is
-    reachable from x iff y is in MxM.  The three read one cached closure,
-    2 |M| * |gens| products in all.  Members come in repr order and classes
-    in the order of their first member.
+    graph, L classes the R classes read through the flip (x L y iff flip(x)
+    R flip(y)), and J classes the components of the right and left graphs
+    together: y is reachable from x iff y is in MxM.  The three read one
+    cached closure: |M| * |gens| edits, |M| flips and two SCC passes in
+    all.  Members come in repr order and classes in the order of their
+    first member.
     """
     if relation not in ("L", "R", "J"):
         raise ValueError("relation must be L, R or J")
@@ -410,12 +424,12 @@ def green_classes(k, r, relation, cap=MONOID_CAP):
         raise RuntimeError("generators reach %d elements, expected %d"
                            % (len(elems), n))
     if relation == "R":
-        graph = closure.right
+        key = closure.right_components
     elif relation == "L":
-        graph = closure.left
+        key = [closure.right_components[j] for j in closure.flip]
     else:
-        graph = [a + b for a, b in zip(closure.right, closure.left)]
-    key = _strong_components(graph)
+        key = _strong_components([a + b for a, b in
+                                  zip(closure.right, closure.left)])
     classes = {}
     for i in closure.by_repr:
         classes.setdefault(key[i], []).append(elems[i])

@@ -52,6 +52,14 @@ def _diagnose(canon, k, l):
         raise MalformedDiagram("blocks do not cover all vertices")
 
 
+def _check_sizes(r, k, l):
+    """MalformedDiagram for a color modulus below 1 or a negative arity."""
+    if r < 1:
+        raise MalformedDiagram("color modulus must be positive")
+    if k < 0 or l < 0:
+        raise MalformedDiagram("arities must be non-negative")
+
+
 class ColoredDiagram:
     """Immutable canonical colored (k,l)-partition diagram."""
 
@@ -62,10 +70,7 @@ class ColoredDiagram:
         vertices 1..k and the bottom vertices 1..l: each side's vertices,
         sorted, must equal that range.  Only when they do not are the
         blocks checked vertex by vertex, to name the first fault."""
-        if r < 1:
-            raise MalformedDiagram("color modulus must be positive")
-        if k < 0 or l < 0:
-            raise MalformedDiagram("arities must be non-negative")
+        _check_sizes(r, k, l)
         canon = []
         tops, bots = [], []
         full = True
@@ -138,9 +143,6 @@ class ColoredDiagram:
         in its own part."""
         return self.k <= self.l and self.rank() == self.k
 
-    def is_upward(self):
-        return self.l <= self.k and self.rank() == self.l
-
     def is_normally_ordered_down(self):
         """Downward, propagating parts {j} + B_j^l trivially colored and
         ordered by min of the bottom constituents."""
@@ -154,14 +156,8 @@ class ColoredDiagram:
         return mins == sorted(mins)
 
     def is_normally_ordered_up(self):
-        if not self.is_upward():
-            return False
-        props = sorted(self.propagating_blocks(), key=lambda b: b[1][0])
-        for j, (top, bot, c) in enumerate(props, start=1):
-            if bot != (j,) or c != 0:
-                return False
-        mins = [b[0][0] for b in props]
-        return mins == sorted(mins)
+        """The mirror image of a normally ordered downward diagram."""
+        return flip_keep(self).is_normally_ordered_down()
 
     # -- serialization -----------------------------------------------------
     def to_json(self):
@@ -358,6 +354,7 @@ def enumerate_diagrams(r, k, l):
     """All colored (k,l)-partition diagrams.  Each set partition's blocks
     are sorted once, holding their index in the partition in the color
     slot, and then colored in every way."""
+    _check_sizes(r, k, l)
     verts = [("t", i) for i in range(1, k + 1)] + [("b", j) for j in range(1, l + 1)]
     for part in set_partitions(verts):
         blocks = sorted(((tuple(sorted(v for tag, v in block if tag == "t")),

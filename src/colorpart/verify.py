@@ -10,6 +10,7 @@ check.
 """
 
 import time
+from collections import Counter
 from itertools import product
 from math import factorial, prod
 
@@ -208,6 +209,13 @@ GRAM_K1_R2 = {
 # the label factors against elimination of the evaluated Gram matrices
 LABEL_POINTS = {(2, 3): (5, 2), (4, 2): (3, 1, 2, 5)}
 
+# Green's structure of CPar_k at (k, r): B_{k,r+1} L-classes, then L_i,
+# the L-classes of the rank-i J-class, L_i = sum_j S(k,j) C(j,i) r^(j-i)
+GREEN_CASES = {(2, 2): (12, [6, 5, 1]), (1, 3): (4, [3, 1]),
+               (2, 3): (20, [12, 7, 1]), (3, 2): (57, [22, 25, 9, 1]),
+               (4, 1): (94, [15, 37, 31, 10, 1]),
+               (3, 3): (116, [57, 46, 12, 1])}
+
 
 # -- criteria ------------------------------------------------------------------
 
@@ -366,16 +374,35 @@ def check_sw(cfg):
             "diagram_images": diagram_counts}
 
 
+def _green_closed_forms(k, r, bell, ls, classes):
+    """B_{k,r+1} L- and as many R-classes, k + 1 J-classes, L_i
+    L-classes in the rank-i one, r^i i! elements in each of its
+    H-classes, and sum_i L_i^2 r^i i! = B_{2k,r}."""
+    h = [r**i * factorial(i) for i in range(k + 1)]
+    r_class = {d: j for j, c in enumerate(classes["R"]) for d in c}
+    ranks = [c[0].rank() for c in classes["L"]]
+    h_sizes = {(c[0].rank(), n) for c in classes["L"]
+               for n in Counter(r_class[d] for d in c).values()}
+    return (len(classes["L"]) == len(classes["R"]) == bell == sum(ls)
+            == count_bell(k, r + 1) and len(classes["J"]) == k + 1
+            and [ranks.count(i) for i in range(k + 1)] == ls
+            and h_sizes == set(enumerate(h))
+            and sum(l * l * h[i] for i, l in enumerate(ls)) == count_bell(2 * k, r))
+
+
 def check_green(cfg):
-    """Cayley-graph L/R/J classes equal the tableau-invariant classes."""
+    """Cayley-graph L/R/J classes equal the tableau-invariant classes, and
+    they have the closed-form counts of GREEN_CASES."""
     details = []
+    closed = []
     ok = True
-    for k, r in [(2, 2), (1, 3), (2, 3), (3, 2), (4, 1), (3, 3)]:
+    for (k, r), (bell, ls) in GREEN_CASES.items():
         elems = algebra.enumerate_monoid(k, r, cap=cfg.monoid_cap)
         invariants = {d: green_invariants(d) for d in elems}
+        classes = {}
         for rel in ("L", "R", "J"):
-            graph = {frozenset(c) for c in algebra.green_classes(
-                k, r, rel, cap=cfg.monoid_cap)}
+            classes[rel] = algebra.green_classes(k, r, rel, cap=cfg.monoid_cap)
+            graph = {frozenset(c) for c in classes[rel]}
             by_key = {}
             for d, inv in invariants.items():
                 by_key.setdefault(inv[rel], set()).add(d)
@@ -384,7 +411,10 @@ def check_green(cfg):
             details.append({"k": k, "r": r, "relation": rel,
                             "classes": len(graph), "ok": same})
             ok = ok and same
-    return {"ok": ok, "cases": details}
+        same = _green_closed_forms(k, r, bell, ls, classes)
+        closed.append({"k": k, "r": r, "L_i": ls, "ok": same})
+        ok = ok and same
+    return {"ok": ok, "cases": details, "closed_forms": closed}
 
 
 def _formula_sweep(r, w):

@@ -3,12 +3,14 @@
 import os
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
-from colorpart import algebra
-from colorpart.diagrams import (ColoredDiagram, compose, count_bell,
-                                enumerate_diagrams)
+from colorpart import algebra, config, verify
+from colorpart.diagrams import (ColoredDiagram, MalformedDiagram, compose,
+                                count_bell, enumerate_diagrams, flip_keep,
+                                stirling2)
 from colorpart.rs import green_invariants
 
 
@@ -57,19 +59,21 @@ class ComposeClosure:
 @pytest.mark.parametrize("k, r", [(k, r) for k in (1, 2, 3) for r in (1, 2, 3)]
                          + [(4, 1)])
 def test_code_edits_equal_the_composition_oracle(k, r):
-    # every element, every generator, on both sides; a code decodes to its
-    # diagram, so equal codes are equal products
+    # every element, every generator, on both sides: d * g by the edit of
+    # the bottom row, g * d = flip(flip(d) * g) through the flip; a code
+    # decodes to its diagram, so equal codes are equal products
     n = 2 * k
     gens = algebra._generators(k, r)
     shapes = {}
+    flip = algebra._flip
     for d in enumerate_diagrams(r, k, k):
         code = algebra._encode(d)
         assert algebra._decode(code, r, k, shapes) == d
         for _, g, edit, i in gens:
             assert edit(code, n, 2 * i - 1, r) == algebra._encode(
                 compose(d, g)[0]), (d, g)
-            assert edit(code, n, 2 * i - 2, r) == algebra._encode(
-                compose(g, d)[0]), (g, d)
+            assert flip(edit(flip(code, n), n, 2 * i - 1, r), n) \
+                == algebra._encode(compose(g, d)[0]), (g, d)
 
 
 @pytest.mark.parametrize("k, r", [(0, 1), (0, 3), (1, 1), (1, 2), (1, 3),
@@ -82,6 +86,16 @@ def test_closure_equals_the_composition_closure(k, r):
     assert kernel.elems == oracle.elems
     assert kernel.right == oracle.right
     assert kernel.left == oracle.left
+
+
+@pytest.mark.parametrize("k, r", list(verify.GREEN_CASES))
+def test_flip_of_a_code_is_the_code_of_flip_keep(k, r):
+    # for every element, and the closure's flip permutation agrees
+    closure = algebra._Closure(k, r)
+    for i, d in enumerate(closure.elems):
+        code = algebra._encode(flip_keep(d))
+        assert algebra._flip(closure.codes[i], 2 * k) == code, d
+        assert closure.codes[closure.flip[i]] == code, d
 
 
 @pytest.mark.parametrize("k, r", [(k, r) for k in (1, 2, 3) for r in (1, 2, 3)]
@@ -128,6 +142,12 @@ def test_enumeration_cap():
         algebra.enumerate_monoid(3, 2, cap=100)
 
 
+def test_enumeration_refuses_no_colors():
+    # B_{2,0} = 0 passes the size check; the enumeration refuses r = 0
+    with pytest.raises(MalformedDiagram, match="^color modulus must be positive$"):
+        algebra.enumerate_monoid(1, 0)
+
+
 def test_generator_shapes():
     k, r = 3, 3
     for g in algebra.monoid_generators(k, r):
@@ -170,6 +190,26 @@ def test_green_classes_equal_the_ideal_oracle(k, r, relation):
         k, r, relation)
 
 
+def test_green_cases_follow_their_closed_forms():
+    # B_{k,r+1} L-classes, and L_i = sum_j S(k,j) C(j,i) r^(j-i)
+    for (k, r), (bell, ls) in verify.GREEN_CASES.items():
+        assert bell == count_bell(k, r + 1)
+        assert ls == [sum(stirling2(k, j) * comb(j, i) * r**(j - i)
+                          for j in range(i, k + 1)) for i in range(k + 1)]
+
+
+@pytest.mark.parametrize("case", [(12, [6, 4, 2]), (13, [7, 5, 1]),
+                                  (12, [6, 6])])
+def test_check_green_reports_a_wrong_closed_form(monkeypatch, case):
+    # the classes still equal the tableau ones; only the counts are off
+    monkeypatch.setattr(verify, "GREEN_CASES", {(2, 2): case})
+    rep = verify.check_green(config.RunConfig())
+    assert all(c["ok"] for c in rep["cases"])
+    assert rep["closed_forms"] == [{"k": 2, "r": 2, "L_i": case[1],
+                                    "ok": False}]
+    assert rep["ok"] is False
+
+
 @pytest.mark.parametrize("r", [1, 3])
 def test_cpar0_is_one_element(r):
     ident = ColoredDiagram.identity(r, 0)
@@ -196,28 +236,36 @@ def fresh_closures():
 
 
 def test_green_classes_share_one_closure(monkeypatch, fresh_closures):
-    # one closure build, with one right and one left graph:
-    # 2 * |CPar_2| * |gens| = 2 * 94 * 5 edits at r = 2, plus the build's
-    # check of each generator's two edits on the identity
+    # one closure build, with one right graph: |CPar_2| * |gens| = 94 * 5
+    # edits at r = 2, plus the build's check of each generator's edit on
+    # the identity; the left graph and the L classes are read through
+    # |CPar_2| flips, plus the build's check that each generator is
+    # flip-fixed; L, R and J take two SCC passes together
     generators = algebra._generators
     builds, edits = [], []
 
-    def counted(edit):
-        def counted_edit(*args):
-            edits.append(1)
-            return edit(*args)
-        return counted_edit
+    def counted(f, calls):
+        def counted_f(*args):
+            calls.append(1)
+            return f(*args)
+        return counted_f
 
     def counted_generators(k, r):
         builds.append((k, r))
-        return [(name, g, counted(edit), i)
+        return [(name, g, counted(edit, edits), i)
                 for name, g, edit, i in generators(k, r)]
 
+    flips, passes = [], []
     monkeypatch.setattr(algebra, "_generators", counted_generators)
+    monkeypatch.setattr(algebra, "_flip", counted(algebra._flip, flips))
+    monkeypatch.setattr(algebra, "_strong_components",
+                        counted(algebra._strong_components, passes))
     for relation in ("L", "R", "J"):
         algebra.green_classes(2, 2, relation)
     assert builds == [(2, 2)]
-    assert len(edits) == 2 * 94 * 5 + 2 * 5
+    assert len(edits) == 94 * 5 + 5
+    assert len(flips) == 94 + 5
+    assert len(passes) == 2
 
 
 def test_green_classes_render_each_element_once(monkeypatch, fresh_closures):
@@ -291,6 +339,27 @@ def test_integrity_checks_raise(monkeypatch, fresh_closures):
     assert len(algebra.monoid_generators(2, 2)) == 4
     with pytest.raises(RuntimeError, match="generators reach"):
         algebra.green_classes(2, 2, "R")
+
+
+def test_a_generator_that_flip_keep_does_not_fix_raises_under_O():
+    # the left graph is the right one read through flip_keep, which holds
+    # only for flip-fixed generators: one with an edit that gives its code
+    # but a top row unlike its bottom row is refused
+    script = ("from colorpart import algebra as a\n"
+              "from colorpart.diagrams import ColoredDiagram\n"
+              "g = ColoredDiagram(2, 2, 2, [((1, 2), (1,), 0), ((), (2,), 0)])\n"
+              "code = a._encode(g)\n"
+              "a._generators = lambda k, r: [('u', g, lambda *_: code, 1)]\n"
+              "try:\n"
+              "    a.generated_closure(2, 2)\n"
+              "except RuntimeError as exc:\n"
+              "    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(algebra.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "flip_keep does not fix it" in proc.stdout
 
 
 def test_an_edit_that_does_not_give_its_generator_raises_under_O():

@@ -145,6 +145,19 @@ def test_constructor_names_the_first_fault(r, k, l, blocks, message):
         ColoredDiagram(r, k, l, blocks)
 
 
+@pytest.mark.parametrize("r, k, l, message", [
+    (2, -1, 1, "arities must be non-negative"),
+    (2, 1, -1, "arities must be non-negative"),
+    (0, 0, 0, "color modulus must be positive"),
+    (-1, 2, 2, "color modulus must be positive"),
+])
+def test_enumeration_refuses_what_the_constructor_refuses(r, k, l, message):
+    with pytest.raises(MalformedDiagram, match="^%s$" % message):
+        list(enumerate_diagrams(r, k, l))
+    with pytest.raises(MalformedDiagram, match="^%s$" % message):
+        ColoredDiagram(r, k, l, [])
+
+
 def test_constructor_canonicalizes_blocks_like_the_tuple_key():
     # blocks ordered by their least vertex, tops before bottoms at equal
     # index, whatever the input order of blocks and vertices
@@ -366,6 +379,26 @@ def test_triangular_factorization_roundtrip():
             p, e1 = compose(d1, d0)
             back, e2 = compose(p, d2)
             assert back == d and not any(e1) and not any(e2)
+
+
+def test_upward_normal_form_is_the_mirrored_downward_one():
+    # the predicate written out for the top row, the oracle
+    def mirrored(d):
+        if not (d.l <= d.k and d.rank() == d.l):
+            return False
+        props = sorted(d.propagating_blocks(), key=lambda b: b[1][0])
+        for j, (top, bot, c) in enumerate(props, start=1):
+            if bot != (j,) or c != 0:
+                return False
+        mins = [b[0][0] for b in props]
+        return mins == sorted(mins)
+
+    seen = 0
+    for r, k, l in itertools.product((1, 2), range(4), range(4)):
+        for d in enumerate_diagrams(r, k, l):
+            assert d.is_normally_ordered_up() == mirrored(d), d
+            seen += mirrored(d)
+    assert seen > 0
 
 
 # -- trusted builds: each must be what the validating constructor builds --------
